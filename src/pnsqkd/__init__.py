@@ -11,7 +11,6 @@ cloning         asymmetric cloning machines and sifted cloning attacks
 keyrate         security criterion, key rate, optimal mu, protocol comparison
 cli             curve sweeps, reports and the self-check suite
 """
-from ._kernels import backend_name
 from .qmath import (
     GeneralizedMeasurement,
     Operator,

@@ -12,9 +12,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ._kernels import poisson_click_sum, poisson_photon_sum
 from . import photonics, qmath
-from .photonics import SourceChannelModel, poisson_cutoff, poisson_pmf, transmission
+from .photonics import (
+    SourceChannelModel,
+    poisson_click_sum,
+    poisson_cutoff,
+    poisson_photon_sum,
+    poisson_pmf,
+    transmission,
+)
 
 STORING_OVERLAP = 1.0 / math.sqrt(2.0)  # announced-pair overlap in the four-state protocol
 RATE_RESIDUAL_TOL = 1e-10
@@ -268,7 +274,9 @@ def strongpulse_b92(delta_db, mu, bob_floor=10.0):
     model = StrongPulseModel(mu, delta_db, bob_floor)
     t = model.intensity_ratio
     kept = model.mu_prime - bob_floor
-    overlap = ((1.0 - t) / (1.0 + t)) ** kept if kept > 0 else 1.0
+    # log space: rounding (1-t)/(1+t) and raising it to kept ~ 1/t would
+    # amplify one ulp to ~1e-9 in the overlap at large loss
+    overlap = math.exp(kept * (math.log1p(-t) - math.log1p(t))) if kept > 0 else 1.0
     p_e = 0.5 * (1.0 - math.sqrt(1.0 - overlap * overlap))
     return overlap, p_e, qmath.binary_information(p_e)
 

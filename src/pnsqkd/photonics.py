@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._kernels import poisson_click_sum
-
 DEFAULT_ALPHA_DB_PER_KM = 0.25
 TAIL_BOUND = 1e-12
 
@@ -78,6 +76,45 @@ def poisson_distribution(mu):
     return [poisson_pmf(n, mu) for n in range(poisson_cutoff(mu) + 1)]
 
 
+def poisson_click_sum(mu, eta, offset, nmax):
+    """Sum over offset < n <= nmax of p(n, mu) (1 - (1 - eta)^(n - offset)).
+
+    Poisson weights come from the stable multiplicative recurrence; the
+    caller chooses ``nmax`` so that the neglected tail is below 1e-12.
+    """
+    if mu < 0.0:
+        raise ValueError("mu must be non-negative")
+    if mu == 0.0:
+        return 0.0
+    total = 0.0
+    p = math.exp(-mu)
+    loss = 1.0 - eta
+    for n in range(1, nmax + 1):
+        p *= mu / n
+        if n > offset:
+            total += p * (1.0 - loss ** (n - offset))
+    return total
+
+
+def poisson_photon_sum(mu, start, nmax):
+    """Sum over start <= n <= nmax of p(n, mu) (n - start + 1).
+
+    Expected number of forwardable photons per pulse when the first
+    ``start - 1`` photons of every pulse are consumed.
+    """
+    if mu < 0.0:
+        raise ValueError("mu must be non-negative")
+    if mu == 0.0:
+        return 0.0
+    total = 0.0
+    p = math.exp(-mu)
+    for n in range(1, nmax + 1):
+        p *= mu / n
+        if n >= start:
+            total += p * (n - start + 1)
+    return total
+
+
 def bob_raw_rate(model, delta_db):
     """Expected raw rate at the receiver, photons per pulse: mu 10^(-delta/10)."""
     if delta_db < 0:
@@ -106,7 +143,7 @@ def detection_probability(model, photon_distribution, offset=0):
 def expected_click_rate(model, mu_at_detector, offset=0):
     """Same sum as ``detection_probability`` over a full Poisson distribution.
 
-    Uses the kernel loop; for offset = 0 this equals 1 - exp(-eta mu)
+    Uses ``poisson_click_sum``; for offset = 0 this equals 1 - exp(-eta mu)
     exactly, which the tests use as an independent check.
     """
     return poisson_click_sum(mu_at_detector, model.eta_det, offset, poisson_cutoff(mu_at_detector))

@@ -13,8 +13,6 @@ from math import lgamma
 
 import numpy as np
 
-from ._kernels import jacobi_eigh
-
 NORM_TOL = 1e-12
 HERM_TOL = 1e-12
 COMPLETENESS_TOL = 1e-10
@@ -284,7 +282,7 @@ def partial_trace(rho, keep, n_qubits=None):
 def eig_hermitian(a):
     """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian operator.
 
-    Cyclic Jacobi; raises on non-Hermitian input.
+    LAPACK via ``numpy.linalg.eigh``; raises on non-Hermitian input.
     """
     if isinstance(a, Operator):
         m = a.m
@@ -293,7 +291,7 @@ def eig_hermitian(a):
     if np.max(np.abs(m - m.conj().T)) > 1e-10 * max(1.0, float(np.max(np.abs(m)))):
         raise ValueError("matrix is not Hermitian")
     m = 0.5 * (m + m.conj().T)
-    return jacobi_eigh(m)
+    return np.linalg.eigh(m)
 
 
 def operator_sqrt_psd(a):

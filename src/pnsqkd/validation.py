@@ -98,7 +98,6 @@ def summary():
     checks = run_checks()
     failed = [c for c in checks if not c["pass"]]
     return {
-        "backend": __import__("pnsqkd._kernels", fromlist=["backend_name"]).backend_name(),
         "checks": checks,
         "passed": len(checks) - len(failed),
         "failed": len(failed),

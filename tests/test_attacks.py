@@ -25,7 +25,7 @@ from pnsqkd.attacks import (
     strongpulse_asymptotic_info,
     strongpulse_b92,
 )
-from pnsqkd.photonics import SourceChannelModel, poisson_pmf
+from pnsqkd.photonics import SourceChannelModel, poisson_click_sum, poisson_pmf
 
 
 class TestBB84:
@@ -134,6 +134,16 @@ class TestStrongPulse:
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
         assert all(v <= limit + 1e-12 for v in vals)
         assert vals[-1] == pytest.approx(limit, abs=1e-4)
+
+    def test_large_loss_approaches_limit_from_below(self):
+        # with t = mu/mu' -> 0 the overlap must stay accurate to rounding:
+        # a naive ((1-t)/(1+t))^kept overshoots the limit by ~1e-9 here
+        mu = 0.025
+        limit = strongpulse_asymptotic_info(mu)
+        vals = [strongpulse_b92(0.5 * k, mu)[2] for k in range(120, 241)]
+        assert all(b >= a for a, b in zip(vals, vals[1:]))
+        assert max(vals) <= limit
+        assert strongpulse_b92(120.0, mu)[0] == pytest.approx(math.exp(-2 * mu), abs=1e-12)
 
     def test_overlap_limit_relative_error(self):
         # mu' = 1e4: ((1-t)/(1+t))^mu' within 1e-3 relative of e^-2mu
@@ -255,7 +265,6 @@ class TestNbGeneralization:
         model = SourceChannelModel(mu=nb_mu(2))
         delta1 = nb_critical_usd(2, model)
         # independent check: equality of the two click rates at the root
-        from pnsqkd._kernels import poisson_click_sum
         from pnsqkd.discrimination import usd_optimal_pok
 
         mu = nb_mu(2)
@@ -267,7 +276,6 @@ class TestNbGeneralization:
     def test_storing_critical_bisection_matches_closed_form(self):
         model = SourceChannelModel(mu=nb_mu(3))
         delta, _ = nb_storing_critical(3, 2, model)
-        from pnsqkd._kernels import poisson_click_sum
 
         mu = nb_mu(3)
         target = poisson_click_sum(mu, model.eta_det, 2, photonics.poisson_cutoff(mu))
@@ -296,7 +304,6 @@ class TestNbGeneralization:
         # still satisfy its defining equation exactly
         model = SourceChannelModel(mu=nb_mu(8))
         delta1 = nb_critical_usd(8, model)
-        from pnsqkd._kernels import poisson_click_sum
         from pnsqkd.discrimination import usd_optimal_pok
 
         mu = nb_mu(8)
