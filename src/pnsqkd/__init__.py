@@ -9,6 +9,7 @@ discrimination  state-set geometry, filters, unambiguous discrimination
 attacks         photon-number-splitting attack evaluations per protocol
 cloning         asymmetric cloning machines and sifted cloning attacks
 keyrate         security criterion, key rate, optimal mu, protocol comparison
+solvers         the shared bisection and golden-section searches
 cli             curve sweeps, reports and the self-check suite
 """
 from .qmath import (

@@ -9,10 +9,11 @@ introducing errors.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
-from . import photonics, qmath
+from . import photonics, qmath, solvers
 from .photonics import (
     SourceChannelModel,
     poisson_click_sum,
@@ -25,7 +26,6 @@ from .photonics import (
 STORING_OVERLAP = 1.0 / math.sqrt(2.0)  # announced-pair overlap in the four-state protocol
 RATE_RESIDUAL_TOL = 1e-10
 BISECTION_TOL_DB = 1e-6
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass
@@ -59,38 +59,26 @@ class AttackReport:
         self.rate_residual.append(point.rate_residual)
 
 
-def _bisect_decreasing(f, lo, hi, tol=BISECTION_TOL_DB):
-    """Root of a decreasing function on [lo, hi] by bisection."""
-    flo, fhi = f(lo), f(hi)
-    if flo < 0.0:
-        return lo
-    if fhi > 0.0:
-        raise ValueError("no sign change on the bracket")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+class InfeasibleModelError(ValueError):
+    """Raised when an attack cannot satisfy its rate constraint."""
 
 
-def _golden_max(f, lo, hi, iters=90):
-    a, b = lo, hi
-    c1 = b - _GOLDEN * (b - a)
-    c2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(c1), f(c2)
-    for _ in range(iters):
-        if f1 < f2:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + _GOLDEN * (b - a)
-            f2 = f(c2)
-        else:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - _GOLDEN * (b - a)
-            f1 = f(c1)
-    x = 0.5 * (a + b)
-    return x, f(x)
+def _rate_balanced_point(mu, delta_db, r_att, s_att):
+    """Attack point where the untouched fraction q balances the expected rate.
+
+    Solves q mu + (1-q) r_att = mu 10^(-delta/10) and weighs full
+    information on attacked pulses (a share s_att of them concludes)
+    against silence on passed ones: I = (1-q) s_att / (q + (1-q) s_att).
+    When the attack alone supplies the rate, q = 0 and the surplus
+    conclusive pulses are discarded, so I = 1.
+    """
+    required = mu * transmission(delta_db)
+    if r_att >= required:
+        return AttackPoint(delta_db, 0.0, 1.0, 1.0, 0.0)
+    q = (required - r_att) / (mu - r_att)
+    residual = abs(q * mu + (1.0 - q) * r_att - required)
+    i_eve = (1.0 - q) * s_att / (q + (1.0 - q) * s_att)
+    return AttackPoint(delta_db, q, i_eve, 1.0, residual)
 
 
 # ---------------------------------------------------------------------------
@@ -122,18 +110,8 @@ def bb84_pns(mu, delta_db):
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
-    required = mu * transmission(delta_db)
-    r_att = bb84_split_rate(mu)
-    s_att = bb84_multiphoton_fraction(mu)
-    if r_att >= required:
-        q = 0.0
-        residual = 0.0  # surplus conclusive pulses are discarded
-        i_eve = 1.0
-    else:
-        q = (required - r_att) / (mu - r_att)
-        residual = abs(q * mu + (1.0 - q) * r_att - required)
-        i_eve = (1.0 - q) * s_att / (q + (1.0 - q) * s_att)
-    return AttackPoint(delta_db, q, i_eve, 1.0, residual)
+    return _rate_balanced_point(mu, delta_db, bb84_split_rate(mu),
+                                bb84_multiphoton_fraction(mu))
 
 
 def bb84_pns_curve(mu, delta_grid, alpha=photonics.DEFAULT_ALPHA_DB_PER_KM):
@@ -220,15 +198,8 @@ def fourtwo_pns(eta, delta_db, reference_mu=0.1):
     if not 0 < eta <= math.pi / 2:
         raise ValueError("eta must be in (0, pi/2]")
     mu = fourtwo_mu(eta, reference_mu)
-    required = mu * transmission(delta_db)
-    r_att = fourtwo_split_rate(eta, mu)
-    s_att = fourtwo_success_fraction(eta, mu)
-    if r_att >= required:
-        return AttackPoint(delta_db, 0.0, 1.0, 1.0, 0.0)
-    q = (required - r_att) / (mu - r_att)
-    residual = abs(q * mu + (1.0 - q) * r_att - required)
-    i_eve = (1.0 - q) * s_att / (q + (1.0 - q) * s_att)
-    return AttackPoint(delta_db, q, i_eve, 1.0, residual)
+    return _rate_balanced_point(mu, delta_db, fourtwo_split_rate(eta, mu),
+                                fourtwo_success_fraction(eta, mu))
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +284,15 @@ def fourstate_irud_critical(mu, p_ok=0.5):
     return 10.0 * math.log10(mu / target)
 
 
+def fourstate_irud_pns(mu, delta_db, p_ok=0.5):
+    """Block-below-three attack point for the four-state protocol: pulses
+    with >= 3 photons are discriminated unambiguously, the rest blocked."""
+    if mu <= 0:
+        raise ValueError("mu must be positive")
+    return _rate_balanced_point(mu, delta_db, fourstate_irud_rate(mu, p_ok),
+                                fourstate_irud_fraction(mu, p_ok))
+
+
 def storing_attack_info(pair):
     """Information from storing one photon and discriminating the announced pair.
 
@@ -370,7 +350,7 @@ def fourstate_combined_info(mu, delta_db, p_ok=0.5):
     k_best = max(range(101), key=lambda k: vals[k])
     lo = grid[max(0, k_best - 1)]
     hi = grid[min(100, k_best + 1)]
-    f_best, i_best = _golden_max(info, lo, hi)
+    f_best, i_best = solvers.golden_max(info, lo, hi, 90)
     if vals[k_best] > i_best:
         f_best, i_best = grid[k_best], vals[k_best]
     return i_best, q_of(f_best), f_best
@@ -415,19 +395,17 @@ def nb_neighbor_overlap(n_bases):
     return math.cos(math.pi / (2.0 * n_bases))
 
 
-def _click_rate_at_bob(model, mu, delta_db):
-    """Click probability per pulse after attenuation: 1 - e^(-eta mu 10^(-d/10))."""
-    return 1.0 - math.exp(-model.eta_det * mu * transmission(delta_db))
+def _solve_click_attenuation(model, mu, target):
+    """Attenuation at which the click rate 1 - e^(-eta mu 10^(-d/10)) equals
+    ``target``, inverted exactly: d = -10 log10(-ln(1 - target) / (eta mu)).
 
-
-def _solve_click_attenuation(model, mu, target, hi=120.0):
-    """Attenuation at which the expected click rate equals ``target``."""
+    Returns 0 when the rate is reached without loss and inf when the target
+    is zero (unreachable at any attenuation).
+    """
     if target <= 0.0:
-        return float("inf")  # rate unreachable at any attenuation
-    f = lambda d: _click_rate_at_bob(model, mu, d) - target
-    if f(0.0) < 0.0:
-        return 0.0
-    return _bisect_decreasing(f, 0.0, hi)
+        return float("inf")
+    x = -math.log1p(-target) / (model.eta_det * mu)
+    return 0.0 if x >= 1.0 else -10.0 * math.log10(x)
 
 
 def nb_critical_usd(n_bases, model=None, rate_form="click"):
@@ -489,23 +467,28 @@ def nb_storing_critical(n_bases, n_stored, model=None, rate_form="click"):
     return delta, i_eve
 
 
-def nb_storing_ladder(n_bases, model=None, max_stored=400):
+def nb_storing_ladder(n_bases, model=None):
     """Storing-attack ladder [(delta(n_s), I(n_s))] until it overtakes I_AB.
 
     Stops at the first rung whose information meets or exceeds the honest
-    parties' information at that attenuation.
+    parties' information at that attenuation.  Past the Poisson cutoff no
+    pulse holds n_s photons, so the rung is unreachable (infinite
+    attenuation); reaching it first raises InfeasibleModelError.
     """
     mu = nb_mu(n_bases)
     if model is None:
         model = SourceChannelModel(mu=mu)
     ladder = []
-    for n_s in range(1, max_stored + 1):
+    for n_s in itertools.count(1):
         delta, i_eve = nb_storing_critical(n_bases, n_s, model)
+        if math.isinf(delta):
+            raise InfeasibleModelError(
+                f"storing ladder for {n_bases} bases: no reachable rung with {n_s} stored "
+                f"photons, and no earlier rung gives the eavesdropper I_AB")
         ladder.append((delta, i_eve))
         i_ab = qmath.binary_information(photonics.qber_total(model, delta))
         if i_eve >= i_ab:
             return ladder
-    raise RuntimeError("storing ladder did not reach the honest-party information")
 
 
 def nb_storing_info_at(ladder, delta_db):

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import attacks, cloning, keyrate, photonics, qmath, validation
-from .cloning import InfeasibleModelError
+from .attacks import InfeasibleModelError
 from .photonics import SourceChannelModel
 
 CURVE_IDS = ("pns-bb84", "pns-42", "figiepr", "muopt", "ieclon12", "ieclon23",
@@ -26,6 +26,14 @@ def _fmt(x):
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return format(float(x), ".12g")
+
+
+def positive_finite(text):
+    """argparse type: a finite number greater than zero."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+    return value
 
 
 def _parse_grid(text, default):
@@ -92,14 +100,7 @@ def _curve_figiepr(args):
     rows = []
     for d in dists:
         delta = d * args.alpha
-        required = mu * photonics.transmission(delta)
-        r_irud = attacks.fourstate_irud_rate(mu)
-        s_irud = attacks.fourstate_irud_fraction(mu)
-        if r_irud >= required:
-            i_block = 1.0
-        else:
-            q = (required - r_irud) / (mu - r_irud)
-            i_block = (1 - q) * s_irud / (q + (1 - q) * s_irud)
+        i_block = attacks.fourstate_irud_pns(mu, delta).i_eve
         i_comb, _, _ = attacks.fourstate_combined_info(mu, delta)
         rows.append([d, delta, i_block, i_comb])
     return header, rows
@@ -283,9 +284,9 @@ def build_parser():
 
     curve = sub.add_parser("curve", help="emit a security curve as CSV or JSON")
     curve.add_argument("curve_id", choices=CURVE_IDS)
-    curve.add_argument("--mu", type=float, default=None,
+    curve.add_argument("--mu", type=positive_finite, default=None,
                        help="mean photon number (default depends on the curve)")
-    curve.add_argument("--alpha", type=float, default=0.25, help="fiber loss, dB/km")
+    curve.add_argument("--alpha", type=positive_finite, default=0.25, help="fiber loss, dB/km")
     curve.add_argument("--eta-det", dest="eta_det", type=float, default=0.1)
     curve.add_argument("--pd", type=float, default=1e-5, help="dark-count probability")
     curve.add_argument("--qber-opt", dest="qber_opt", type=float, default=0.01)
@@ -303,7 +304,7 @@ def build_parser():
 
     report = sub.add_parser("report", help="emit a case-study record")
     report.add_argument("report_id", choices=("geneva-lausanne",))
-    report.add_argument("--alpha", type=float, default=0.25)
+    report.add_argument("--alpha", type=positive_finite, default=0.25)
     report.add_argument("--out", type=str, default=None)
     report.set_defaults(func=_cmd_report)
 

@@ -15,14 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import attacks, qmath
+from . import attacks, qmath, solvers
+from .attacks import InfeasibleModelError
 from .qmath import Operator, StateVector, partial_trace
 
 ISOMETRY_TOL = 1e-12
-
-
-class InfeasibleModelError(ValueError):
-    """Raised when an attack cannot satisfy its rate constraint."""
 
 
 @dataclass
@@ -364,10 +361,4 @@ def ngs23_gamma_for_disturbance(d, tol=1e-12):
     target = 1.0 - d
     if not ng23_fidelities(hi)[0] - 1e-12 <= target <= ng23_fidelities(lo)[0] + 1e-12:
         raise ValueError("disturbance out of range for this machine")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if ng23_fidelities(mid)[0] > target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return solvers.bisect_decreasing(lambda g: ng23_fidelities(g)[0] - target, lo, hi, tol)

@@ -6,11 +6,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import attacks, photonics, qmath
+from . import attacks, photonics, qmath, solvers
 from .photonics import SourceChannelModel
 
 MU_SEARCH_MAX = 2.0
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -77,24 +76,7 @@ def optimal_mu(delta_db, mu_min=1e-3, mu_max=MU_SEARCH_MAX):
     pulse model in its validity region; at short distance larger mu would
     invite intercept-resend).  Returns (mu_opt, rate).
     """
-    def rate(mu):
-        return fourstate_key_rate(mu, delta_db)
-
-    a, b = mu_min, mu_max
-    c1 = b - _GOLDEN * (b - a)
-    c2 = a + _GOLDEN * (b - a)
-    f1, f2 = rate(c1), rate(c2)
-    for _ in range(120):
-        if f1 < f2:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + _GOLDEN * (b - a)
-            f2 = rate(c2)
-        else:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - _GOLDEN * (b - a)
-            f1 = rate(c1)
-    mu = 0.5 * (a + b)
-    return mu, rate(mu)
+    return solvers.golden_max(lambda mu: fourstate_key_rate(mu, delta_db), mu_min, mu_max, 120)
 
 
 @dataclass
@@ -122,22 +104,13 @@ def nb_security_summary(n_bases, model=None, alpha=photonics.DEFAULT_ALPHA_DB_PE
     delta1 = attacks.nb_critical_usd(n_bases, model)
     ladder = attacks.nb_storing_ladder(n_bases, model)
 
-    def gap(delta):
+    def margin(delta):  # I_AB - I_Eve, decreasing across the ladder
         i_eve = attacks.nb_storing_info_at(ladder, delta)
         i_ab = qmath.binary_information(photonics.qber_total(model, delta))
-        return i_eve - i_ab
+        return i_ab - i_eve
 
-    lo, hi = ladder[0][0], ladder[-1][0]
-    if gap(lo) >= 0.0:
-        delta2 = lo
-    else:
-        while hi - lo > attacks.BISECTION_TOL_DB:
-            mid = 0.5 * (lo + hi)
-            if gap(mid) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        delta2 = 0.5 * (lo + hi)
+    delta2 = solvers.bisect_decreasing(margin, ladder[0][0], ladder[-1][0],
+                                       attacks.BISECTION_TOL_DB)
     critical = min(delta1, delta2)
     return NbSecuritySummary(n_bases, mu, delta1, delta2, critical, critical / model.alpha)
 

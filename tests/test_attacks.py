@@ -15,6 +15,7 @@ from pnsqkd.attacks import (
     fourstate_combined_curve,
     fourstate_combined_info,
     fourstate_irud_critical,
+    fourstate_irud_pns,
     fourtwo_critical_attenuation,
     fourtwo_pns,
     nb_critical_usd,
@@ -177,6 +178,13 @@ class TestFourStateIrud:
                 hi = mid
         assert fourstate_irud_critical(mu) == pytest.approx(0.5 * (lo + hi), abs=1e-6)
 
+    def test_block_attack_full_information_from_critical_point(self):
+        delta_c = fourstate_irud_critical(0.2)
+        for d in (delta_c, delta_c + 1e-9, delta_c + 0.5, delta_c + 20.0):
+            assert fourstate_irud_pns(0.2, d).i_eve == 1.0
+        for d in (0.0, 10.0, delta_c - 1.0, delta_c - 1e-6):
+            assert fourstate_irud_pns(0.2, d).i_eve < 1.0
+
     def test_sequential_variant_needs_more_loss(self):
         # the sequential measurement succeeds less often (1 - 1/sqrt 2 vs
         # 1/2), so the eavesdropper needs *more* channel loss to hide: the
@@ -274,13 +282,19 @@ class TestNbGeneralization:
         assert lhs == pytest.approx(rhs, abs=1e-9)
 
     def test_storing_critical_bisection_matches_closed_form(self):
-        model = SourceChannelModel(mu=nb_mu(3))
-        delta, _ = nb_storing_critical(3, 2, model)
+        # (3, 12) lies at ~126.8 dB, beyond any fixed 120 dB search bracket
+        for n_b, n_s in [(3, 2), (3, 12)]:
+            model = SourceChannelModel(mu=nb_mu(n_b))
+            delta, _ = nb_storing_critical(n_b, n_s, model)
 
-        mu = nb_mu(3)
-        target = poisson_click_sum(mu, model.eta_det, 2, photonics.poisson_cutoff(mu))
-        expected = -10 * math.log10(-math.log(1 - target) / (model.eta_det * mu))
-        assert delta == pytest.approx(expected, abs=1e-5)
+            mu = nb_mu(n_b)
+            target = poisson_click_sum(mu, model.eta_det, n_s, photonics.poisson_cutoff(mu))
+            # log1p: at ~1e-14 the target is lost to rounding in 1 - target
+            expected = -10 * math.log10(-math.log1p(-target) / (model.eta_det * mu))
+            assert delta == pytest.approx(expected, abs=1e-5)
+            # the defining equation: the click rate at delta equals the target
+            click = -math.expm1(-model.eta_det * mu * 10 ** (-delta / 10))
+            assert click == pytest.approx(target, rel=1e-9)
 
     def test_storing_info_increases_with_copies(self):
         infos = [nb_storing_critical(2, ns)[1] for ns in range(1, 6)]

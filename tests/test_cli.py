@@ -1,16 +1,22 @@
 """Command-line interface: determinism, formats, exit codes."""
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from pnsqkd import cli
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
-def run_cli(args):
+
+def run_cli(args, timeout=60):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run([sys.executable, "-m", "pnsqkd.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env, timeout=timeout)
     return proc
 
 
@@ -88,6 +94,25 @@ class TestExitCodes:
         proc = run_cli(["curve", "ieclon23", "--delta", "3.0"])
         assert proc.returncode == 3
         assert "error" in proc.stderr.lower()
+
+    @pytest.mark.parametrize("args,code", [
+        # without dark counts the ladders for 3..7 bases end at 127-395 dB
+        (["curve", "dcrit", "--pd", "0", "--nb", "2:7"], 0),
+        # for 8 bases it runs out of reachable rungs before meeting I_AB
+        (["curve", "dcrit", "--pd", "0", "--nb", "8"], 3),
+        (["curve", "dcrit", "--pd", "1e-300", "--nb", "8"], 3),
+        (["curve", "dcrit", "--alpha", "0"], 2),
+        (["curve", "pns-bb84", "--alpha", "-1"], 2),
+        (["curve", "pns-bb84", "--mu", "nan", "--d", "0:2:1"], 2),
+        (["curve", "pns-bb84", "--mu", "inf", "--d", "0:2:1"], 2),
+        (["curve", "figiepr", "--mu", "0"], 2),
+    ])
+    def test_domain_and_ladder_exit_codes(self, args, code):
+        proc = run_cli(args)
+        assert proc.returncode == code
+        assert "Traceback" not in proc.stderr
+        if code == 2:
+            assert "usage" in proc.stderr.lower()
 
     def test_validate_exit_0(self):
         proc = run_cli(["validate"])
