@@ -25,7 +25,6 @@ from .photonics import (
 
 STORING_OVERLAP = 1.0 / math.sqrt(2.0)  # announced-pair overlap in the four-state protocol
 RATE_RESIDUAL_TOL = 1e-10
-BISECTION_TOL_DB = 1e-6
 
 
 @dataclass
@@ -284,13 +283,13 @@ def fourstate_irud_critical(mu, p_ok=0.5):
     return 10.0 * math.log10(mu / target)
 
 
-def fourstate_irud_pns(mu, delta_db, p_ok=0.5):
+def fourstate_irud_pns(mu, delta_db):
     """Block-below-three attack point for the four-state protocol: pulses
     with >= 3 photons are discriminated unambiguously, the rest blocked."""
     if mu <= 0:
         raise ValueError("mu must be positive")
-    return _rate_balanced_point(mu, delta_db, fourstate_irud_rate(mu, p_ok),
-                                fourstate_irud_fraction(mu, p_ok))
+    return _rate_balanced_point(mu, delta_db, fourstate_irud_rate(mu),
+                                fourstate_irud_fraction(mu))
 
 
 def storing_attack_info(pair):

@@ -10,6 +10,7 @@ from . import attacks, photonics, qmath, solvers
 from .photonics import SourceChannelModel
 
 MU_SEARCH_MAX = 2.0
+BISECTION_TOL_DB = 1e-6
 
 
 @dataclass(frozen=True)
@@ -110,7 +111,7 @@ def nb_security_summary(n_bases, model=None, alpha=photonics.DEFAULT_ALPHA_DB_PE
         return i_ab - i_eve
 
     delta2 = solvers.bisect_decreasing(margin, ladder[0][0], ladder[-1][0],
-                                       attacks.BISECTION_TOL_DB)
+                                       BISECTION_TOL_DB)
     critical = min(delta1, delta2)
     return NbSecuritySummary(n_bases, mu, delta1, delta2, critical, critical / model.alpha)
 

@@ -180,7 +180,9 @@ class TestFourStateIrud:
 
     def test_block_attack_full_information_from_critical_point(self):
         delta_c = fourstate_irud_critical(0.2)
-        for d in (delta_c, delta_c + 1e-9, delta_c + 0.5, delta_c + 20.0):
+        # at delta_c itself the rate balance is exact only up to rounding
+        assert fourstate_irud_pns(0.2, delta_c).i_eve == pytest.approx(1.0, abs=1e-12)
+        for d in (delta_c + 1e-9, delta_c + 0.5, delta_c + 20.0):
             assert fourstate_irud_pns(0.2, d).i_eve == 1.0
         for d in (0.0, 10.0, delta_c - 1.0, delta_c - 1e-6):
             assert fourstate_irud_pns(0.2, d).i_eve < 1.0
