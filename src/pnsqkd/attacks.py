@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from . import photonics, qmath, solvers
+from . import discrimination, photonics, qmath, solvers
 from .photonics import (
     SourceChannelModel,
     poisson_click_sum,
@@ -247,15 +247,13 @@ def strongpulse_b92(delta_db, mu, bob_floor=10.0):
     # log space: rounding (1-t)/(1+t) and raising it to kept ~ 1/t would
     # amplify one ulp to ~1e-9 in the overlap at large loss
     overlap = math.exp(kept * (math.log1p(-t) - math.log1p(t))) if kept > 0 else 1.0
-    p_e = 0.5 * (1.0 - math.sqrt(1.0 - overlap * overlap))
+    p_e = qmath.pure_state_error(overlap)
     return overlap, p_e, qmath.binary_information(p_e)
 
 
 def strongpulse_asymptotic_info(mu):
     """Distance limit of the strong-pulse information: I(p_e(e^(-2 mu)))."""
-    overlap = math.exp(-2.0 * mu)
-    p_e = 0.5 * (1.0 - math.sqrt(1.0 - overlap * overlap))
-    return qmath.binary_information(p_e)
+    return qmath.binary_information(qmath.pure_state_error(math.exp(-2.0 * mu)))
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +304,7 @@ def storing_attack_info(pair):
 
 def fourstate_storing_info():
     """Storing-attack information for the four-state announced pair."""
-    p_e = 0.5 * (1.0 - math.sqrt(1.0 - STORING_OVERLAP**2))
-    return qmath.binary_information(p_e)
+    return qmath.binary_information(qmath.pure_state_error(STORING_OVERLAP))
 
 
 def fourstate_combined_info(mu, delta_db, p_ok=0.5):
@@ -418,13 +415,11 @@ def nb_critical_usd(n_bases, model=None, rate_form="click"):
     convention used for the low-loss critical distances:
       mu 10^(-d/10) = p_ok sum_{m>=n_e} p(m, mu) (m - n_e + 1).
     """
-    from .discrimination import usd_optimal_pok
-
     if not 2 <= n_bases <= 8:
         raise ValueError("n_bases must be in 2..8")
     mu = nb_mu(n_bases)
     n_e = 2 * n_bases - 1
-    p_ok = usd_optimal_pok(n_bases)
+    p_ok = discrimination.usd_optimal_pok(n_bases)
     nmax = poisson_cutoff(mu)
     if rate_form == "click":
         if model is None:
@@ -451,8 +446,7 @@ def nb_storing_critical(n_bases, n_stored, model=None, rate_form="click"):
     mu = nb_mu(n_bases)
     nmax = poisson_cutoff(mu)
     overlap = nb_neighbor_overlap(n_bases) ** n_stored
-    p_e = 0.5 * (1.0 - math.sqrt(1.0 - overlap * overlap))
-    i_eve = qmath.binary_information(p_e)
+    i_eve = qmath.binary_information(qmath.pure_state_error(overlap))
     if rate_form == "click":
         if model is None:
             model = SourceChannelModel(mu=mu)

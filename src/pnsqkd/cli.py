@@ -28,10 +28,18 @@ def _fmt(x):
     return format(float(x), ".12g")
 
 
+def finite(text):
+    """argparse type: a finite number."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def positive_finite(text):
     """argparse type: a finite number greater than zero."""
-    value = float(text)
-    if not (math.isfinite(value) and value > 0):
+    value = finite(text)
+    if not value > 0:
         raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
     return value
 
@@ -43,6 +51,8 @@ def _parse_grid(text, default):
     if len(parts) != 3:
         raise ValueError("grid must be min:max:step")
     lo, hi, step = (float(p) for p in parts)
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise ValueError("grid min, max and step must be finite")
     if not (lo < hi and step > 0):
         raise ValueError("grid must satisfy min < max and step > 0")
     n = int(math.floor((hi - lo) / step + 1e-9)) + 1
@@ -296,7 +306,7 @@ def build_parser():
     curve.add_argument("--gamma", type=str, default=None,
                        help="machine parameter grid min:max:step")
     curve.add_argument("--d", type=str, default=None, help="distance grid min:max:step, km")
-    curve.add_argument("--delta", type=float, default=None,
+    curve.add_argument("--delta", type=finite, default=None,
                        help="channel attenuation in dB where one is required")
     curve.add_argument("--out", type=str, default=None, help="output path (default stdout)")
     curve.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -26,17 +26,16 @@ ISOMETRY_TOL = 1e-12
 class CloningMachine:
     """Isometry with declared clone positions.
 
-    ``isometry`` maps input coordinates (a qubit, or Dicke coordinates of a
-    symmetric pair) to a 2^n_qubits output register.  ``clone_positions``
-    are the output qubits holding clones of the input state; the remaining
-    qubits stay with the eavesdropper as ancillas.
+    ``isometry`` maps input coordinates (a qubit, or with three columns the
+    Dicke coordinates of a symmetric pair) to a 2^n_qubits output register.
+    ``clone_positions`` are the output qubits holding clones of the input
+    state, the receiver's first; the remaining qubits stay with the
+    eavesdropper as ancillas.
     """
 
     name: str
     isometry: np.ndarray
-    n_qubits: int
     clone_positions: tuple
-    input_kind: str  # "qubit" or "pair"
     parameter: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -46,11 +45,11 @@ class CloningMachine:
             raise ValueError(f"{self.name}: isometry defect exceeds tolerance")
 
     @property
-    def eve_positions(self):
-        return tuple(q for q in range(self.n_qubits) if q not in self.clone_positions)
+    def n_qubits(self):
+        return self.isometry.shape[0].bit_length() - 1
 
     def input_coordinates(self, psi):
-        if self.input_kind == "qubit":
+        if self.isometry.shape[1] == 2:
             return psi.a
         return qmath.symmetric_coordinates(psi, 2)
 
@@ -60,20 +59,39 @@ class CloningMachine:
         return StateVector(out)
 
 
-def _permute_qubits(vec, perm):
-    """Reorder qubits of a 2^n vector; perm[i] = source qubit of output slot i."""
-    n = int(round(math.log2(vec.size)))
-    return vec.reshape((2,) * n).transpose(perm).reshape(-1)
+# Constant pieces of the isometries, built once.  Each machine is a linear
+# combination of its pieces with scalar weights.
+
+def _basis_sums(dim, *columns):
+    """Matrix whose k-th column sums the basis kets named in columns[k]."""
+    m = np.zeros((dim, len(columns)), dtype=np.complex128)
+    for k, labels in enumerate(columns):
+        for bits in labels.split():
+            m[int(bits, 2), k] = 1.0
+    return m
 
 
-def _ket(*bits):
-    return qmath.ket(*bits).a
+_NG12_FIXED = _basis_sums(4, "00", "")
+_NG12_COS = _basis_sums(4, "", "10")
+_NG12_SIN = _basis_sums(4, "", "01")
+_NG23_FIXED = _basis_sums(8, "000", "", "")
+_NG23_COS = _basis_sums(8, "", "010 100", "110")
+_NG23_SIN = _basis_sums(8, "", "001", "011 101")
 
-
-_PHIP = (_ket(0, 0) + _ket(1, 1)) / math.sqrt(2)
-_PHIM = (_ket(0, 0) - _ket(1, 1)) / math.sqrt(2)
-_PSIP = (_ket(0, 1) + _ket(1, 0)) / math.sqrt(2)
-_PSIM = (_ket(0, 1) - _ket(1, 0)) / math.sqrt(2)
+# Bell-ancilla machines: input (x) ancilla pair, with the pair written in
+# swapped order so the clone lands next to the input.  Swapping the pair
+# leaves Phi+, Phi- and Psi+ unchanged and negates Psi-.
+_PHIP, _PHIM, _PSIP = (b.a[:, None] for b in (qmath.PHI_PLUS, qmath.PHI_MINUS, qmath.PSI_PLUS))
+_PSIM_SWAPPED = -qmath.PSI_MINUS.a[:, None]
+_X, _Y, _Z = qmath.SIGMA_X.m, qmath.SIGMA_Y.m, qmath.SIGMA_Z.m
+_CERF12_F = np.kron(np.eye(2), _PHIP)
+_CERF12_G = np.kron(_Z, _PHIM)
+_CERF12_SQRT_FG = np.kron(_X, _PSIP) + 1j * np.kron(_Y, _PSIM_SWAPPED)
+_PAIR = np.column_stack([b.a for b in qmath.symmetric_basis(2)])
+_X2, _Y2, _Z2 = (np.kron(p, np.eye(2)) + np.kron(np.eye(2), p) for p in (_X, _Y, _Z))
+_CERF23_V = np.kron(_PAIR, _PHIP)
+_CERF23_X = (np.kron(_Z2 @ _PAIR, _PHIM) + np.kron(_X2 @ _PAIR, _PSIP)
+             + 1j * np.kron(_Y2 @ _PAIR, _PSIM_SWAPPED))
 
 
 def make_ng12(gamma):
@@ -85,16 +103,14 @@ def make_ng12(gamma):
     """
     if not 0 <= gamma <= math.pi / 2:
         raise ValueError("gamma must be in [0, pi/2]")
-    c, s = math.cos(gamma), math.sin(gamma)
-    cols = np.column_stack([_ket(0, 0), c * _ket(1, 0) + s * _ket(0, 1)])
-    return CloningMachine("ng12", cols, 2, (0, 1), "qubit", {"gamma": gamma})
+    v = _NG12_FIXED + math.cos(gamma) * _NG12_COS + math.sin(gamma) * _NG12_SIN
+    return CloningMachine("ng12", v, (0, 1), {"gamma": gamma})
 
 
 def make_cerf12(fidelity):
     """Bell-ancilla asymmetric cloner with first-clone equatorial fidelity F.
 
-    The output register is (clone 1, clone 2, anticlone); the ancilla pair
-    is ordered so that the second clone sits on qubit 1.  At
+    The output register is (clone 1, clone 2, anticlone).  At
     F = (1 + cos gamma)/2 the equatorial fidelities of both clones equal
     those of ``make_ng12(gamma)``, but the marginals differ: the two-qubit
     machine's clones carry a z offset (<sigma_z> = sin^2 gamma on clone 1
@@ -107,25 +123,14 @@ def make_cerf12(fidelity):
     if not 0.5 <= F <= 1.0:
         raise ValueError("fidelity must be in [1/2, 1]")
     G = 1.0 - F
-    g = math.sqrt(F * G)
-    cols = []
-    for basis in (_ket(0), _ket(1)):
-        psi = basis
-        out = (F * np.kron(psi, _PHIP)
-               + G * np.kron(qmath.SIGMA_Z.m @ psi, _PHIM)
-               + g * (np.kron(qmath.SIGMA_X.m @ psi, _PSIP)
-                      + 1j * np.kron(qmath.SIGMA_Y.m @ psi, _PSIM)))
-        cols.append(_permute_qubits(out, (0, 2, 1)))  # clone 2 onto qubit 1
-    return CloningMachine("cerf12", np.column_stack(cols), 3, (0, 1), "qubit",
-                          {"fidelity": F})
+    v = F * _CERF12_F + G * _CERF12_G + math.sqrt(F * G) * _CERF12_SQRT_FG
+    return CloningMachine("cerf12", v, (0, 1), {"fidelity": F})
 
 
-def _ng23_columns(gamma):
+def _ng23_isometry(gamma):
     c, s = math.cos(gamma), math.sin(gamma)
-    col00 = _ket(0, 0, 0)
-    col_d1 = (c * (_ket(0, 1, 0) + _ket(1, 0, 0)) + s * _ket(0, 0, 1)) / math.sqrt(1 + c * c)
-    col11 = (c * _ket(1, 1, 0) + s * (_ket(0, 1, 1) + _ket(1, 0, 1))) / math.sqrt(1 + s * s)
-    return col00, col_d1, col11
+    norms = np.array([1.0, math.sqrt(1 + c * c), math.sqrt(1 + s * s)])
+    return _NG23_FIXED + (c * _NG23_COS + s * _NG23_SIN) / norms
 
 
 def make_ng23(gamma):
@@ -136,8 +141,7 @@ def make_ng23(gamma):
     """
     if not 0 <= gamma <= math.pi / 2:
         raise ValueError("gamma must be in [0, pi/2]")
-    cols = np.column_stack(_ng23_columns(gamma))
-    return CloningMachine("ng23", cols, 3, (0, 1, 2), "pair", {"gamma": gamma})
+    return CloningMachine("ng23", _ng23_isometry(gamma), (0, 1, 2), {"gamma": gamma})
 
 
 def make_ngs23(gamma):
@@ -149,17 +153,11 @@ def make_ngs23(gamma):
     """
     if not 0 <= gamma <= math.pi / 2:
         raise ValueError("gamma must be in [0, pi/2]")
-    col00, col_d1, col11 = _ng23_columns(gamma)
-    flip = np.zeros((8, 8))
-    for i in range(8):
-        flip[i, 7 - i] = 1.0  # X on all three qubits
-    # bit-flipped machine: swap the roles of |00> and |11>, mirror outputs
-    t00, t_d1, t11 = flip @ col11, flip @ col_d1, flip @ col00
-    cols = []
-    for u, ut in ((col00, t00), (col_d1, t_d1), (col11, t11)):
-        cols.append((np.kron(u, _ket(0)) + np.kron(ut, _ket(1))) / math.sqrt(2))
-    return CloningMachine("ngs23", np.column_stack(cols), 4, (0, 1, 2), "pair",
-                          {"gamma": gamma})
+    u = _ng23_isometry(gamma)
+    # the mirror U~: X on all three qubits reverses the output index, and
+    # swapping the roles of |00> and |11> reverses the columns
+    v = np.stack([u, u[::-1, ::-1]], axis=1).reshape(16, 3) / math.sqrt(2)
+    return CloningMachine("ngs23", v, (0, 1, 2), {"gamma": gamma})
 
 
 def make_cerf23(x):
@@ -168,24 +166,13 @@ def make_cerf23(x):
     Universal (not phase covariant): the clone pair has fidelity 1 - 2 x^2
     for every Bloch-sphere input and the third clone 1 - (v - 2x)^2 / 2.
     All three coincide at v = 4x, where the common value is 11/12, and the
-    third-clone fidelity reaches one at v = 2x.  The ancilla pair is
-    ordered so the third clone sits on qubit 2.
+    third-clone fidelity reaches one at v = 2x.  The third clone sits on
+    qubit 2.
     """
     if not 0 <= x <= 1 / math.sqrt(8):
         raise ValueError("x must be in [0, 1/sqrt 8]")
     v = math.sqrt(max(0.0, 1.0 - 8.0 * x * x))
-    paulis = (qmath.SIGMA_X.m, qmath.SIGMA_Y.m, qmath.SIGMA_Z.m)
-    sym2 = [np.kron(p, np.eye(2)) + np.kron(np.eye(2), p) for p in paulis]
-    sx2, sy2, sz2 = sym2
-    basis_pair = [_ket(0, 0), (_ket(0, 1) + _ket(1, 0)) / math.sqrt(2), _ket(1, 1)]
-    cols = []
-    for s in basis_pair:
-        out = (v * np.kron(s, _PHIP)
-               + x * (np.kron(sz2 @ s, _PHIM)
-                      + np.kron(sx2 @ s, _PSIP)
-                      + 1j * np.kron(sy2 @ s, _PSIM)))
-        cols.append(_permute_qubits(out, (0, 1, 3, 2)))  # third clone onto qubit 2
-    return CloningMachine("cerf23", np.column_stack(cols), 4, (0, 1, 2), "pair",
+    return CloningMachine("cerf23", v * _CERF23_V + x * _CERF23_X, (0, 1, 2),
                           {"x": x, "v": v})
 
 
@@ -225,10 +212,18 @@ def clone_reduced_states(machine, psi):
     return results
 
 
-def bob_disturbance(machine, bob_clone=0):
-    """Disturbance 1 - F of the clone forwarded to the receiver, on equatorial input."""
-    reduced = clone_reduced_states(machine, qmath.PLUS_X)
-    return 1.0 - reduced[bob_clone][2]
+def _project_receiver(machine, out, outcome):
+    """Project the receiver's clone in a pure output onto <outcome|."""
+    t = out.a.reshape((2,) * machine.n_qubits)
+    t = np.moveaxis(t, machine.clone_positions[0], 0).reshape(2, -1)
+    return outcome.a.conj() @ t
+
+
+def bob_disturbance(machine):
+    """Disturbance of the receiver's clone on equatorial input,
+    ||<-x|_B V|+x>||^2 = 1 - F without the cancellation of 1 - F."""
+    wrong = _project_receiver(machine, machine.apply_to_qubit(qmath.PLUS_X), qmath.MINUS_X)
+    return float(np.vdot(wrong, wrong).real)
 
 
 # ---------------------------------------------------------------------------
@@ -242,13 +237,7 @@ _STATE_BY_NAME = {
 ANNOUNCED_SETS = (("+x", "+y"), ("+y", "-x"), ("-x", "-y"), ("-y", "+x"))
 
 
-def _project_receiver(out, n_qubits, bob_qubit, outcome):
-    """Project the receiver qubit of a pure output onto <outcome|."""
-    t = np.moveaxis(out.a.reshape((2,) * n_qubits), bob_qubit, 0).reshape(2, -1)
-    return outcome.a.conj() @ t
-
-
-def sifted_point(machine, announced=_DEFAULT_ANNOUNCED, bob_clone=0):
+def sifted_point(machine, announced=_DEFAULT_ANNOUNCED):
     """Sifted-attack evaluation of a cloning machine at one parameter point.
 
     The sender emits one of the two announced states; the receiver accepts
@@ -262,19 +251,16 @@ def sifted_point(machine, announced=_DEFAULT_ANNOUNCED, bob_clone=0):
     Returns a dict with the clone disturbance, the sifted error rate, the
     honest-party and eavesdropper informations and her error probability.
     """
-    s0, s1 = (_STATE_BY_NAME[a] if isinstance(a, str) else a for a in announced)
-    bob_qubit = machine.clone_positions[bob_clone]
+    s0, s1 = (_STATE_BY_NAME[a] for a in announced)
     perp0 = qmath.orthogonal_qubit(s0)
     perp1 = qmath.orthogonal_qubit(s1)
     rhos = []
     qbers = []
-    for sent, other in ((s0, s1), (s1, s0)):
+    for sent, perp_sent, perp_other in ((s0, perp0, perp1), (s1, perp1, perp0)):
         out = machine.apply_to_qubit(sent)
         # outcome orthogonal to the *sent* state leads to the wrong inference
-        e_err = _project_receiver(out, machine.n_qubits, bob_qubit,
-                                  perp0 if sent is s0 else perp1)
-        e_ok = _project_receiver(out, machine.n_qubits, bob_qubit,
-                                 perp1 if sent is s0 else perp0)
+        e_err = _project_receiver(machine, out, perp_sent)
+        e_ok = _project_receiver(machine, out, perp_other)
         w_err = float(np.vdot(e_err, e_err).real)
         w_ok = float(np.vdot(e_ok, e_ok).real)
         qbers.append(w_err / (w_err + w_ok))
@@ -283,7 +269,7 @@ def sifted_point(machine, announced=_DEFAULT_ANNOUNCED, bob_clone=0):
     p_e = qmath.helstrom_error(rhos[0], rhos[1], 0.5)
     qber = 0.5 * (qbers[0] + qbers[1])
     return {
-        "disturbance": bob_disturbance(machine, bob_clone),
+        "disturbance": bob_disturbance(machine),
         "qber_sifted": qber,
         "i_ab": qmath.binary_information(qber),
         "i_eve": qmath.binary_information(p_e),
@@ -291,7 +277,7 @@ def sifted_point(machine, announced=_DEFAULT_ANNOUNCED, bob_clone=0):
     }
 
 
-def sifted_cloning_attack(machine_factory, param_grid, bob_clone=0):
+def sifted_cloning_attack(machine_factory, param_grid):
     """Sifted-attack series over a machine parameter grid.
 
     ``machine_factory`` maps a parameter to a CloningMachine (for example
@@ -301,13 +287,13 @@ def sifted_cloning_attack(machine_factory, param_grid, bob_clone=0):
     rows = []
     for p in param_grid:
         machine = machine_factory(p)
-        row = sifted_point(machine, bob_clone=bob_clone)
+        row = sifted_point(machine)
         row["parameter"] = p
         rows.append(row)
     return rows
 
 
-def pns_cloning_attack(machine_factory, mu, delta_db, param_grid, bob_clone=0):
+def pns_cloning_attack(machine_factory, mu, delta_db, param_grid):
     """Two-photon splitting attack with a 2 -> 3 cloner.
 
     Feasible only when the channel loss lets the eavesdropper block every
@@ -320,7 +306,7 @@ def pns_cloning_attack(machine_factory, mu, delta_db, param_grid, bob_clone=0):
     if required > attacks.bb84_split_rate(mu) + 1e-15:
         raise InfeasibleModelError(
             f"attenuation {delta_db:g} dB too small: single-photon pulses cannot all be blocked")
-    return sifted_cloning_attack(machine_factory, param_grid, bob_clone=bob_clone)
+    return sifted_cloning_attack(machine_factory, param_grid)
 
 
 def information_crossing(rows, axis="qber_sifted"):
@@ -347,11 +333,6 @@ def bb84_reference_information(disturbance):
         raise ValueError("disturbance must be in [0, 1/2]")
     arg = 0.5 + math.sqrt(disturbance * (1.0 - disturbance))
     return qmath.binary_information(1.0 - arg)
-
-
-def ng12_gamma_for_disturbance(d):
-    """Parameter of the two-qubit cloner giving receiver disturbance d."""
-    return math.acos(1.0 - 2.0 * d)
 
 
 def ngs23_gamma_for_disturbance(d, tol=1e-12):

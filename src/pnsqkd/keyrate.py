@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import attacks, photonics, qmath, solvers
+from . import attacks, cloning, photonics, qmath, solvers
 from .photonics import SourceChannelModel
 
 MU_SEARCH_MAX = 2.0
@@ -136,8 +136,6 @@ class GenevaLausanneReport:
 def _cloning_info_at_qber(qber, grid_size=240):
     """Eavesdropper information of the two-photon cloning attack at a given
     sifted error rate (stronger, symmetrized machine)."""
-    from . import cloning
-
     best = 0.0
     prev = None
     for k in range(grid_size + 1):

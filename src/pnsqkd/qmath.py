@@ -365,6 +365,12 @@ def helstrom_error(rho0, rho1, prior0=0.5):
     return 0.5 * (1.0 - trace_norm(gamma))
 
 
+def pure_state_error(overlap):
+    """Minimum-error probability (1 - sqrt(1 - c^2)) / 2 for two
+    equiprobable pure states with overlap c."""
+    return 0.5 * (1.0 - math.sqrt(1.0 - overlap * overlap))
+
+
 def binary_information(p):
     """Binary mutual information 1 + p log2 p + (1-p) log2 (1-p), in bits.
 

@@ -106,6 +106,10 @@ class TestExitCodes:
         (["curve", "pns-bb84", "--mu", "nan", "--d", "0:2:1"], 2),
         (["curve", "pns-bb84", "--mu", "inf", "--d", "0:2:1"], 2),
         (["curve", "figiepr", "--mu", "0"], 2),
+        (["curve", "ieclon23", "--delta", "nan", "--gamma", "0.2:0.4:0.2"], 2),
+        (["curve", "ieclon23", "--delta", "inf", "--gamma", "0.2:0.4:0.2"], 2),
+        (["curve", "pns-bb84", "--d", "0:inf:1"], 2),
+        (["curve", "pns-bb84", "--d", "0:1:inf"], 2),
     ])
     def test_domain_and_ladder_exit_codes(self, args, code):
         proc = run_cli(args)

@@ -29,7 +29,64 @@ GAMMAS = np.linspace(0.0, math.pi / 2, 11)
 EQUATOR = [qmath.equatorial(th) for th in np.linspace(0, 2 * math.pi, 32, endpoint=False)]
 
 
+def _ket(bits):
+    return qmath.ket(*map(int, bits)).a
+
+
+def _move_qubit(vec, src, dst):
+    n = vec.size.bit_length() - 1
+    return np.moveaxis(vec.reshape((2,) * n), src, dst).reshape(-1)
+
+
+def _direct_isometry(name, p):
+    """Reference: each isometry built column by column from basis kets,
+    Kronecker products and an explicit qubit move and flip matrix."""
+    phip, phim, psip, psim = (b.a for b in (qmath.PHI_PLUS, qmath.PHI_MINUS,
+                                            qmath.PSI_PLUS, qmath.PSI_MINUS))
+    x_, y_, z_ = qmath.SIGMA_X.m, qmath.SIGMA_Y.m, qmath.SIGMA_Z.m
+    c, s = math.cos(p), math.sin(p)
+    if name == "ng12":
+        return np.column_stack([_ket("00"), c * _ket("10") + s * _ket("01")])
+    if name == "cerf12":
+        F, G = p, 1.0 - p
+        g = math.sqrt(F * G)
+        cols = [F * np.kron(e, phip) + G * np.kron(z_ @ e, phim)
+                + g * (np.kron(x_ @ e, psip) + 1j * np.kron(y_ @ e, psim))
+                for e in (_ket("0"), _ket("1"))]
+        return np.column_stack([_move_qubit(col, 2, 1) for col in cols])
+    if name == "cerf23":
+        v = math.sqrt(max(0.0, 1.0 - 8.0 * p * p))
+        sx2, sy2, sz2 = (np.kron(m, np.eye(2)) + np.kron(np.eye(2), m) for m in (x_, y_, z_))
+        pair = [_ket("00"), (_ket("01") + _ket("10")) / math.sqrt(2), _ket("11")]
+        cols = [v * np.kron(e, phip) + p * (np.kron(sz2 @ e, phim) + np.kron(sx2 @ e, psip)
+                                            + 1j * np.kron(sy2 @ e, psim))
+                for e in pair]
+        return np.column_stack([_move_qubit(col, 3, 2) for col in cols])
+    cols = [_ket("000"),
+            (c * (_ket("010") + _ket("100")) + s * _ket("001")) / math.sqrt(1 + c * c),
+            (c * _ket("110") + s * (_ket("011") + _ket("101"))) / math.sqrt(1 + s * s)]
+    if name == "ng23":
+        return np.column_stack(cols)
+    flip = np.eye(8)[::-1]  # X on all three qubits
+    mirror = [flip @ cols[2], flip @ cols[1], flip @ cols[0]]
+    return np.column_stack([(np.kron(u, _ket("0")) + np.kron(t, _ket("1"))) / math.sqrt(2)
+                            for u, t in zip(cols, mirror)])
+
+
 class TestIsometries:
+    @pytest.mark.parametrize("factory,grid", [
+        (make_ng12, np.linspace(0.0, math.pi / 2, 201)),
+        (make_cerf12, np.linspace(0.5, 1.0, 201)),
+        (make_ng23, np.linspace(0.0, math.pi / 2, 201)),
+        (make_ngs23, np.linspace(0.0, math.pi / 2, 201)),
+        (make_cerf23, np.linspace(0.0, 1 / math.sqrt(8), 201)),
+    ])
+    def test_matches_direct_construction(self, factory, grid):
+        # same arithmetic, so the two agree bit for bit
+        for p in grid:
+            machine = factory(float(p))
+            assert np.array_equal(machine.isometry, _direct_isometry(machine.name, float(p)))
+
     @pytest.mark.parametrize("factory,grid", [
         (make_ng12, GAMMAS),
         (make_cerf12, np.linspace(0.5, 1.0, 11)),
@@ -293,6 +350,13 @@ class TestSiftedAttack:
             row = sifted_point(machine)
             assert row["disturbance"] == pytest.approx(0.5, abs=1e-12)
             assert row["i_eve"] == pytest.approx(expected, abs=1e-6)
+
+    @pytest.mark.parametrize("gamma", [1e-4, 1e-3, 0.01, math.pi / 4])
+    def test_disturbance_keeps_relative_precision(self, gamma):
+        # read by projection onto <-x|, not as 1 - F, which cancels at small gamma
+        expected = math.sin(gamma / 2) ** 2
+        got = cloning.bob_disturbance(make_ng12(gamma))
+        assert got == pytest.approx(expected, rel=1e-14, abs=0)
 
     def test_qber_vs_disturbance_relation(self):
         # accepted-branch error rate is D / (D + 1/2)
