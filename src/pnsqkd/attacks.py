@@ -19,7 +19,6 @@ from .photonics import (
     poisson_click_sum,
     poisson_cutoff,
     poisson_photon_sum,
-    poisson_pmf,
     transmission,
 )
 
@@ -153,10 +152,32 @@ def b92_weakpulse_analysis(eta, mu, delta_grid=(), alpha=photonics.DEFAULT_ALPHA
 # ---------------------------------------------------------------------------
 # four-plus-two protocol
 
+def _fourtwo_s_c(eta):
+    """Filter success probability s = 1 - cos(eta), written 2 sin^2(eta/2)
+    so that it keeps full precision at small eta, and c = cos(eta)."""
+    return 2.0 * math.sin(eta / 2.0) ** 2, math.cos(eta)
+
+
+def _expm1_minus_x(x):
+    """e^x - 1 - x, summed as its Taylor series where the closed form cancels."""
+    if abs(x) >= 1.0:
+        return math.expm1(x) - x
+    term, total, m = x * x / 2.0, 0.0, 2
+    while total + term != total:
+        total += term
+        m += 1
+        term *= x / m
+    return total
+
+
 def fourtwo_mu(eta, reference_mu=0.1):
     """Mean photon number keeping the sifted rate equal to the two-basis
     reference: mu = reference / (1 - cos eta)."""
-    return reference_mu / (1.0 - math.cos(eta))
+    s, _ = _fourtwo_s_c(eta)
+    mu = reference_mu / s if s > 0.0 else math.inf
+    if not math.isfinite(mu):
+        raise ValueError("eta too small: the mean photon number overflows")
+    return mu
 
 
 def fourtwo_split_rate(eta, mu):
@@ -165,26 +186,35 @@ def fourtwo_split_rate(eta, mu):
 
     A failed filter spoils its photon (forwarding it would cause errors),
     so from an n-photon pulse a success on trial k leaves n - k photons:
-    E_n = sum_{k=1}^{n-1} s (1-s)^(k-1) (n-k) with s = 1 - cos eta.
+    E_n = sum_{k=1}^{n-1} s (1-s)^(k-1) (n-k) with s = 1 - cos eta.  Over
+    the Poisson source this sums to
+    E = mu - 1 + e^-mu - (c/s) F = (mu s - 1 + e^(-mu s)) / s
+    with c = cos eta and F the success fraction; the last form has no
+    cancellation.
     """
-    s = 1.0 - math.cos(eta)
-    c = 1.0 - s
-    total = 0.0
-    for n in range(2, poisson_cutoff(mu) + 1):
-        p = poisson_pmf(n, mu)
-        e_n = sum(s * c ** (k - 1) * (n - k) for k in range(1, n))
-        total += p * e_n
-    return total
+    s, _ = _fourtwo_s_c(eta)
+    return _expm1_minus_x(-mu * s) / s
 
 
 def fourtwo_success_fraction(eta, mu):
     """Probability a multiphoton pulse yields a conclusive filtered photon
-    with at least one photon left to forward."""
-    c = math.cos(eta)
-    total = 0.0
-    for n in range(2, poisson_cutoff(mu) + 1):
-        total += poisson_pmf(n, mu) * (1.0 - c ** (n - 1))
-    return total
+    with at least one photon left to forward:
+    F = sum_{n>=2} p_n (1 - c^(n-1))
+      = P(n>=2) - (e^(-mu s) - e^-mu - mu c e^-mu) / c
+      = (1 - e^(-mu s) - s (1 - e^-mu)) / c.
+    The last form divides by c, so where mu c < 1 the sum of p_n c^(n-1)
+    is taken as mu e^-mu (e^x - 1 - x)/x with x = mu c instead.
+    """
+    s, c = _fourtwo_s_c(eta)
+    x = mu * c
+    if x >= 1.0:
+        return (s * math.expm1(-mu) - math.expm1(-mu * s)) / c
+    if mu < 1.0:
+        multiphoton = math.exp(-mu) * _expm1_minus_x(mu)
+    else:
+        multiphoton = 1.0 - math.exp(-mu) * (1.0 + mu)
+    kept = mu * math.exp(-mu) * _expm1_minus_x(x) / x if x > 0.0 else 0.0
+    return multiphoton - kept
 
 
 def fourtwo_critical_attenuation(eta, reference_mu=0.1):
@@ -382,7 +412,13 @@ def nb_sifting_probability(n_bases):
 
 def nb_mu(n_bases, reference_rate=1.0 / 20.0):
     """Mean photon number equalizing the sifted rate with the mu = 0.1
-    two-basis reference: mu = n_b / (20 sin^2(pi / (2 n_b)))."""
+    two-basis reference: mu = n_b / (20 sin^2(pi / (2 n_b))).
+
+    Every n_b-bases attack starts here, so this is where n_b is checked
+    against the modelled domain 2..8.
+    """
+    if not 2 <= n_bases <= 8:
+        raise ValueError("n_bases must be in 2..8")
     return reference_rate / nb_sifting_probability(n_bases)
 
 
@@ -415,8 +451,6 @@ def nb_critical_usd(n_bases, model=None, rate_form="click"):
     convention used for the low-loss critical distances:
       mu 10^(-d/10) = p_ok sum_{m>=n_e} p(m, mu) (m - n_e + 1).
     """
-    if not 2 <= n_bases <= 8:
-        raise ValueError("n_bases must be in 2..8")
     mu = nb_mu(n_bases)
     n_e = 2 * n_bases - 1
     p_ok = discrimination.usd_optimal_pok(n_bases)

@@ -20,6 +20,10 @@ from .photonics import SourceChannelModel
 
 CURVE_IDS = ("pns-bb84", "pns-42", "figiepr", "muopt", "ieclon12", "ieclon23",
              "dcrit", "stattnb", "clonfid", "strongpulse")
+# Cloning sweeps evaluate a whole grid as one stack, about 9 kB per point
+# for ieclon23, so grids are capped at about 90 MB of working memory.  Every
+# default grid has at most a few hundred points.
+MAX_GRID_POINTS = 10_000
 
 
 def _fmt(x):
@@ -44,6 +48,19 @@ def positive_finite(text):
     return value
 
 
+def nonnegative_finite(text):
+    """argparse type: a finite number of at least zero."""
+    value = finite(text)
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return value
+
+
+def _check_grid_size(n):
+    if n > MAX_GRID_POINTS:
+        raise ValueError(f"{n} grid points requested, more than the limit of {MAX_GRID_POINTS}")
+
+
 def _parse_grid(text, default):
     if text is None:
         return default
@@ -56,6 +73,7 @@ def _parse_grid(text, default):
     if not (lo < hi and step > 0):
         raise ValueError("grid must satisfy min < max and step > 0")
     n = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    _check_grid_size(n)
     return [lo + k * step for k in range(n)]
 
 
@@ -69,6 +87,7 @@ def _parse_int_range(text, default):
         lo, hi = int(parts[0]), int(parts[1])
         if lo > hi:
             raise ValueError("range must satisfy min <= max")
+        _check_grid_size(hi - lo + 1)
         return list(range(lo, hi + 1))
     raise ValueError("range must be n or min:max")
 
@@ -131,15 +150,13 @@ def _curve_ieclon12(args):
     grid = _parse_grid(args.gamma, list(np.linspace(1e-4, math.pi / 2, 200)))
     header = ["gamma", "disturbance", "qber_sifted", "i_ab", "i_eve_ng", "i_eve_cerf",
               "i_eve_bb84_ref"]
-    rows = []
-    for g in grid:
-        ng = cloning.sifted_point(cloning.make_ng12(g))
-        disturbance = min(0.5, max(0.0, ng["disturbance"]))
-        cf = cloning.sifted_point(cloning.make_cerf12(1.0 - disturbance))
-        rows.append([g, ng["disturbance"], ng["qber_sifted"], ng["i_ab"],
-                     ng["i_eve"], cf["i_eve"],
-                     cloning.bb84_reference_information(disturbance)])
-    return header, rows
+    ng = cloning.sifted_points(cloning.make_ng12(grid))
+    disturbance = np.clip(ng["disturbance"], 0.0, 0.5)
+    cf = cloning.sifted_points(cloning.make_cerf12(1.0 - disturbance))
+    ref = [cloning.bb84_reference_information(d) for d in disturbance.tolist()]
+    columns = (grid, ng["disturbance"], ng["qber_sifted"], ng["i_ab"], ng["i_eve"],
+               cf["i_eve"], ref)
+    return header, [list(row) for row in zip(*columns)]
 
 
 def _curve_ieclon23(args):
@@ -148,13 +165,10 @@ def _curve_ieclon23(args):
     delta = args.delta if args.delta is not None else 12.0
     header = ["gamma", "disturbance", "qber_sifted", "i_ab", "i_eve_ngs", "i_eve_cerf"]
     ngs_rows = cloning.pns_cloning_attack(cloning.make_ngs23, mu, delta, grid)
-    rows = []
-    for g, row in zip(grid, ngs_rows):
-        x = math.sqrt(row["disturbance"] / 2.0)
-        cf = cloning.sifted_point(cloning.make_cerf23(min(x, 1 / math.sqrt(8))))
-        rows.append([g, row["disturbance"], row["qber_sifted"], row["i_ab"],
-                     row["i_eve"], cf["i_eve"]])
-    return header, rows
+    xs = [min(math.sqrt(row["disturbance"] / 2.0), 1 / math.sqrt(8)) for row in ngs_rows]
+    cf = cloning.sifted_points(cloning.make_cerf23(xs))
+    return header, [[g, row["disturbance"], row["qber_sifted"], row["i_ab"], row["i_eve"], i_cf]
+                    for g, row, i_cf in zip(grid, ngs_rows, cf["i_eve"].tolist())]
 
 
 def _curve_dcrit(args):
@@ -306,7 +320,7 @@ def build_parser():
     curve.add_argument("--gamma", type=str, default=None,
                        help="machine parameter grid min:max:step")
     curve.add_argument("--d", type=str, default=None, help="distance grid min:max:step, km")
-    curve.add_argument("--delta", type=finite, default=None,
+    curve.add_argument("--delta", type=nonnegative_finite, default=None,
                        help="channel attenuation in dB where one is required")
     curve.add_argument("--out", type=str, default=None, help="output path (default stdout)")
     curve.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -3,7 +3,9 @@
 Four machines are provided: two 1 -> 2 cloners (a two-qubit construction
 and a Bell-ancilla construction) and their 2 -> 3 generalizations.  Each is
 represented as an isometry from the input space (with the ancilla reference
-fixed) to the full output register.  The attack model mirrors the protocol:
+fixed) to the full output register; a factory called with a parameter grid
+returns the stack of those isometries, and ``sifted_points`` evaluates the
+whole stack at once.  The attack model mirrors the protocol:
 the receiver measures his clone, sifting succeeds when his outcome excludes
 one announced state, and the eavesdropper then discriminates her two
 conditional states with a minimum-error measurement.
@@ -17,17 +19,19 @@ import numpy as np
 
 from . import attacks, qmath, solvers
 from .attacks import InfeasibleModelError
-from .qmath import Operator, StateVector, partial_trace
+from .qmath import StateVector, partial_trace
 
 ISOMETRY_TOL = 1e-12
 
 
 @dataclass
 class CloningMachine:
-    """Isometry with declared clone positions.
+    """Isometry, or a stack of isometries over a parameter grid, with
+    declared clone positions.
 
     ``isometry`` maps input coordinates (a qubit, or with three columns the
-    Dicke coordinates of a symmetric pair) to a 2^n_qubits output register.
+    Dicke coordinates of a symmetric pair) to a 2^n_qubits output register;
+    a stack has shape (G, 2^n_qubits, d_in), one slice per grid point.
     ``clone_positions`` are the output qubits holding clones of the input
     state, the receiver's first; the remaining qubits stay with the
     eavesdropper as ancillas.
@@ -40,23 +44,28 @@ class CloningMachine:
 
     def __post_init__(self):
         v = self.isometry
-        gram = v.conj().T @ v
-        if np.max(np.abs(gram - np.eye(v.shape[1]))) > ISOMETRY_TOL:
+        gram = np.swapaxes(v.conj(), -1, -2) @ v
+        if np.max(np.abs(gram - np.eye(v.shape[-1])), initial=0.0) > ISOMETRY_TOL:
             raise ValueError(f"{self.name}: isometry defect exceeds tolerance")
 
     @property
     def n_qubits(self):
-        return self.isometry.shape[0].bit_length() - 1
+        return self.isometry.shape[-2].bit_length() - 1
 
     def input_coordinates(self, psi):
-        if self.isometry.shape[1] == 2:
+        if self.isometry.shape[-1] == 2:
             return psi.a
         return qmath.symmetric_coordinates(psi, 2)
 
     def apply_to_qubit(self, psi):
         """Full output state for a single-qubit signal (pairs are lifted)."""
-        out = self.isometry @ self.input_coordinates(psi)
-        return StateVector(out)
+        _require_single(self)
+        return StateVector(self.isometry @ self.input_coordinates(psi))
+
+
+def _require_single(machine):
+    if machine.isometry.ndim != 2:
+        raise ValueError(f"{machine.name}: expected one machine, got a stack")
 
 
 # Constant pieces of the isometries, built once.  Each machine is a linear
@@ -94,6 +103,28 @@ _CERF23_X = (np.kron(_Z2 @ _PAIR, _PHIM) + np.kron(_X2 @ _PAIR, _PSIP)
              + 1j * np.kron(_Y2 @ _PAIR, _PSIM_SWAPPED))
 
 
+# Every factory takes one parameter or a grid of them (a sequence or 1-D
+# array).  A grid gives one machine whose isometry is the stack of the
+# per-point isometries.  cos and sin come from the math module point by
+# point, and square roots and products round the same in NumPy, so each
+# slice equals the single-point machine bit for bit.
+
+def _grid(param, lo, hi, message):
+    p = np.atleast_1d(np.asarray(param, dtype=float))
+    if p.ndim != 1 or not np.all((lo <= p) & (p <= hi)):
+        raise ValueError(message)
+    return p
+
+
+def _weights(fn, grid):
+    """fn at every grid point, shaped (G, 1, 1) to scale a stack."""
+    return np.array([fn(x) for x in grid.tolist()])[:, None, None]
+
+
+def _machine(name, v, clone_positions, param, parameter):
+    return CloningMachine(name, v if np.ndim(param) else v[0], clone_positions, parameter)
+
+
 def make_ng12(gamma):
     """Two-qubit asymmetric cloner: |00> -> |00>,
     |10> -> cos(gamma) |10> + sin(gamma) |01>.
@@ -101,10 +132,9 @@ def make_ng12(gamma):
     Equatorial fidelities (1 + cos gamma)/2 and (1 + sin gamma)/2; the
     symmetric point gamma = pi/4 gives both clones (1 + 1/sqrt 2)/2.
     """
-    if not 0 <= gamma <= math.pi / 2:
-        raise ValueError("gamma must be in [0, pi/2]")
-    v = _NG12_FIXED + math.cos(gamma) * _NG12_COS + math.sin(gamma) * _NG12_SIN
-    return CloningMachine("ng12", v, (0, 1), {"gamma": gamma})
+    g = _grid(gamma, 0.0, math.pi / 2, "gamma must be in [0, pi/2]")
+    v = _NG12_FIXED + _weights(math.cos, g) * _NG12_COS + _weights(math.sin, g) * _NG12_SIN
+    return _machine("ng12", v, (0, 1), gamma, {"gamma": gamma})
 
 
 def make_cerf12(fidelity):
@@ -119,17 +149,15 @@ def make_cerf12(fidelity):
     clone 1 here is the equal mixture of the two-qubit machine's channel N
     and its mirror X N(X . X) X.
     """
-    F = fidelity
-    if not 0.5 <= F <= 1.0:
-        raise ValueError("fidelity must be in [1/2, 1]")
+    F = _grid(fidelity, 0.5, 1.0, "fidelity must be in [1/2, 1]")[:, None, None]
     G = 1.0 - F
-    v = F * _CERF12_F + G * _CERF12_G + math.sqrt(F * G) * _CERF12_SQRT_FG
-    return CloningMachine("cerf12", v, (0, 1), {"fidelity": F})
+    v = F * _CERF12_F + G * _CERF12_G + np.sqrt(F * G) * _CERF12_SQRT_FG
+    return _machine("cerf12", v, (0, 1), fidelity, {"fidelity": fidelity})
 
 
-def _ng23_isometry(gamma):
-    c, s = math.cos(gamma), math.sin(gamma)
-    norms = np.array([1.0, math.sqrt(1 + c * c), math.sqrt(1 + s * s)])
+def _ng23_isometry(g):
+    c, s = _weights(math.cos, g), _weights(math.sin, g)
+    norms = np.concatenate([np.ones_like(c), np.sqrt(1 + c * c), np.sqrt(1 + s * s)], axis=2)
     return _NG23_FIXED + (c * _NG23_COS + s * _NG23_SIN) / norms
 
 
@@ -139,9 +167,8 @@ def make_ng23(gamma):
     Input is the symmetric subspace of two qubits in Dicke coordinates;
     qubits 0, 1 are the symmetric clone pair and qubit 2 the third clone.
     """
-    if not 0 <= gamma <= math.pi / 2:
-        raise ValueError("gamma must be in [0, pi/2]")
-    return CloningMachine("ng23", _ng23_isometry(gamma), (0, 1, 2), {"gamma": gamma})
+    g = _grid(gamma, 0.0, math.pi / 2, "gamma must be in [0, pi/2]")
+    return _machine("ng23", _ng23_isometry(g), (0, 1, 2), gamma, {"gamma": gamma})
 
 
 def make_ngs23(gamma):
@@ -151,13 +178,12 @@ def make_ngs23(gamma):
     The two branch images are orthogonal (checked by the isometry test) and
     the clone fidelities coincide with the unsymmetrized machine.
     """
-    if not 0 <= gamma <= math.pi / 2:
-        raise ValueError("gamma must be in [0, pi/2]")
-    u = _ng23_isometry(gamma)
+    g = _grid(gamma, 0.0, math.pi / 2, "gamma must be in [0, pi/2]")
+    u = _ng23_isometry(g)
     # the mirror U~: X on all three qubits reverses the output index, and
     # swapping the roles of |00> and |11> reverses the columns
-    v = np.stack([u, u[::-1, ::-1]], axis=1).reshape(16, 3) / math.sqrt(2)
-    return CloningMachine("ngs23", v, (0, 1, 2), {"gamma": gamma})
+    v = np.stack([u, u[:, ::-1, ::-1]], axis=2).reshape(len(g), 16, 3) / math.sqrt(2)
+    return _machine("ngs23", v, (0, 1, 2), gamma, {"gamma": gamma})
 
 
 def make_cerf23(x):
@@ -169,11 +195,11 @@ def make_cerf23(x):
     third-clone fidelity reaches one at v = 2x.  The third clone sits on
     qubit 2.
     """
-    if not 0 <= x <= 1 / math.sqrt(8):
-        raise ValueError("x must be in [0, 1/sqrt 8]")
-    v = math.sqrt(max(0.0, 1.0 - 8.0 * x * x))
-    return CloningMachine("cerf23", v * _CERF23_V + x * _CERF23_X, (0, 1, 2),
-                          {"x": x, "v": v})
+    xs = _grid(x, 0.0, 1 / math.sqrt(8), "x must be in [0, 1/sqrt 8]")[:, None, None]
+    v = np.sqrt(np.maximum(0.0, 1.0 - 8.0 * xs * xs))
+    v_param = v[:, 0, 0] if np.ndim(x) else float(v[0, 0, 0])
+    return _machine("cerf23", v * _CERF23_V + xs * _CERF23_X, (0, 1, 2), x,
+                    {"x": x, "v": v_param})
 
 
 # closed-form equatorial fidelities ------------------------------------------
@@ -212,18 +238,41 @@ def clone_reduced_states(machine, psi):
     return results
 
 
-def _project_receiver(machine, out, outcome):
-    """Project the receiver's clone in a pure output onto <outcome|."""
-    t = out.a.reshape((2,) * machine.n_qubits)
-    t = np.moveaxis(t, machine.clone_positions[0], 0).reshape(2, -1)
-    return outcome.a.conj() @ t
+def _receiver_amplitudes(machine, inputs, outcomes):
+    """<outcome|_B V|input> for every slice of a machine or stack, with the
+    receiver's clone projected out: shape (G, inputs, outcomes, 2^(n-1)).
+
+    The receiver holds output qubit 0 on every machine here, so his
+    projection acts on the most significant index.
+    """
+    if machine.clone_positions[0] != 0:
+        raise ValueError(f"{machine.name}: the receiver's clone must be output qubit 0")
+    v = machine.isometry.reshape((-1,) + machine.isometry.shape[-2:])
+    columns = np.stack([machine.input_coordinates(psi) for psi in inputs], axis=-1)
+    # (G, input, receiver qubit, rest), contiguous so that each product
+    # below rounds exactly as the single-machine one
+    out = np.ascontiguousarray(np.moveaxis(v @ columns, 2, 1))
+    out = out.reshape(len(v), len(inputs), 2, v.shape[1] // 2)
+    return np.stack([o.a.conj() @ out for o in outcomes], axis=2)
+
+
+def _squared_norms(e):
+    """||e||^2 along the last axis, as a product so that it rounds as
+    np.vdot does for one vector."""
+    return (e.conj()[..., None, :] @ e[..., :, None])[..., 0, 0].real
+
+
+def _disturbances(machine):
+    """||<-x|_B V|+x>||^2 = 1 - F for every slice, without the
+    cancellation of 1 - F."""
+    wrong = _receiver_amplitudes(machine, (qmath.PLUS_X,), (qmath.MINUS_X,))
+    return _squared_norms(wrong)[:, 0, 0]
 
 
 def bob_disturbance(machine):
-    """Disturbance of the receiver's clone on equatorial input,
-    ||<-x|_B V|+x>||^2 = 1 - F without the cancellation of 1 - F."""
-    wrong = _project_receiver(machine, machine.apply_to_qubit(qmath.PLUS_X), qmath.MINUS_X)
-    return float(np.vdot(wrong, wrong).real)
+    """Disturbance of the receiver's clone on equatorial input (one machine)."""
+    _require_single(machine)
+    return float(_disturbances(machine)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +286,9 @@ _STATE_BY_NAME = {
 ANNOUNCED_SETS = (("+x", "+y"), ("+y", "-x"), ("-x", "-y"), ("-y", "+x"))
 
 
-def sifted_point(machine, announced=_DEFAULT_ANNOUNCED):
-    """Sifted-attack evaluation of a cloning machine at one parameter point.
+def sifted_points(machine, announced=_DEFAULT_ANNOUNCED):
+    """Sifted-attack evaluation of a cloning machine at every grid point of
+    a stack (or at its one point).
 
     The sender emits one of the two announced states; the receiver accepts
     when his outcome is orthogonal to one of them (excluding it), inferring
@@ -246,50 +296,63 @@ def sifted_point(machine, announced=_DEFAULT_ANNOUNCED):
     (the receiver projected onto one of the two excluding outcomes, she
     does not learn which), so her conditional state per hypothesis is the
     acceptance-weighted mixture over those two projections; she then
-    discriminates the two hypotheses with a minimum-error measurement.
+    discriminates the two hypotheses with a minimum-error measurement,
+    one stacked eigensolve for the whole grid.
 
-    Returns a dict with the clone disturbance, the sifted error rate, the
-    honest-party and eavesdropper informations and her error probability.
+    Returns a dict of arrays over the grid: the clone disturbance, the
+    sifted error rate, the honest-party and eavesdropper informations and
+    her error probability.
     """
-    s0, s1 = (_STATE_BY_NAME[a] for a in announced)
-    perp0 = qmath.orthogonal_qubit(s0)
-    perp1 = qmath.orthogonal_qubit(s1)
-    rhos = []
-    qbers = []
-    for sent, perp_sent, perp_other in ((s0, perp0, perp1), (s1, perp1, perp0)):
-        out = machine.apply_to_qubit(sent)
-        # outcome orthogonal to the *sent* state leads to the wrong inference
-        e_err = _project_receiver(machine, out, perp_sent)
-        e_ok = _project_receiver(machine, out, perp_other)
-        w_err = float(np.vdot(e_err, e_err).real)
-        w_ok = float(np.vdot(e_ok, e_ok).real)
-        qbers.append(w_err / (w_err + w_ok))
-        rho = 0.5 * (np.outer(e_err, e_err.conj()) + np.outer(e_ok, e_ok.conj()))
-        rhos.append(Operator(rho / (0.5 * (w_err + w_ok))))
-    p_e = qmath.helstrom_error(rhos[0], rhos[1], 0.5)
-    qber = 0.5 * (qbers[0] + qbers[1])
+    states = [_STATE_BY_NAME[a] for a in announced]
+    # e[:, k, o]: sent state k, receiver outcome orthogonal to announced
+    # state o; the outcome orthogonal to the *sent* state (o = k) leads to
+    # the wrong inference
+    e = _receiver_amplitudes(machine, states, [qmath.orthogonal_qubit(s) for s in states])
+    w = _squared_norms(e)
+    accepted = w[:, :, 0] + w[:, :, 1]
+    qber = 0.5 * (w[:, 0, 0] / accepted[:, 0] + w[:, 1, 1] / accepted[:, 1])
+    rho0, rho1 = (_accepted_mixture(e[:, k], 0.5 * accepted[:, k]) for k in (0, 1))
+    p_e = qmath.helstrom_error(rho0, rho1, 0.5)
     return {
-        "disturbance": bob_disturbance(machine),
+        "disturbance": _disturbances(machine),
         "qber_sifted": qber,
-        "i_ab": qmath.binary_information(qber),
-        "i_eve": qmath.binary_information(p_e),
+        "i_ab": np.array([qmath.binary_information(q) for q in qber.tolist()]),
+        "i_eve": np.array([qmath.binary_information(p) for p in p_e.tolist()]),
         "p_e": p_e,
     }
+
+
+def _accepted_mixture(e, weight):
+    """(|e_0><e_0| + |e_1><e_1|) / 2 / weight for every slice, built in
+    place so that a long grid keeps one stack of matrices at a time."""
+    rho = e[:, 0, :, None] * e[:, 0, None, :].conj()
+    rho += e[:, 1, :, None] * e[:, 1, None, :].conj()
+    rho *= 0.5
+    rho /= weight[:, None, None]
+    return rho
+
+
+def _rows(points):
+    return [dict(zip(points, values)) for values in zip(*(c.tolist() for c in points.values()))]
+
+
+def sifted_point(machine, announced=_DEFAULT_ANNOUNCED):
+    """``sifted_points`` for one machine, as a dict of floats."""
+    _require_single(machine)
+    return _rows(sifted_points(machine, announced))[0]
 
 
 def sifted_cloning_attack(machine_factory, param_grid):
     """Sifted-attack series over a machine parameter grid.
 
-    ``machine_factory`` maps a parameter to a CloningMachine (for example
-    ``make_ng12`` over gamma, or ``make_cerf12`` over the fidelity).
-    Returns a list of row dicts sorted as given.
+    ``machine_factory`` is one of the ``make_*`` factories (for example
+    ``make_ng12`` over gamma, or ``make_cerf12`` over the fidelity); it is
+    called once with the whole grid.  Returns a list of row dicts in grid
+    order.
     """
-    rows = []
-    for p in param_grid:
-        machine = machine_factory(p)
-        row = sifted_point(machine)
+    rows = _rows(sifted_points(machine_factory(np.asarray(param_grid, dtype=float))))
+    for row, p in zip(rows, param_grid):
         row["parameter"] = p
-        rows.append(row)
     return rows
 
 

@@ -133,22 +133,27 @@ class GenevaLausanneReport:
     secure_full_error: bool
 
 
-def _cloning_info_at_qber(qber, grid_size=240):
-    """Eavesdropper information of the two-photon cloning attack at a given
-    sifted error rate (stronger, symmetrized machine)."""
-    best = 0.0
+def _cloning_rows(grid_size=240):
+    """Sifted error rates and eavesdropper informations of the two-photon
+    cloning attack (stronger, symmetrized machine) over its gamma grid."""
+    grid = [1e-6 + (math.pi / 2 - 2e-6) * k / grid_size for k in range(grid_size + 1)]
+    points = cloning.sifted_points(cloning.make_ngs23(grid))
+    return list(zip(points["qber_sifted"].tolist(), points["i_eve"].tolist()))
+
+
+def _cloning_info_at_qber(rows, qber):
+    """Eavesdropper information at a given sifted error rate, interpolated
+    linearly from the first row that reaches it."""
     prev = None
-    for k in range(grid_size + 1):
-        g = 1e-6 + (math.pi / 2 - 2e-6) * k / grid_size
-        row = cloning.sifted_point(cloning.make_ngs23(g))
-        if row["qber_sifted"] >= qber:
+    for q, i_eve in rows:
+        if q >= qber:
             if prev is None:
-                return row["i_eve"]
+                return i_eve
             q0, i0 = prev
-            t = (qber - q0) / (row["qber_sifted"] - q0)
-            return i0 + t * (row["i_eve"] - i0)
-        prev = (row["qber_sifted"], row["i_eve"])
-    return row["i_eve"]
+            t = (qber - q0) / (q - q0)
+            return i0 + t * (i_eve - i0)
+        prev = (q, i_eve)
+    return rows[-1][1]
 
 
 def geneva_lausanne_report(alpha=photonics.DEFAULT_ALPHA_DB_PER_KM):
@@ -165,8 +170,9 @@ def geneva_lausanne_report(alpha=photonics.DEFAULT_ALPHA_DB_PER_KM):
     qber, qber_optical = 0.05, 0.01
     i_ab = qmath.binary_information(qber)
     i_eve_pns, _, _ = attacks.fourstate_combined_info(mu, delta)
-    i_clone_opt = _cloning_info_at_qber(qber_optical)
-    i_clone_full = _cloning_info_at_qber(qber)
+    rows = _cloning_rows()
+    i_clone_opt = _cloning_info_at_qber(rows, qber_optical)
+    i_clone_full = _cloning_info_at_qber(rows, qber)
     return GenevaLausanneReport(
         mu=mu,
         distance_km=distance,

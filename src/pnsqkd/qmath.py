@@ -280,17 +280,23 @@ def partial_trace(rho, keep, n_qubits=None):
 
 
 def eig_hermitian(a):
-    """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian operator.
+    """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian
+    operator, or of every matrix in a stack of shape (..., d, d).
 
-    LAPACK via ``numpy.linalg.eigh``; raises on non-Hermitian input.
+    LAPACK via ``numpy.linalg.eigh``, one call for the whole stack; raises
+    if any matrix is not Hermitian.
     """
-    if isinstance(a, Operator):
-        m = a.m
-    else:
-        m = np.asarray(a, dtype=np.complex128)
-    if np.max(np.abs(m - m.conj().T)) > 1e-10 * max(1.0, float(np.max(np.abs(m)))):
+    m = a.m if isinstance(a, Operator) else np.asarray(a, dtype=np.complex128)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError("expected a square matrix or a stack of them")
+    size = m.shape[-1] ** 2
+    mh = m.conj().swapaxes(-1, -2)
+    defect = np.abs(m - mh).reshape(-1, size).max(axis=1)
+    scale = np.abs(m).reshape(-1, size).max(axis=1)
+    if (defect > 1e-10 * np.maximum(scale, 1.0)).any():
         raise ValueError("matrix is not Hermitian")
-    m = 0.5 * (m + m.conj().T)
+    m = m + mh
+    m *= 0.5
     return np.linalg.eigh(m)
 
 
@@ -303,9 +309,11 @@ def operator_sqrt_psd(a):
 
 
 def trace_norm(a):
-    """Trace norm of a Hermitian operator: sum of absolute eigenvalues."""
+    """Trace norm of a Hermitian operator, sum of absolute eigenvalues; an
+    array of them for a stack."""
     w, _ = eig_hermitian(a)
-    return float(np.sum(np.abs(w)))
+    norms = np.sum(np.abs(w), axis=-1)
+    return float(norms) if norms.ndim == 0 else norms
 
 
 class MeasurementOutcome:
@@ -354,14 +362,14 @@ def helstrom_error(rho0, rho1, prior0=0.5):
 
     p_e = (1 - ||prior0 rho0 - (1-prior0) rho1||_tr) / 2.  For equiprobable
     pure states with overlap c this reduces to (1 - sqrt(1 - c^2)) / 2.
+    Two stacks of matrices (..., d, d) give an array, one eigensolve for all.
     """
     if not 0.0 <= prior0 <= 1.0:
         raise ValueError("prior must be in [0, 1]")
-    if isinstance(rho0, StateVector):
-        rho0 = rho0.outer()
-    if isinstance(rho1, StateVector):
-        rho1 = rho1.outer()
-    gamma = Operator(prior0 * rho0.m - (1.0 - prior0) * rho1.m)
+    m0, m1 = (r.outer().m if isinstance(r, StateVector) else getattr(r, "m", r)
+              for r in (rho0, rho1))
+    gamma = prior0 * np.asarray(m0, dtype=np.complex128)
+    gamma -= (1.0 - prior0) * np.asarray(m1, dtype=np.complex128)
     return 0.5 * (1.0 - trace_norm(gamma))
 
 

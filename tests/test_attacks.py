@@ -1,4 +1,5 @@
 """Attack-model tests: rates, critical attenuations, information curves."""
+import decimal
 import math
 
 import numpy as np
@@ -105,6 +106,69 @@ class TestFourTwo:
         pt = fourtwo_pns(math.pi / 3, 20.0)
         assert pt.i_eve == 1.0
         assert pt.rate_residual < 1e-10
+
+
+def _decimal_cos(x):
+    term, total, k = decimal.Decimal(1), decimal.Decimal(0), 0
+    while abs(term) > decimal.Decimal(10) ** -110:
+        total += term
+        k += 2
+        term = -term * x * x / (k * (k - 1))
+    return total
+
+
+def _fourtwo_oracle(eta, mu):
+    """(E, F) of the four-plus-two filter attack to 40 digits, from
+    F = P(n>=2) - (e^(-mu s) - e^-mu - mu c e^-mu)/c and
+    E = (mu - 1 + e^-mu) - (c/s) F at the exact eta and mu of the floats.
+    100 working digits absorb the cancellation in both (about 35 digits
+    at eta = pi/2, where c ~ 6e-17)."""
+    with decimal.localcontext(prec=100):
+        c = _decimal_cos(decimal.Decimal(eta))
+        s, mu = 1 - c, decimal.Decimal(mu)
+        e_mu = (-mu).exp()
+        f = 1 - e_mu * (1 + mu) - ((-mu * s).exp() - e_mu - mu * c * e_mu) / c
+        return (mu - 1 + e_mu) - (c / s) * f, f
+
+
+class TestFourTwoSums:
+    @pytest.mark.parametrize("eta,mu", [(math.pi / 3, 0.2), (0.4, 1.3), (1.2, 0.7), (1.5, 2.5)])
+    def test_oracle_closed_forms_match_the_defining_sums(self, eta, mu):
+        # E = sum_n p_n sum_{k=1}^{n-1} s c^(k-1) (n - k),
+        # F = sum_n p_n (1 - c^(n-1)), summed until p_n < 1e-60
+        want_e, want_f = _fourtwo_oracle(eta, mu)
+        with decimal.localcontext(prec=100):
+            c = _decimal_cos(decimal.Decimal(eta))
+            s, mu_d = 1 - c, decimal.Decimal(mu)
+            p = (-mu_d).exp() * mu_d  # p_1
+            e = f = decimal.Decimal(0)
+            n = 1
+            while n < 3 or p > decimal.Decimal(10) ** -60:
+                n += 1
+                p = p * mu_d / n
+                e += p * sum(s * c ** (k - 1) * (n - k) for k in range(1, n))
+                f += p * (1 - c ** (n - 1))
+            assert abs(e - want_e) < decimal.Decimal(10) ** -50
+            assert abs(f - want_f) < decimal.Decimal(10) ** -50
+
+    @pytest.mark.parametrize("reference_mu", [0.1, 1.0])
+    def test_closed_forms_match_oracle(self, reference_mu):
+        # eta down to 1e-4 covers the c/s cancellation (mu ~ 2e7 there)
+        etas = np.geomspace(1e-4, math.pi / 2, 60).tolist() + [math.pi / 3, math.pi / 2]
+        for eta in etas:
+            mu = attacks.fourtwo_mu(eta, reference_mu)
+            want_e, want_f = _fourtwo_oracle(eta, mu)
+            got_e = attacks.fourtwo_split_rate(eta, mu)
+            got_f = attacks.fourtwo_success_fraction(eta, mu)
+            assert abs(decimal.Decimal(got_e) / want_e - 1) < 1e-14, eta
+            assert abs(decimal.Decimal(got_f) / want_f - 1) < 1e-14, eta
+
+    def test_small_eta_keeps_full_precision(self):
+        # 1 - cos(eta) is written 2 sin^2(eta/2), which keeps full precision
+        mu = attacks.fourtwo_mu(1e-6)
+        assert mu == pytest.approx(0.1 / (2 * math.sin(5e-7) ** 2), rel=1e-15)
+        with pytest.raises(ValueError, match="eta too small"):
+            attacks.fourtwo_mu(1e-170)
 
 
 class TestStrongPulse:

@@ -110,6 +110,16 @@ class TestExitCodes:
         (["curve", "ieclon23", "--delta", "inf", "--gamma", "0.2:0.4:0.2"], 2),
         (["curve", "pns-bb84", "--d", "0:inf:1"], 2),
         (["curve", "pns-bb84", "--d", "0:1:inf"], 2),
+        # grids above cli.MAX_GRID_POINTS
+        (["curve", "pns-bb84", "--d", "0:1e6:1e-3"], 2),
+        (["curve", "ieclon12", "--gamma", "0:1.5:1e-8"], 2),
+        # n_b outside 2..8, negative attenuation
+        (["curve", "stattnb", "--nb", "0"], 2),
+        (["curve", "stattnb", "--nb", "1"], 2),
+        (["curve", "ieclon23", "--delta", "-5"], 2),
+        # the four-plus-two sums are closed forms, so a tiny eta is quick
+        (["curve", "pns-42", "--eta", "1e-4", "--d", "0:2:1"], 0),
+        (["curve", "pns-42", "--eta", "1e-170", "--d", "0:2:1"], 2),
     ])
     def test_domain_and_ladder_exit_codes(self, args, code):
         proc = run_cli(args)

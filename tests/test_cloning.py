@@ -73,19 +73,66 @@ def _direct_isometry(name, p):
                             for u, t in zip(cols, mirror)])
 
 
+def _oracle_sifted_point(machine, announced=("+x", "+y")):
+    """Reference: the sifted-attack evaluation one machine at a time, with
+    its own projections, density operators and Helstrom bound."""
+    def project(out, outcome):  # receiver's clone onto <outcome|
+        t = out.a.reshape((2,) * machine.n_qubits)
+        t = np.moveaxis(t, machine.clone_positions[0], 0).reshape(2, -1)
+        return outcome.a.conj() @ t
+
+    s0, s1 = (cloning._STATE_BY_NAME[a] for a in announced)
+    perp0, perp1 = qmath.orthogonal_qubit(s0), qmath.orthogonal_qubit(s1)
+    rhos, qbers = [], []
+    for sent, perp_sent, perp_other in ((s0, perp0, perp1), (s1, perp1, perp0)):
+        out = machine.apply_to_qubit(sent)
+        e_err, e_ok = project(out, perp_sent), project(out, perp_other)
+        w_err, w_ok = float(np.vdot(e_err, e_err).real), float(np.vdot(e_ok, e_ok).real)
+        qbers.append(w_err / (w_err + w_ok))
+        rho = 0.5 * (np.outer(e_err, e_err.conj()) + np.outer(e_ok, e_ok.conj()))
+        rhos.append(qmath.Operator(rho / (0.5 * (w_err + w_ok))))
+    p_e = qmath.helstrom_error(rhos[0], rhos[1], 0.5)
+    wrong = project(machine.apply_to_qubit(qmath.PLUS_X), qmath.MINUS_X)
+    qber = 0.5 * (qbers[0] + qbers[1])
+    return {"disturbance": float(np.vdot(wrong, wrong).real), "qber_sifted": qber,
+            "i_ab": qmath.binary_information(qber), "i_eve": qmath.binary_information(p_e),
+            "p_e": p_e}
+
+
+FACTORY_GRIDS = [
+    (make_ng12, np.linspace(0.0, math.pi / 2, 201)),
+    (make_cerf12, np.linspace(0.5, 1.0, 201)),
+    (make_ng23, np.linspace(0.0, math.pi / 2, 201)),
+    (make_ngs23, np.linspace(0.0, math.pi / 2, 201)),
+    (make_cerf23, np.linspace(0.0, 1 / math.sqrt(8), 201)),
+]
+
+
 class TestIsometries:
-    @pytest.mark.parametrize("factory,grid", [
-        (make_ng12, np.linspace(0.0, math.pi / 2, 201)),
-        (make_cerf12, np.linspace(0.5, 1.0, 201)),
-        (make_ng23, np.linspace(0.0, math.pi / 2, 201)),
-        (make_ngs23, np.linspace(0.0, math.pi / 2, 201)),
-        (make_cerf23, np.linspace(0.0, 1 / math.sqrt(8), 201)),
-    ])
+    @pytest.mark.parametrize("factory,grid", FACTORY_GRIDS)
     def test_matches_direct_construction(self, factory, grid):
-        # same arithmetic, so the two agree bit for bit
-        for p in grid:
+        # same arithmetic, so the two agree bit for bit, point by point and
+        # slice by slice of the stack built over the whole grid
+        stack = factory(grid)
+        assert stack.isometry.shape[0] == len(grid)
+        for k, p in enumerate(grid):
             machine = factory(float(p))
-            assert np.array_equal(machine.isometry, _direct_isometry(machine.name, float(p)))
+            direct = _direct_isometry(machine.name, float(p))
+            assert np.array_equal(machine.isometry, direct)
+            assert np.array_equal(stack.isometry[k], direct)
+
+    def test_stack_with_one_non_isometric_slice_is_rejected(self):
+        stack = make_ngs23(np.linspace(0.1, 1.4, 9))
+        v = stack.isometry.copy()
+        v[4, 0, 0] *= 1.0 + 1e-9
+        with pytest.raises(ValueError, match="isometry"):
+            cloning.CloningMachine("ngs23", v, stack.clone_positions)
+
+    def test_grid_range_checked_at_every_point(self):
+        with pytest.raises(ValueError):
+            make_ng12([0.1, 0.2, math.pi])
+        with pytest.raises(ValueError):
+            make_cerf12([0.9, float("nan")])
 
     @pytest.mark.parametrize("factory,grid", [
         (make_ng12, GAMMAS),
@@ -324,6 +371,39 @@ class TestCloneReducedStates:
     def test_dimension_mismatch(self):
         with pytest.raises(Exception):
             make_ng12(0.3).isometry @ np.ones(3)
+
+
+class TestSiftedPoints:
+    @pytest.mark.parametrize("factory,grid", FACTORY_GRIDS)
+    def test_stack_matches_one_point_oracle(self, factory, grid):
+        points = cloning.sifted_points(factory(grid))
+        for k, p in enumerate(grid):
+            want = _oracle_sifted_point(factory(float(p)))
+            for key in ("disturbance", "qber_sifted", "p_e", "i_eve"):
+                assert points[key][k] == pytest.approx(want[key], abs=1e-14, rel=0)
+
+    def test_single_point_is_one_slice(self):
+        machine = make_cerf23(0.2)
+        stack = cloning.sifted_points(make_cerf23([0.1, 0.2]))
+        row = sifted_point(machine)
+        assert row == {key: float(col[1]) for key, col in stack.items()}
+        assert cloning.bob_disturbance(machine) == row["disturbance"]
+
+    def test_single_point_calls_reject_stacks(self):
+        stack = make_ng12([0.2, 0.4])
+        with pytest.raises(ValueError):
+            sifted_point(stack)
+        with pytest.raises(ValueError):
+            cloning.bob_disturbance(stack)
+
+    def test_receiver_must_hold_qubit_0(self):
+        m = make_ng12(0.3)
+        swapped = cloning.CloningMachine("ng12", m.isometry, (1, 0))
+        with pytest.raises(ValueError, match="qubit 0"):
+            cloning.sifted_points(swapped)
+
+    def test_empty_grid(self):
+        assert sifted_cloning_attack(make_ngs23, []) == []
 
 
 class TestSiftedAttack:

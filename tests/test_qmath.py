@@ -148,6 +148,32 @@ class TestEig:
         for k in range(16):
             assert np.linalg.norm(a @ v[:, k] - w[k] * v[:, k]) < 1e-10
 
+    def test_stack_matches_one_matrix_at_a_time(self, rng):
+        stack = np.stack([random_density(rng, 8) for _ in range(5)])
+        w, v = eig_hermitian(stack)
+        assert w.shape == (5, 8) and v.shape == (5, 8, 8)
+        for k, m in enumerate(stack):
+            w1, v1 = eig_hermitian(m)
+            assert np.array_equal(w[k], w1)
+            assert np.array_equal(v[k], v1)
+        norms = qmath.trace_norm(stack)
+        assert norms.tolist() == [qmath.trace_norm(m) for m in stack]
+
+    def test_stack_with_one_non_hermitian_slice_is_rejected(self, rng):
+        stack = np.stack([random_density(rng, 4) for _ in range(6)])
+        eig_hermitian(stack)
+        stack[3, 0, 1] += 1e-6  # tiny against the check's scale, one slice only
+        with pytest.raises(ValueError, match="not Hermitian"):
+            eig_hermitian(stack)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            qmath.trace_norm(stack)
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError):
+            eig_hermitian(np.zeros(4))
+        with pytest.raises(ValueError):
+            eig_hermitian(np.zeros((3, 2, 4)))
+
     def test_four_state_multicopy_bound_operator(self):
         # reciprocal of the top eigenvalue of the dual-projector sum is 1/2
         from pnsqkd.discrimination import equatorial_phase_states, usd_conclusive_bound_operator
@@ -221,6 +247,14 @@ class TestHelstrom:
     def test_prior_validation(self):
         with pytest.raises(ValueError):
             helstrom_error(qmath.KET_0, qmath.KET_1, 1.5)
+
+    def test_stacks_match_pairs(self, rng):
+        rho0 = np.stack([random_density(rng, 4) for _ in range(7)])
+        rho1 = np.stack([random_density(rng, 4) for _ in range(7)])
+        got = helstrom_error(rho0, rho1, 0.3)
+        assert got.shape == (7,)
+        assert got.tolist() == [helstrom_error(Operator(a), Operator(b), 0.3)
+                                for a, b in zip(rho0, rho1)]
 
 
 class TestBinaryInformation:
