@@ -4,13 +4,15 @@ photon-number-splitting and cloning attacks.
 Submodules:
 
 qmath           few-qubit linear algebra and quantum-information primitives
-photonics       Poisson source, channel attenuation, detection and QBER model
-discrimination  state-set geometry, filters, unambiguous discrimination
+photonics       Poisson source and click sums, channel attenuation, QBER model
+discrimination  two-state POVM and filter, overlap penalty, multicopy
+                unambiguous-discrimination success probability
 attacks         photon-number-splitting attack evaluations per protocol
 cloning         asymmetric cloning machines and sifted cloning attacks
 keyrate         security criterion, key rate, optimal mu, protocol comparison
 solvers         the shared bisection and golden-section searches
-cli             curve sweeps, reports and the self-check suite
+validation      the anchor self-check suite behind ``validate``
+cli             curve sweeps, reports and self checks
 """
 from .qmath import (
     GeneralizedMeasurement,
@@ -22,23 +24,19 @@ from .qmath import (
     helstrom_error,
     partial_trace,
     symmetric_basis,
-    tensor,
     two_mode_number_state,
 )
-from .photonics import SourceChannelModel, poisson_pmf, bob_raw_rate, qber_total
+from .photonics import SourceChannelModel, poisson_pmf, qber_total
 from .discrimination import (
     b92_filter,
     b92_povm,
     filtered_overlap_bound,
     linear_independence_check,
-    usd_multicopy_povm,
     usd_optimal_pok,
 )
 from .attacks import (
-    AttackReport,
     StrongPulseModel,
     bb84_pns,
-    fourstate_combined_curve,
     fourstate_irud_critical,
     storing_attack_info,
     strongpulse_b92,
@@ -55,7 +53,6 @@ from .cloning import (
     sifted_cloning_attack,
 )
 from .keyrate import (
-    ProtocolConfig,
     geneva_lausanne_report,
     key_rate,
     nb_security_summary,

@@ -11,50 +11,26 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import discrimination, photonics, qmath, solvers
 from .photonics import (
     SourceChannelModel,
     poisson_click_sum,
     poisson_cutoff,
-    poisson_photon_sum,
     transmission,
 )
 
 STORING_OVERLAP = 1.0 / math.sqrt(2.0)  # announced-pair overlap in the four-state protocol
-RATE_RESIDUAL_TOL = 1e-10
+BOB_FLOOR = 10.0  # photons the strong reference pulse must deliver to the receiver
 
 
 @dataclass
 class AttackPoint:
     """Attack evaluation at a single attenuation."""
 
-    delta_db: float
     q_passed: float
     i_eve: float
-    i_ab: float = 1.0
-    rate_residual: float = 0.0
-
-
-@dataclass
-class AttackReport:
-    """Attack evaluation over an attenuation grid."""
-
-    delta_db: list = field(default_factory=list)
-    i_eve: list = field(default_factory=list)
-    i_ab: list = field(default_factory=list)
-    q_passed: list = field(default_factory=list)
-    rate_residual: list = field(default_factory=list)
-    critical_delta_db: float | None = None
-    critical_distance_km: float | None = None
-
-    def append(self, point):
-        self.delta_db.append(point.delta_db)
-        self.i_eve.append(point.i_eve)
-        self.i_ab.append(point.i_ab)
-        self.q_passed.append(point.q_passed)
-        self.rate_residual.append(point.rate_residual)
 
 
 class InfeasibleModelError(ValueError):
@@ -70,13 +46,14 @@ def _rate_balanced_point(mu, delta_db, r_att, s_att):
     When the attack alone supplies the rate, q = 0 and the surplus
     conclusive pulses are discarded, so I = 1.
     """
+    if not math.isfinite(delta_db):
+        raise ValueError("attenuation must be finite")
     required = mu * transmission(delta_db)
     if r_att >= required:
-        return AttackPoint(delta_db, 0.0, 1.0, 1.0, 0.0)
+        return AttackPoint(0.0, 1.0)
     q = (required - r_att) / (mu - r_att)
-    residual = abs(q * mu + (1.0 - q) * r_att - required)
     i_eve = (1.0 - q) * s_att / (q + (1.0 - q) * s_att)
-    return AttackPoint(delta_db, q, i_eve, 1.0, residual)
+    return AttackPoint(q, i_eve)
 
 
 # ---------------------------------------------------------------------------
@@ -106,47 +83,10 @@ def bb84_pns(mu, delta_db):
     and weighs full information on split pulses against silence on passed
     ones: I = (1-q) S / (q + (1-q) S) with S the multiphoton fraction.
     """
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    if not 0.0 < mu < math.inf:
+        raise ValueError("mu must be positive and finite")
     return _rate_balanced_point(mu, delta_db, bb84_split_rate(mu),
                                 bb84_multiphoton_fraction(mu))
-
-
-def bb84_pns_curve(mu, delta_grid, alpha=photonics.DEFAULT_ALPHA_DB_PER_KM):
-    report = AttackReport()
-    for d in delta_grid:
-        report.append(bb84_pns(mu, d))
-    report.critical_delta_db = bb84_critical_attenuation(mu)
-    report.critical_distance_km = report.critical_delta_db / alpha
-    return report
-
-
-# ---------------------------------------------------------------------------
-# two-state protocol, weak pulses
-
-def b92_weakpulse_analysis(eta, mu, delta_grid=(), alpha=photonics.DEFAULT_ALPHA_DB_PER_KM):
-    """Intercept-discriminate-resend model for the two-state protocol.
-
-    The eavesdropper runs the receiver's unambiguous measurement at the
-    source and re-prepares conclusive pulses next to the receiver.  Her
-    delivered fraction is 1 - cos(eta), so interception becomes rate
-    invisible at delta_c = -10 log10(1 - cos eta); with no quantum memory
-    or lossless line she cannot attack a sub-fraction below that, hence
-    the information curve is a step.
-    """
-    if not 0 < eta <= math.pi / 2:
-        raise ValueError("eta must be in (0, pi/2]")
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    p_ok = 1.0 - math.cos(eta)
-    delta_c = -10.0 * math.log10(p_ok) if p_ok < 1.0 else 0.0
-    report = AttackReport()
-    for d in delta_grid:
-        attacked = transmission(d) <= p_ok + 1e-15
-        report.append(AttackPoint(d, 0.0 if attacked else 1.0, 1.0 if attacked else 0.0))
-    report.critical_delta_db = delta_c
-    report.critical_distance_km = delta_c / alpha
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -217,11 +157,6 @@ def fourtwo_success_fraction(eta, mu):
     return multiphoton - kept
 
 
-def fourtwo_critical_attenuation(eta, reference_mu=0.1):
-    mu = fourtwo_mu(eta, reference_mu)
-    return 10.0 * math.log10(mu / fourtwo_split_rate(eta, mu))
-
-
 def fourtwo_pns(eta, delta_db, reference_mu=0.1):
     """Filter-based splitting attack point for the four-plus-two protocol."""
     if not 0 < eta <= math.pi / 2:
@@ -239,29 +174,28 @@ class StrongPulseModel:
     """Weak signal plus strong reference pulse, receiver floor of 10 photons.
 
     The reference must always arrive, so its mean photon number grows with
-    the attenuation: mu_prime 10^(-delta/10) = bob_floor.
+    the attenuation: mu_prime 10^(-delta/10) = BOB_FLOOR.
     """
 
     mu: float
     delta_db: float
-    bob_floor: float = 10.0
 
     def __post_init__(self):
         if not 0 < self.mu < 1:
             raise ValueError("mu must be in (0, 1)")
-        if self.delta_db < 0:
-            raise ValueError("attenuation must be non-negative")
+        if not 0.0 <= self.delta_db < math.inf:
+            raise ValueError("attenuation must be non-negative and finite")
 
     @property
     def mu_prime(self):
-        return self.bob_floor * 10.0 ** (self.delta_db / 10.0)
+        return BOB_FLOOR * 10.0 ** (self.delta_db / 10.0)
 
     @property
     def intensity_ratio(self):
         return self.mu / self.mu_prime
 
 
-def strongpulse_b92(delta_db, mu, bob_floor=10.0):
+def strongpulse_b92(delta_db, mu):
     """Eavesdropper information against the strong-pulse two-state scheme.
 
     She measures the total photon number, forwards the floor the receiver
@@ -271,9 +205,9 @@ def strongpulse_b92(delta_db, mu, bob_floor=10.0):
     overlap tends to e^(-2 mu), so the information saturates and the
     protocol stays secure at any loss.
     """
-    model = StrongPulseModel(mu, delta_db, bob_floor)
+    model = StrongPulseModel(mu, delta_db)
     t = model.intensity_ratio
-    kept = model.mu_prime - bob_floor
+    kept = model.mu_prime - BOB_FLOOR
     # log space: rounding (1-t)/(1+t) and raising it to kept ~ 1/t would
     # amplify one ulp to ~1e-9 in the overlap at large loss
     overlap = math.exp(kept * (math.log1p(-t) - math.log1p(t))) if kept > 0 else 1.0
@@ -289,23 +223,24 @@ def strongpulse_asymptotic_info(mu):
 # ---------------------------------------------------------------------------
 # four-state protocol (two bases, alternative sifting)
 
-def fourstate_irud_rate(mu, p_ok=0.5):
-    """Deliverable photons per pulse for the block-below-three attack:
-    p_ok sum_{n>=3} p_n (n-2) = p_ok (mu - 2 + e^-mu (2 + mu))."""
-    return p_ok * (mu - 2.0 + math.exp(-mu) * (2.0 + mu))
+def fourstate_irud_rate(mu):
+    """Deliverable photons per pulse for the block-below-three attack, whose
+    discrimination of three copies concludes with probability 1/2:
+    sum_{n>=3} p_n (n-2) / 2 = (mu - 2 + e^-mu (2 + mu)) / 2."""
+    return 0.5 * (mu - 2.0 + math.exp(-mu) * (2.0 + mu))
 
 
-def fourstate_irud_fraction(mu, p_ok=0.5):
+def fourstate_irud_fraction(mu):
     """Probability a pulse has >= 3 photons and the discrimination concludes."""
-    return p_ok * (1.0 - math.exp(-mu) * (1.0 + mu + 0.5 * mu * mu))
+    return 0.5 * (1.0 - math.exp(-mu) * (1.0 + mu + 0.5 * mu * mu))
 
 
-def fourstate_irud_critical(mu, p_ok=0.5):
+def fourstate_irud_critical(mu):
     """Attenuation where unambiguous discrimination of three-photon pulses
-    reproduces the expected rate: 10 log10(mu / (p_ok sum p_n (n-2)))."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    target = fourstate_irud_rate(mu, p_ok)
+    reproduces the expected rate: 10 log10(mu / (sum p_n (n-2) / 2))."""
+    if not 0.0 < mu < math.inf:
+        raise ValueError("mu must be positive and finite")
+    target = fourstate_irud_rate(mu)
     if target <= 0:
         return float("inf")
     return 10.0 * math.log10(mu / target)
@@ -314,8 +249,8 @@ def fourstate_irud_critical(mu, p_ok=0.5):
 def fourstate_irud_pns(mu, delta_db):
     """Block-below-three attack point for the four-state protocol: pulses
     with >= 3 photons are discriminated unambiguously, the rest blocked."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    if not 0.0 < mu < math.inf:
+        raise ValueError("mu must be positive and finite")
     return _rate_balanced_point(mu, delta_db, fourstate_irud_rate(mu),
                                 fourstate_irud_fraction(mu))
 
@@ -337,7 +272,7 @@ def fourstate_storing_info():
     return qmath.binary_information(qmath.pure_state_error(STORING_OVERLAP))
 
 
-def fourstate_combined_info(mu, delta_db, p_ok=0.5):
+def fourstate_combined_info(mu, delta_db):
     """Best undetectable mix of storing and multicopy-discrimination attacks.
 
     A fraction f of the attack capacity goes to unambiguous discrimination
@@ -349,11 +284,15 @@ def fourstate_combined_info(mu, delta_db, p_ok=0.5):
     optimized by a coarse grid scan plus golden-section refinement.
     Returns (i_eve, q_passed, f_irud).
     """
+    if not 0.0 < mu < math.inf:
+        raise ValueError("mu must be positive and finite")
+    if not math.isfinite(delta_db):
+        raise ValueError("attenuation must be finite")
     required = mu * transmission(delta_db)
     r_store = bb84_split_rate(mu)
-    r_irud = fourstate_irud_rate(mu, p_ok)
+    r_irud = fourstate_irud_rate(mu)
     s_store = bb84_multiphoton_fraction(mu)
-    s_irud = fourstate_irud_fraction(mu, p_ok)
+    s_irud = fourstate_irud_fraction(mu)
     i_store = fourstate_storing_info()
 
     def q_of(f):
@@ -382,26 +321,6 @@ def fourstate_combined_info(mu, delta_db, p_ok=0.5):
     return i_best, q_of(f_best), f_best
 
 
-def fourstate_combined_curve(mu, delta_grid, p_ok=0.5,
-                             alpha=photonics.DEFAULT_ALPHA_DB_PER_KM):
-    """Interpolated-attack information over an attenuation grid.
-
-    The information is continuous and non-decreasing in the attenuation and
-    reaches one at the blocking critical point.
-    """
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    report = AttackReport()
-    for d in delta_grid:
-        i_eve, q, _ = fourstate_combined_info(mu, d, p_ok)
-        required = mu * transmission(d)
-        report.append(AttackPoint(d, q, i_eve, 1.0,
-                                  0.0 if required <= mu else required - mu))
-    report.critical_delta_db = fourstate_irud_critical(mu, p_ok)
-    report.critical_distance_km = report.critical_delta_db / alpha
-    return report
-
-
 # ---------------------------------------------------------------------------
 # many-bases generalization
 
@@ -410,7 +329,7 @@ def nb_sifting_probability(n_bases):
     return math.sin(math.pi / (2.0 * n_bases)) ** 2 / n_bases
 
 
-def nb_mu(n_bases, reference_rate=1.0 / 20.0):
+def nb_mu(n_bases):
     """Mean photon number equalizing the sifted rate with the mu = 0.1
     two-basis reference: mu = n_b / (20 sin^2(pi / (2 n_b))).
 
@@ -419,7 +338,7 @@ def nb_mu(n_bases, reference_rate=1.0 / 20.0):
     """
     if not 2 <= n_bases <= 8:
         raise ValueError("n_bases must be in 2..8")
-    return reference_rate / nb_sifting_probability(n_bases)
+    return 0.05 / nb_sifting_probability(n_bases)
 
 
 def nb_neighbor_overlap(n_bases):
@@ -440,37 +359,26 @@ def _solve_click_attenuation(model, mu, target):
     return 0.0 if x >= 1.0 else -10.0 * math.log10(x)
 
 
-def nb_critical_usd(n_bases, model=None, rate_form="click"):
+def nb_critical_usd(n_bases, model=None):
     """Critical attenuation against unambiguous discrimination of
-    n_e = 2 n_b - 1 copies.
-
-    In the default click form both sides count detector clicks:
+    n_e = 2 n_b - 1 copies, where both sides count detector clicks:
       1 - e^(-eta mu 10^(-d/10))
         = p_ok sum_{m>=n_e} p(m, mu) (1 - (1 - eta)^(m - n_e + 1)).
-    The photon form counts forwardable photons instead and is the
-    convention used for the low-loss critical distances:
-      mu 10^(-d/10) = p_ok sum_{m>=n_e} p(m, mu) (m - n_e + 1).
     """
     mu = nb_mu(n_bases)
     n_e = 2 * n_bases - 1
     p_ok = discrimination.usd_optimal_pok(n_bases)
-    nmax = poisson_cutoff(mu)
-    if rate_form == "click":
-        if model is None:
-            model = SourceChannelModel(mu=mu)
-        target = p_ok * poisson_click_sum(mu, model.eta_det, n_e - 1, nmax)
-        return _solve_click_attenuation(model, mu, target)
-    if rate_form == "photon":
-        target = p_ok * poisson_photon_sum(mu, n_e, nmax)
-        return 10.0 * math.log10(mu / target)
-    raise ValueError("rate_form must be 'click' or 'photon'")
+    if model is None:
+        model = SourceChannelModel(mu=mu)
+    target = p_ok * poisson_click_sum(mu, model.eta_det, n_e - 1, poisson_cutoff(mu))
+    return _solve_click_attenuation(model, mu, target)
 
 
-def nb_storing_critical(n_bases, n_stored, model=None, rate_form="click"):
+def nb_storing_critical(n_bases, n_stored, model=None):
     """Attenuation at which storing ``n_stored`` photons per pulse becomes
     rate invisible, with the information it yields.
 
-    Click form: 1 - e^(-eta mu 10^(-d/10))
+    Both sides count detector clicks: 1 - e^(-eta mu 10^(-d/10))
       = sum_{m>=n_s} p(m, mu) (1 - (1 - eta)^(m - n_s)).
     The stored copies are discriminated collectively, so the effective
     overlap is cos(pi/(2 n_b))^n_s.  Returns (delta_db, i_eve).
@@ -478,20 +386,12 @@ def nb_storing_critical(n_bases, n_stored, model=None, rate_form="click"):
     if n_stored < 1:
         raise ValueError("n_stored must be at least 1")
     mu = nb_mu(n_bases)
-    nmax = poisson_cutoff(mu)
     overlap = nb_neighbor_overlap(n_bases) ** n_stored
     i_eve = qmath.binary_information(qmath.pure_state_error(overlap))
-    if rate_form == "click":
-        if model is None:
-            model = SourceChannelModel(mu=mu)
-        target = poisson_click_sum(mu, model.eta_det, n_stored, nmax)
-        delta = _solve_click_attenuation(model, mu, target)
-    elif rate_form == "photon":
-        target = poisson_photon_sum(mu, n_stored + 1, nmax)
-        delta = 10.0 * math.log10(mu / target) if target > 0 else float("inf")
-    else:
-        raise ValueError("rate_form must be 'click' or 'photon'")
-    return delta, i_eve
+    if model is None:
+        model = SourceChannelModel(mu=mu)
+    target = poisson_click_sum(mu, model.eta_det, n_stored, poisson_cutoff(mu))
+    return _solve_click_attenuation(model, mu, target), i_eve
 
 
 def nb_storing_ladder(n_bases, model=None):

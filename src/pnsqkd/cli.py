@@ -242,6 +242,15 @@ _CURVES = {
 }
 
 
+def _write(text, out):
+    """Write the output text to the file ``out``, or to stdout when unset."""
+    if out:
+        with open(out, "w", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _emit(header, rows, args):
     if args.format == "csv":
         lines = [",".join(header)]
@@ -254,11 +263,7 @@ def _emit(header, rows, args):
             for row in rows
         ]
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, args.out)
 
 
 def _cmd_curve(args):
@@ -284,12 +289,7 @@ def _cmd_report(args):
         "secure_optical_attribution": gl.secure_optical_attribution,
         "secure_full_error": gl.secure_full_error,
     }
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     return 0
 
 

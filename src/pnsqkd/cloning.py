@@ -204,10 +204,6 @@ def make_cerf23(x):
 
 # closed-form equatorial fidelities ------------------------------------------
 
-def ng12_fidelities(gamma):
-    return (1.0 + math.cos(gamma)) / 2.0, (1.0 + math.sin(gamma)) / 2.0
-
-
 def ng23_fidelities(gamma):
     f12 = (0.5 + math.cos(gamma) / (2.0 * math.sqrt(3.0 + math.cos(2 * gamma)))
            + 1.0 / math.sqrt(17.0 - math.cos(4 * gamma)))
@@ -269,12 +265,6 @@ def _disturbances(machine):
     return _squared_norms(wrong)[:, 0, 0]
 
 
-def bob_disturbance(machine):
-    """Disturbance of the receiver's clone on equatorial input (one machine)."""
-    _require_single(machine)
-    return float(_disturbances(machine)[0])
-
-
 # ---------------------------------------------------------------------------
 # sifted-attack machinery
 
@@ -283,7 +273,6 @@ _STATE_BY_NAME = {
     "+x": qmath.PLUS_X, "-x": qmath.MINUS_X,
     "+y": qmath.PLUS_Y, "-y": qmath.MINUS_Y,
 }
-ANNOUNCED_SETS = (("+x", "+y"), ("+y", "-x"), ("-x", "-y"), ("-y", "+x"))
 
 
 def sifted_points(machine, announced=_DEFAULT_ANNOUNCED):
@@ -398,11 +387,11 @@ def bb84_reference_information(disturbance):
     return qmath.binary_information(1.0 - arg)
 
 
-def ngs23_gamma_for_disturbance(d, tol=1e-12):
+def ngs23_gamma_for_disturbance(d):
     """Parameter of the symmetrized 2 -> 3 cloner giving disturbance d on
     the clone pair (bisection on the monotone fidelity)."""
     lo, hi = 0.0, math.pi / 2
     target = 1.0 - d
     if not ng23_fidelities(hi)[0] - 1e-12 <= target <= ng23_fidelities(lo)[0] + 1e-12:
         raise ValueError("disturbance out of range for this machine")
-    return solvers.bisect_decreasing(lambda g: ng23_fidelities(g)[0] - target, lo, hi, tol)
+    return solvers.bisect_decreasing(lambda g: ng23_fidelities(g)[0] - target, lo, hi, 1e-12)

@@ -3,13 +3,12 @@
 Covers the two-state (B92-style) POVM and its filter decomposition, the
 overlap penalty that any set-orthogonalizing operation inflicts on the
 conjugate set, linear independence of N-1 copies of N qubit states, and
-the multicopy unambiguous-discrimination POVM on the symmetric subspace
-together with its optimal success probability.
+the optimal success probability of multicopy unambiguous discrimination
+on the symmetric subspace.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,22 +25,6 @@ from .qmath import (
 DISTINCT_TOL = 1e-12
 
 
-@dataclass
-class StateSet:
-    """A labeled set of qubit signal states."""
-
-    states: list
-    labels: list
-    eta: float | None = None
-
-    def __post_init__(self):
-        if len(self.states) != len(self.labels):
-            raise ValueError("states and labels must have equal length")
-
-    def overlap(self, i, j):
-        return abs(self.states[i].overlap(self.states[j]))
-
-
 def b92_pair(eta):
     """The two nonorthogonal signal states with overlap cos(eta).
 
@@ -50,31 +33,7 @@ def b92_pair(eta):
     if not 0 < eta <= math.pi / 2:
         raise ValueError("eta must be in (0, pi/2]")
     c, s = math.cos(eta / 2), math.sin(eta / 2)
-    return StateSet([qmath.qubit(c, s), qmath.qubit(c, -s)], [0, 1], eta)
-
-
-def fourtwo_sets(eta):
-    """Four states on one parallel of the Bloch sphere, grouped in two sets.
-
-    Set a sits at azimuth 0 and pi, set b at +-pi/2; within each set the
-    overlap is cos(eta).
-    """
-    a = b92_pair(eta).states
-    c, s = math.cos(eta / 2), math.sin(eta / 2)
-    b = [qmath.qubit(c, 1j * s), qmath.qubit(c, -1j * s)]
-    return StateSet(a, [0, 1], eta), StateSet(b, [0, 1], eta)
-
-
-def reflected_sets(eta):
-    """Two two-state sets, the second reflected through the equatorial plane.
-
-    This is the configuration for which no operation can orthogonalize both
-    sets at once; see ``filtered_overlap_bound``.
-    """
-    a = b92_pair(eta).states
-    c, s = math.cos(eta / 2), math.sin(eta / 2)
-    b = [qmath.qubit(s, -c), qmath.qubit(s, c)]
-    return StateSet(a, [0, 1], eta), StateSet(b, [0, 1], eta)
+    return qmath.qubit(c, s), qmath.qubit(c, -s)
 
 
 def equatorial_phase_states(n_bases):
@@ -92,10 +51,10 @@ def b92_povm(eta):
     """
     if not 0 < eta <= math.pi / 2:
         raise ValueError("eta must be in (0, pi/2]")
-    pair = b92_pair(eta)
+    psi0, psi1 = b92_pair(eta)
     scale = 1.0 / (1.0 + math.cos(eta))
-    perp1 = orthogonal_qubit(pair.states[1])
-    perp0 = orthogonal_qubit(pair.states[0])
+    perp1 = orthogonal_qubit(psi1)
+    perp0 = orthogonal_qubit(psi0)
     pi0 = scale * perp1.outer().m
     pi1 = scale * perp0.outer().m
     pi_inc = np.eye(2) - pi0 - pi1
@@ -133,7 +92,9 @@ def b92_filter(eta):
 def filtered_overlap_bound(eta):
     """Overlap of the reflected set after the set-a orthogonalizing filter.
 
-    Returns (new_overlap, pass_probability) for the maximal filter: the
+    Set a is the two-state pair; the reflected set is its mirror image
+    through the equatorial plane, for which no operation can orthogonalize
+    both sets at once.  Returns (new_overlap, pass_probability) for the maximal filter: the
     reflected pair ends with overlap 2 cos(eta) / (1 + cos^2(eta)), which
     is never below the original cos(eta), and passes the filter with
     probability (1 + cos^2(eta)) / (1 + cos(eta)).
@@ -195,36 +156,6 @@ def usd_conclusive_bound_operator(states, copies):
     return Operator(k)
 
 
-def usd_multicopy_povm(states, copies):
-    """Unambiguous discrimination POVM for N states given N-1 copies.
-
-    Operators act on the symmetric subspace in Dicke coordinates
-    (dimension copies + 1).  Conclusive elements are built on the dual
-    states with a common conclusive probability, maximized subject to the
-    inconclusive element staying positive; cross-identification is exactly
-    zero by construction.
-    """
-    n = len(states)
-    if copies < n - 1:
-        raise ValueError("need at least N - 1 copies for unambiguous discrimination")
-    if copies != n - 1:
-        raise ValueError("only the minimal copies = N - 1 construction is supported")
-    duals = _reciprocal_states(states, copies)
-    bound = usd_conclusive_bound_operator(states, copies)
-    w, _ = eig_hermitian(bound)
-    p_ok = 1.0 / float(w[-1])
-    dim = copies + 1
-    outcomes = []
-    pi_sum = np.zeros((dim, dim), dtype=np.complex128)
-    for i, d in enumerate(duals):
-        pi = p_ok * np.outer(d, d.conj())
-        pi_sum += pi
-        outcomes.append((str(i), operator_sqrt_psd(Operator(pi))))
-    pi_inc = np.eye(dim) - pi_sum
-    outcomes.append(("?", operator_sqrt_psd(Operator(pi_inc))))
-    return GeneralizedMeasurement(outcomes)
-
-
 def usd_optimal_pok(n_bases):
     """Optimal unambiguous-discrimination success probability for 2 n_b
     equatorial states given 2 n_b - 1 copies.
@@ -240,7 +171,3 @@ def usd_optimal_pok(n_bases):
     w, _ = eig_hermitian(bound)
     return 1.0 / float(w[-1])
 
-
-def usd_pok_conjectured(n_bases):
-    """Closed form n_b / 4^(n_b - 1) that the numerical values reproduce."""
-    return n_bases / 4.0 ** (n_bases - 1)

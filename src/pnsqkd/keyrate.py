@@ -13,55 +13,27 @@ MU_SEARCH_MAX = 2.0
 BISECTION_TOL_DB = 1e-6
 
 
-@dataclass(frozen=True)
-class ProtocolConfig:
-    """Many-bases protocol configuration.
-
-    ``mu="auto"`` selects the mean photon number that keeps the sifted rate
-    equal to the two-basis mu = 0.1 reference.
-    """
-
-    n_bases: int = 2
-    mu: float | str = "auto"
-
-    def __post_init__(self):
-        if self.n_bases < 2:
-            raise ValueError("n_bases must be at least 2")
-
-    @property
-    def sifting_factor(self):
-        return attacks.nb_sifting_probability(self.n_bases)
-
-    @property
-    def mean_photon_number(self):
-        if self.mu == "auto":
-            return attacks.nb_mu(self.n_bases)
-        return float(self.mu)
-
-
-def secure(i_ab, i_ae, i_be=None):
+def secure(i_ab, i_ae):
     """One-way key distillation is possible iff I_AB > min(I_AE, I_BE).
 
-    The bound is strict; with a single eavesdropper figure I_BE defaults to
-    I_AE.
+    The bound is strict; the eavesdropper's one figure stands for both
+    I_AE and I_BE.
     """
-    for v in (i_ab, i_ae) + (() if i_be is None else (i_be,)):
+    for v in (i_ab, i_ae):
         if not 0.0 <= v <= 1.0:
             raise ValueError("informations must be in [0, 1]")
-    if i_be is None:
-        i_be = i_ae
-    return i_ab > min(i_ae, i_be)
+    return i_ab > i_ae
 
 
-def key_rate(mu, delta_db, i_eve, sifting_factor=0.25):
+def key_rate(mu, delta_db, i_eve):
     """Secret bits per pulse after error correction and privacy amplification.
 
-    sifting_factor * mu * 10^(-delta/10) * (1 - I_Eve); the four-state
-    protocol has sifting factor 1/4 (right measurement and right outcome).
+    mu 10^(-delta/10) (1 - I_Eve) / 4: the four-state protocol has sifting
+    factor 1/4 (right measurement and right outcome).
     """
     if not 0.0 <= i_eve <= 1.0:
         raise ValueError("i_eve must be in [0, 1]")
-    return sifting_factor * mu * photonics.transmission(delta_db) * (1.0 - i_eve)
+    return 0.25 * mu * photonics.transmission(delta_db) * (1.0 - i_eve)
 
 
 def fourstate_key_rate(mu, delta_db):
@@ -70,14 +42,15 @@ def fourstate_key_rate(mu, delta_db):
     return key_rate(mu, delta_db, i_eve)
 
 
-def optimal_mu(delta_db, mu_min=1e-3, mu_max=MU_SEARCH_MAX):
+def optimal_mu(delta_db):
     """Mean photon number maximizing the four-state key rate at a given loss.
 
-    Golden-section search over [mu_min, mu_max] (the cap keeps the weak
+    Golden-section search over [1e-3, MU_SEARCH_MAX] (the cap keeps the weak
     pulse model in its validity region; at short distance larger mu would
     invite intercept-resend).  Returns (mu_opt, rate).
     """
-    return solvers.golden_max(lambda mu: fourstate_key_rate(mu, delta_db), mu_min, mu_max, 120)
+    return solvers.golden_max(lambda mu: fourstate_key_rate(mu, delta_db),
+                              1e-3, MU_SEARCH_MAX, 120)
 
 
 @dataclass
@@ -90,7 +63,7 @@ class NbSecuritySummary:
     critical_distance_km: float
 
 
-def nb_security_summary(n_bases, model=None, alpha=photonics.DEFAULT_ALPHA_DB_PER_KM):
+def nb_security_summary(n_bases, model=None):
     """Critical attenuations of the n_b-bases protocol under both attacks.
 
     delta1 comes from the multicopy unambiguous-discrimination rate
@@ -101,7 +74,7 @@ def nb_security_summary(n_bases, model=None, alpha=photonics.DEFAULT_ALPHA_DB_PE
     """
     mu = attacks.nb_mu(n_bases)
     if model is None:
-        model = SourceChannelModel(mu=mu, alpha=alpha)
+        model = SourceChannelModel(mu=mu)
     delta1 = attacks.nb_critical_usd(n_bases, model)
     ladder = attacks.nb_storing_ladder(n_bases, model)
 
@@ -133,10 +106,11 @@ class GenevaLausanneReport:
     secure_full_error: bool
 
 
-def _cloning_rows(grid_size=240):
+def _cloning_rows():
     """Sifted error rates and eavesdropper informations of the two-photon
-    cloning attack (stronger, symmetrized machine) over its gamma grid."""
-    grid = [1e-6 + (math.pi / 2 - 2e-6) * k / grid_size for k in range(grid_size + 1)]
+    cloning attack (stronger, symmetrized machine) over its 241-point gamma
+    grid."""
+    grid = [1e-6 + (math.pi / 2 - 2e-6) * k / 240 for k in range(241)]
     points = cloning.sifted_points(cloning.make_ngs23(grid))
     return list(zip(points["qber_sifted"].tolist(), points["i_eve"].tolist()))
 

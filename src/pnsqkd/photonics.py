@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 DEFAULT_ALPHA_DB_PER_KM = 0.25
-TAIL_BOUND = 1e-12
 
 
 @dataclass(frozen=True)
@@ -42,12 +41,6 @@ class SourceChannelModel:
             raise ValueError("p_d must be in [0, 1)")
         if not 0 <= self.qber_opt < 0.5:
             raise ValueError("qber_opt must be in [0, 0.5)")
-
-    def distance_km(self, delta_db):
-        return delta_db / self.alpha
-
-    def attenuation_db(self, distance_km):
-        return distance_km * self.alpha
 
 
 def transmission(delta_db):
@@ -84,79 +77,28 @@ def poisson_click_sum(mu, eta, offset, nmax):
     """
     if mu < 0.0:
         raise ValueError("mu must be non-negative")
-    if mu == 0.0:
-        return 0.0
-    total = 0.0
-    p = math.exp(-mu)
-    loss = 1.0 - eta
-    for n in range(1, nmax + 1):
-        p *= mu / n
-        if n > offset:
-            total += p * (1.0 - loss ** (n - offset))
-    return total
-
-
-def poisson_photon_sum(mu, start, nmax):
-    """Sum over start <= n <= nmax of p(n, mu) (n - start + 1).
-
-    Expected number of forwardable photons per pulse when the first
-    ``start - 1`` photons of every pulse are consumed.
-    """
-    if mu < 0.0:
-        raise ValueError("mu must be non-negative")
-    if mu == 0.0:
-        return 0.0
-    total = 0.0
-    p = math.exp(-mu)
-    for n in range(1, nmax + 1):
-        p *= mu / n
-        if n >= start:
-            total += p * (n - start + 1)
-    return total
-
-
-def bob_raw_rate(model, delta_db):
-    """Expected raw rate at the receiver, photons per pulse: mu 10^(-delta/10)."""
-    if delta_db < 0:
-        raise ValueError("attenuation must be non-negative")
-    return model.mu * transmission(delta_db)
-
-
-def detection_probability(model, photon_distribution, offset=0):
-    """Click probability sum_{n > offset} p(n) (1 - (1 - eta_det)^(n - offset)).
-
-    ``photon_distribution`` is a per-photon-number probability sequence;
-    ``offset`` is the number of photons removed from each pulse before it
-    reaches the detector.
-    """
     if offset < 0:
         raise ValueError("offset must be non-negative")
-    eta = model.eta_det
-    loss = 1.0 - eta
+    if mu == 0.0:
+        return 0.0
     total = 0.0
-    for n, p in enumerate(photon_distribution):
+    p = math.exp(-mu)
+    loss = 1.0 - eta
+    for n in range(1, nmax + 1):
+        p *= mu / n
         if n > offset:
             total += p * (1.0 - loss ** (n - offset))
     return total
 
 
-def expected_click_rate(model, mu_at_detector, offset=0):
-    """Same sum as ``detection_probability`` over a full Poisson distribution.
-
-    Uses ``poisson_click_sum``; for offset = 0 this equals 1 - exp(-eta mu)
-    exactly, which the tests use as an independent check.
-    """
-    return poisson_click_sum(mu_at_detector, model.eta_det, offset, poisson_cutoff(mu_at_detector))
-
-
-def qber_total(model, delta_db, clamp=True):
+def qber_total(model, delta_db):
     """Total QBER: dark-count term plus the optical error.
 
     (p_d / 2) / (p_d + mu eta_det 10^(-delta/10)) + qber_opt, clamped to
-    [0, 0.5] by default (information is symmetric beyond one half).
+    [0, 0.5] (information is symmetric beyond one half).
     """
     if delta_db < 0:
         raise ValueError("attenuation must be non-negative")
     signal = model.mu * model.eta_det * transmission(delta_db)
     q = (model.p_d / 2.0) / (model.p_d + signal) + model.qber_opt
-    return min(q, 0.5) if clamp else q
+    return min(q, 0.5)

@@ -14,7 +14,6 @@ from math import lgamma
 import numpy as np
 
 NORM_TOL = 1e-12
-HERM_TOL = 1e-12
 COMPLETENESS_TOL = 1e-10
 PSD_TOL = 1e-10
 _UNREACHABLE_P = 1e-14
@@ -24,38 +23,23 @@ class StateVector:
     """Pure state on a finite-dimensional space.
 
     Amplitudes are stored as a 1-D complex array.  Construction checks
-    normalization to 1e-12 unless the caller flags the vector as an
-    unnormalized intermediate with ``normalized=False``.
+    normalization to 1e-12.
     """
 
     __slots__ = ("a",)
 
-    def __init__(self, amplitudes, normalized=True):
+    def __init__(self, amplitudes):
         a = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
         if a.size == 0:
             raise ValueError("empty state vector")
-        if normalized:
-            n = float(np.vdot(a, a).real)
-            if abs(n - 1.0) > NORM_TOL:
-                raise ValueError(f"state not normalized: |psi|^2 = {n!r}")
+        n = float(np.vdot(a, a).real)
+        if abs(n - 1.0) > NORM_TOL:
+            raise ValueError(f"state not normalized: |psi|^2 = {n!r}")
         self.a = a
 
     @property
     def dim(self):
         return self.a.size
-
-    @property
-    def n_qubits(self):
-        n = int(round(math.log2(self.dim)))
-        if 2**n != self.dim:
-            raise ValueError("dimension is not a power of two")
-        return n
-
-    def norm(self):
-        return float(np.linalg.norm(self.a))
-
-    def normalize(self):
-        return StateVector(self.a / np.linalg.norm(self.a))
 
     def overlap(self, other):
         """Inner product <self|other>."""
@@ -84,23 +68,8 @@ class Operator:
     def dim(self):
         return self.m.shape[0]
 
-    def dagger(self):
-        return Operator(self.m.conj().T)
-
-    def is_hermitian(self, tol=HERM_TOL):
-        return bool(np.max(np.abs(self.m - self.m.conj().T)) < tol)
-
     def trace(self):
         return complex(np.trace(self.m))
-
-    def is_density(self, tol=NORM_TOL, psd_tol=PSD_TOL):
-        """Hermitian, unit trace, eigenvalues >= -psd_tol."""
-        if not self.is_hermitian(tol):
-            return False
-        if abs(self.trace().real - 1.0) > tol or abs(self.trace().imag) > tol:
-            return False
-        w, _ = eig_hermitian(self)
-        return bool(w[0] >= -psd_tol)
 
     def expectation(self, psi):
         """<psi| self |psi>."""
@@ -119,15 +88,14 @@ class GeneralizedMeasurement:
 
     __slots__ = ("outcomes",)
 
-    def __init__(self, outcomes, check=True):
+    def __init__(self, outcomes):
         self.outcomes = [(str(label), op if isinstance(op, Operator) else Operator(op))
                          for label, op in outcomes]
         if not self.outcomes:
             raise ValueError("measurement needs at least one outcome")
-        if check:
-            err = self.completeness_defect()
-            if err > COMPLETENESS_TOL:
-                raise ValueError(f"completeness violated: defect {err:g}")
+        err = self.completeness_defect()
+        if err > COMPLETENESS_TOL:
+            raise ValueError(f"completeness violated: defect {err:g}")
 
     @property
     def dim(self):
@@ -136,20 +104,6 @@ class GeneralizedMeasurement:
     def completeness_defect(self):
         total = sum(op.m.conj().T @ op.m for _, op in self.outcomes)
         return float(np.max(np.abs(total - np.eye(self.dim))))
-
-    def labels(self):
-        return [label for label, _ in self.outcomes]
-
-    def operator(self, label):
-        for lab, op in self.outcomes:
-            if lab == label:
-                return op
-        raise KeyError(label)
-
-    def povm_element(self, label):
-        """Effect A^dag A for the given outcome."""
-        op = self.operator(label)
-        return Operator(op.m.conj().T @ op.m)
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +119,8 @@ def ket(*bits):
     return StateVector(v)
 
 
-def qubit(alpha, beta, normalized=True):
-    return StateVector(np.array([alpha, beta], dtype=np.complex128), normalized=normalized)
+def qubit(alpha, beta):
+    return StateVector(np.array([alpha, beta], dtype=np.complex128))
 
 
 def equatorial(theta):
@@ -175,7 +129,6 @@ def equatorial(theta):
 
 
 KET_0 = ket(0)
-KET_1 = ket(1)
 PLUS_X = equatorial(0.0)
 MINUS_X = equatorial(math.pi)
 PLUS_Y = equatorial(math.pi / 2)
@@ -184,16 +137,11 @@ MINUS_Y = equatorial(-math.pi / 2)
 SIGMA_X = Operator([[0, 1], [1, 0]])
 SIGMA_Y = Operator([[0, -1j], [1j, 0]])
 SIGMA_Z = Operator([[1, 0], [0, -1]])
-IDENTITY_2 = Operator(np.eye(2))
 
 PHI_PLUS = StateVector(np.array([1, 0, 0, 1]) / math.sqrt(2))
 PHI_MINUS = StateVector(np.array([1, 0, 0, -1]) / math.sqrt(2))
 PSI_PLUS = StateVector(np.array([0, 1, 1, 0]) / math.sqrt(2))
 PSI_MINUS = StateVector(np.array([0, 1, -1, 0]) / math.sqrt(2))
-
-
-def identity(dim):
-    return Operator(np.eye(dim))
 
 
 def orthogonal_qubit(psi):
@@ -204,26 +152,6 @@ def orthogonal_qubit(psi):
 
 # ---------------------------------------------------------------------------
 # operations
-
-def tensor(a, b):
-    """Kronecker product of two states or two operators (left = slow index)."""
-    if isinstance(a, StateVector) and isinstance(b, StateVector):
-        both_normalized = (
-            abs(np.vdot(a.a, a.a).real - 1.0) < NORM_TOL
-            and abs(np.vdot(b.a, b.a).real - 1.0) < NORM_TOL
-        )
-        return StateVector(np.kron(a.a, b.a), normalized=both_normalized)
-    if isinstance(a, Operator) and isinstance(b, Operator):
-        return Operator(np.kron(a.m, b.m))
-    raise TypeError("tensor arguments must be two StateVectors or two Operators")
-
-
-def tensor_pow(a, n):
-    out = a
-    for _ in range(n - 1):
-        out = tensor(out, a)
-    return out
-
 
 def symmetric_basis(n):
     """Orthonormal Dicke basis of the symmetric subspace of n qubits.

@@ -60,11 +60,11 @@ def run_checks():
     checks.append(_check("cerf23_equal_fidelity_third", fids[2][2], 11 / 12, 1e-10))
 
     filt = discrimination.b92_filter(math.pi / 3)
-    outcomes = qmath.apply_measurement(filt, discrimination.b92_pair(math.pi / 3).states[0])
+    outcomes = qmath.apply_measurement(filt, discrimination.b92_pair(math.pi / 3)[0])
     checks.append(_check("filter_success_probability", outcomes[0].probability, 0.5, 1e-12))
 
     povm = discrimination.b92_povm(math.pi / 3)
-    res = qmath.apply_measurement(povm, discrimination.b92_pair(math.pi / 3).states[0])
+    res = qmath.apply_measurement(povm, discrimination.b92_pair(math.pi / 3)[0])
     checks.append(_check("povm_inconclusive_probability", res[2].probability, 0.5, 1e-12))
 
     checks.append(_check("poisson_normalization",

@@ -11,56 +11,56 @@ from pnsqkd.discrimination import (
     b92_povm,
     equatorial_phase_states,
     filtered_overlap_bound,
-    fourtwo_sets,
     linear_independence_check,
-    reflected_sets,
-    usd_multicopy_povm,
     usd_optimal_pok,
-    usd_pok_conjectured,
 )
-from pnsqkd.qmath import StateVector, apply_measurement, eig_hermitian
+from pnsqkd.qmath import StateVector, apply_measurement
 from conftest import random_qubit
+
+
+def _conjugate_pair(eta):
+    """The four-plus-two protocol's second set: the two-state pair turned
+    by pi/2 about z, on the same parallel of the Bloch sphere."""
+    c, s = math.cos(eta / 2), math.sin(eta / 2)
+    return qmath.qubit(c, 1j * s), qmath.qubit(c, -1j * s)
+
+
+def _reflected_pair(eta):
+    """The two-state pair reflected through the equatorial plane."""
+    c, s = math.cos(eta / 2), math.sin(eta / 2)
+    return qmath.qubit(s, -c), qmath.qubit(s, c)
 
 
 class TestStateSets:
     def test_b92_overlap(self):
         for eta in (0.3, math.pi / 4, math.pi / 3):
-            pair = b92_pair(eta)
-            assert pair.overlap(0, 1) == pytest.approx(math.cos(eta), abs=1e-12)
-
-    def test_fourtwo_same_parallel(self):
-        set_a, set_b = fourtwo_sets(math.pi / 3)
-        for s in (set_a, set_b):
-            assert s.overlap(0, 1) == pytest.approx(0.5, abs=1e-12)
-
-    def test_reflected_intra_overlap(self):
-        set_a, set_b = reflected_sets(1.0)
-        assert set_a.overlap(0, 1) == pytest.approx(math.cos(1.0), abs=1e-12)
-        assert set_b.overlap(0, 1) == pytest.approx(math.cos(1.0), abs=1e-12)
+            psi0, psi1 = b92_pair(eta)
+            assert abs(psi0.overlap(psi1)) == pytest.approx(math.cos(eta), abs=1e-12)
 
 
 class TestB92Povm:
     def test_projective_limit(self):
         meas = b92_povm(math.pi / 2)
-        res = apply_measurement(meas, b92_pair(math.pi / 2).states[0])
+        res = apply_measurement(meas, b92_pair(math.pi / 2)[0])
         assert res[0].probability == pytest.approx(1.0, abs=1e-12)
         assert res[2].probability == pytest.approx(0.0, abs=1e-12)
 
     def test_inconclusive_probability(self):
         for eta in (0.4, math.pi / 3, 1.2):
             meas = b92_povm(eta)
-            for state in b92_pair(eta).states:
+            for state in b92_pair(eta):
                 res = apply_measurement(meas, state)
                 assert res[2].probability == pytest.approx(math.cos(eta), abs=1e-12)
 
     def test_unambiguous(self, rng):
         for eta in rng.uniform(0.1, math.pi / 2, size=20):
             meas = b92_povm(eta)
-            pair = b92_pair(eta)
-            # no misidentification in either direction
-            assert meas.povm_element("1").expectation(pair.states[0]).real \
+            psi0, psi1 = b92_pair(eta)
+            a1 = dict(meas.outcomes)["1"].m
+            # no misidentification in either direction: <psi_0|A_1^dag A_1|psi_0> = 0
+            assert np.vdot(psi0.a, a1.conj().T @ a1 @ psi0.a).real \
                 == pytest.approx(0.0, abs=1e-12)
-            res = apply_measurement(meas, pair.states[1])
+            res = apply_measurement(meas, psi1)
             assert res[0].probability == pytest.approx(0.0, abs=1e-12)
 
     def test_range(self):
@@ -71,9 +71,8 @@ class TestB92Povm:
 class TestB92Filter:
     def test_success_probability_and_targets(self):
         eta = math.pi / 3
-        pair = b92_pair(eta)
         meas = b92_filter(eta)
-        for state, target in zip(pair.states, (qmath.PLUS_X, qmath.MINUS_X)):
+        for state, target in zip(b92_pair(eta), (qmath.PLUS_X, qmath.MINUS_X)):
             res = apply_measurement(meas, state)
             assert res[0].probability == pytest.approx(0.5, abs=1e-12)
             assert res[0].post_state.expectation(target).real == pytest.approx(1.0, abs=1e-12)
@@ -81,10 +80,9 @@ class TestB92Filter:
     def test_reproduces_povm_statistics(self):
         # filter followed by an x-basis measurement = three-outcome POVM
         eta = 0.8
-        pair = b92_pair(eta)
         filt = b92_filter(eta)
         povm = b92_povm(eta)
-        for idx, state in enumerate(pair.states):
+        for state in b92_pair(eta):
             res = apply_measurement(filt, state)
             p_ok = res[0].probability
             post = res[0].post_state
@@ -96,16 +94,17 @@ class TestB92Filter:
 
     def test_fourtwo_geometry_maps_set_b_to_y_basis(self):
         eta = math.pi / 3
-        _, set_b = fourtwo_sets(eta)
+        psi0, psi1 = _conjugate_pair(eta)
+        assert abs(psi0.overlap(psi1)) == pytest.approx(math.cos(eta), abs=1e-12)
         meas = b92_filter(eta)
-        res0 = apply_measurement(meas, set_b.states[0])
+        res0 = apply_measurement(meas, psi0)
         assert res0[0].post_state.expectation(qmath.PLUS_Y).real == pytest.approx(1.0, abs=1e-12)
-        res1 = apply_measurement(meas, set_b.states[1])
+        res1 = apply_measurement(meas, psi1)
         assert res1[0].post_state.expectation(qmath.MINUS_Y).real == pytest.approx(1.0, abs=1e-12)
 
     def test_near_projective_limit(self):
         res = apply_measurement(b92_filter(math.pi / 2 - 1e-8),
-                                b92_pair(math.pi / 2 - 1e-8).states[0])
+                                b92_pair(math.pi / 2 - 1e-8)[0])
         assert res[0].probability == pytest.approx(1.0, abs=1e-7)
 
 
@@ -129,10 +128,11 @@ class TestFilteredOverlapBound:
         # apply the explicit set-a orthogonalizing filter to the reflected
         # set and measure the new overlap and pass probability directly
         for eta in (0.5, 0.9, 1.2):
-            _, set_b = reflected_sets(eta)
-            a_ok = b92_filter(eta).operator("ok").m
-            img0 = a_ok @ set_b.states[0].a
-            img1 = a_ok @ set_b.states[1].a
+            psi0, psi1 = _reflected_pair(eta)
+            assert abs(psi0.overlap(psi1)) == pytest.approx(math.cos(eta), abs=1e-12)
+            a_ok = dict(b92_filter(eta).outcomes)["ok"].m
+            img0 = a_ok @ psi0.a
+            img1 = a_ok @ psi1.a
             got_overlap = abs(np.vdot(img0, img1)) / (np.linalg.norm(img0) * np.linalg.norm(img1))
             got_p = float(np.vdot(img0, img0).real)
             exp_overlap, exp_p = filtered_overlap_bound(eta)
@@ -142,7 +142,7 @@ class TestFilteredOverlapBound:
 
 class TestLinearIndependence:
     def test_orthogonal_pair(self):
-        ok, det = linear_independence_check([qmath.KET_0, qmath.KET_1], 1)
+        ok, det = linear_independence_check([qmath.KET_0, qmath.ket(1)], 1)
         assert ok and det == pytest.approx(1.0)
 
     def test_four_states_three_copies(self):
@@ -160,67 +160,13 @@ class TestLinearIndependence:
             linear_independence_check([qmath.PLUS_X, qmath.PLUS_X], 1)
 
 
-class TestUsdMulticopy:
-    def test_four_states_scale_and_inconclusive(self):
-        states = equatorial_phase_states(2)
-        meas = usd_multicopy_povm(states, 3)
-        # common conclusive probability 1/2, inconclusive 1/2
-        for i, s in enumerate(states):
-            coords = StateVector(qmath.symmetric_coordinates(s, 3))
-            res = apply_measurement(meas, coords)
-            by_label = {r.label: r.probability for r in res}
-            assert by_label[str(i)] == pytest.approx(0.5, abs=1e-10)
-            assert by_label["?"] == pytest.approx(0.5, abs=1e-10)
-        # element scale 2/3 on unit-normalized projectors
-        elem = meas.povm_element("0")
-        w, _ = eig_hermitian(elem)
-        assert w[-1] == pytest.approx(2.0 / 3.0, abs=1e-10)
-
-    def test_unambiguity(self):
-        states = equatorial_phase_states(2)
-        meas = usd_multicopy_povm(states, 3)
-        for i, s in enumerate(states):
-            coords = StateVector(qmath.symmetric_coordinates(s, 3))
-            res = apply_measurement(meas, coords)
-            for r in res:
-                if r.label not in (str(i), "?"):
-                    assert r.probability < 1e-12
-
-    def test_orthogonal_pair_is_projective(self):
-        meas = usd_multicopy_povm([qmath.KET_0, qmath.KET_1], 1)
-        res = apply_measurement(meas, qmath.KET_0)
-        assert res[0].probability == pytest.approx(1.0, abs=1e-12)
-        assert res[2].probability == pytest.approx(0.0, abs=1e-12)
-
-    def test_reduces_to_two_state_povm(self):
-        eta = 0.9
-        pair = b92_pair(eta)
-        multi = usd_multicopy_povm(pair.states, 1)
-        single = b92_povm(eta)
-        for lab in ("0", "1", "?"):
-            assert np.max(np.abs(multi.povm_element(lab).m - single.povm_element(lab).m)) < 1e-10
-
-    def test_copies_validation(self):
-        with pytest.raises(ValueError):
-            usd_multicopy_povm(equatorial_phase_states(2), 2)
-
-    def test_completeness_and_positivity(self):
-        for nb in (2, 3):
-            states = equatorial_phase_states(nb)
-            meas = usd_multicopy_povm(states, 2 * nb - 1)
-            assert meas.completeness_defect() < 1e-10
-            for lab, _ in meas.outcomes:
-                w, _ = eig_hermitian(meas.povm_element(lab))
-                assert w[0] >= -1e-10
-
-
 class TestUsdOptimal:
     def test_anchor_two_bases(self):
         assert usd_optimal_pok(2) == pytest.approx(0.5, abs=1e-9)
 
     @pytest.mark.parametrize("nb", range(2, 9))
     def test_conjectured_closed_form(self, nb):
-        assert usd_optimal_pok(nb) == pytest.approx(usd_pok_conjectured(nb), abs=1e-9)
+        assert usd_optimal_pok(nb) == pytest.approx(nb / 4 ** (nb - 1), abs=1e-9)
 
     def test_range(self):
         with pytest.raises(ValueError):

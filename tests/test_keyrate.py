@@ -5,7 +5,6 @@ import pytest
 
 from pnsqkd import attacks, photonics
 from pnsqkd.keyrate import (
-    ProtocolConfig,
     fourstate_key_rate,
     geneva_lausanne_report,
     key_rate,
@@ -24,10 +23,6 @@ class TestSecure:
 
     def test_zero_information(self):
         assert not secure(0.0, 0.0)
-
-    def test_min_of_two_eavesdropper_figures(self):
-        assert secure(0.5, 0.9, 0.4)
-        assert not secure(0.5, 0.9, 0.6)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -72,20 +67,19 @@ class TestOptimalMu:
 
 
 class TestProtocolConfig:
+    """The n_b-bases protocol's sifting probability and mean photon number."""
+
     def test_sifting_probability(self):
-        cfg = ProtocolConfig(n_bases=2)
-        assert cfg.sifting_factor == pytest.approx(0.25)
-        cfg4 = ProtocolConfig(n_bases=4)
-        assert cfg4.sifting_factor == pytest.approx(math.sin(math.pi / 8) ** 2 / 4)
+        assert attacks.nb_sifting_probability(2) == pytest.approx(0.25)
+        assert attacks.nb_sifting_probability(4) == pytest.approx(math.sin(math.pi / 8) ** 2 / 4)
 
     def test_auto_mu(self):
-        assert ProtocolConfig(n_bases=2).mean_photon_number == pytest.approx(0.2)
-        assert ProtocolConfig(n_bases=8).mean_photon_number == pytest.approx(10.51, abs=0.01)
-        assert ProtocolConfig(n_bases=2, mu=0.3).mean_photon_number == 0.3
+        assert attacks.nb_mu(2) == pytest.approx(0.2)
+        assert attacks.nb_mu(8) == pytest.approx(10.51, abs=0.01)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ProtocolConfig(n_bases=1)
+            attacks.nb_mu(1)
 
 
 class TestNbSummary:

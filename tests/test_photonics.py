@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 
 from pnsqkd.photonics import (
     SourceChannelModel,
-    bob_raw_rate,
-    detection_probability,
-    expected_click_rate,
+    poisson_click_sum,
     poisson_cutoff,
     poisson_distribution,
     poisson_pmf,
@@ -49,65 +47,52 @@ class TestModel:
         with pytest.raises(ValueError):
             SourceChannelModel(mu=0.1, qber_opt=0.6)
 
-    def test_distance_conversion(self):
-        m = SourceChannelModel(mu=0.1)
-        assert m.distance_km(13.0) == pytest.approx(52.0)
-        assert m.attenuation_db(52.0) == pytest.approx(13.0)
-
 
 class TestRawRate:
+    # the receiver's raw rate is mu T photons per pulse
     def test_no_loss(self):
-        m = SourceChannelModel(mu=0.1)
-        assert bob_raw_rate(m, 0.0) == pytest.approx(0.1)
+        assert 0.1 * transmission(0.0) == pytest.approx(0.1)
 
     def test_one_decade(self):
-        m = SourceChannelModel(mu=0.1)
-        assert bob_raw_rate(m, 10.0) == pytest.approx(0.01)
+        assert 0.1 * transmission(10.0) == pytest.approx(0.01)
 
     def test_matches_split_rate_at_critical(self):
-        # at the splitting-attack critical attenuation the raw rate equals
-        # the multiphoton forwardable rate
+        # at the splitting-attack critical attenuation the raw rate mu T
+        # equals the multiphoton forwardable rate
         from pnsqkd.attacks import bb84_critical_attenuation, bb84_split_rate
 
-        m = SourceChannelModel(mu=0.1)
         delta_c = bb84_critical_attenuation(0.1)
-        assert bob_raw_rate(m, delta_c) == pytest.approx(bb84_split_rate(0.1), abs=1e-12)
-        assert bob_raw_rate(m, 13.15) == pytest.approx(0.004842, abs=1e-6)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            bob_raw_rate(SourceChannelModel(mu=0.1), -1.0)
+        assert 0.1 * transmission(delta_c) == pytest.approx(bb84_split_rate(0.1), abs=1e-12)
+        assert 0.1 * transmission(13.15) == pytest.approx(0.004842, abs=1e-6)
 
 
 class TestDetection:
     def test_perfect_detector(self):
-        m = SourceChannelModel(mu=0.5, eta_det=1.0)
-        dist = [0.25, 0.25, 0.5]
-        assert detection_probability(m, dist) == pytest.approx(0.75)
+        # eta = 1 clicks on every pulse with more than offset photons
+        for offset in range(3):
+            got = poisson_click_sum(0.5, 1.0, offset, poisson_cutoff(0.5))
+            assert got == pytest.approx(1 - sum(poisson_pmf(n, 0.5) for n in range(offset + 1)),
+                                        abs=1e-15)
 
     def test_single_photon(self):
-        m = SourceChannelModel(mu=0.5, eta_det=0.1)
-        assert detection_probability(m, [0.0, 1.0]) == pytest.approx(0.1)
+        # with nmax = 1 only the one-photon term p(1, mu) eta is left
+        got = poisson_click_sum(0.5, 0.1, 0, 1)
+        assert got == pytest.approx(poisson_pmf(1, 0.5) * 0.1, abs=1e-15)
 
     def test_poisson_click_rate(self):
         # eta=0.1, mu=0.2, offset 0: truncated series oracle
-        m = SourceChannelModel(mu=0.2, eta_det=0.1)
         oracle = sum(poisson_pmf(n, 0.2) * (1 - 0.9**n) for n in range(1, 51))
-        got = detection_probability(m, poisson_distribution(0.2))
+        got = poisson_click_sum(0.2, 0.1, 0, poisson_cutoff(0.2))
         assert got == pytest.approx(oracle, abs=1e-13)
         assert got == pytest.approx(0.019801, abs=1e-6)
-        assert expected_click_rate(m, 0.2) == pytest.approx(oracle, abs=1e-13)
 
     def test_monotone_in_offset(self):
-        m = SourceChannelModel(mu=1.4, eta_det=0.1)
-        dist = poisson_distribution(1.4)
-        vals = [detection_probability(m, dist, off) for off in range(5)]
+        vals = [poisson_click_sum(1.4, 0.1, off, poisson_cutoff(1.4)) for off in range(5)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     def test_offset_validation(self):
-        m = SourceChannelModel(mu=0.2)
         with pytest.raises(ValueError):
-            detection_probability(m, [1.0], -1)
+            poisson_click_sum(0.2, 0.1, -1, poisson_cutoff(0.2))
 
 
 class TestQber:
@@ -118,7 +103,6 @@ class TestQber:
     def test_dark_count_dominated(self):
         m = SourceChannelModel(mu=0.2, eta_det=0.1, p_d=1e-5, qber_opt=0.01)
         assert qber_total(m, 200.0) == pytest.approx(0.5)  # clamped
-        assert qber_total(m, 200.0, clamp=False) == pytest.approx(0.51, abs=1e-4)
 
     def test_reference_point(self):
         m = SourceChannelModel(mu=0.2, eta_det=0.1, p_d=1e-5, qber_opt=0.01)
@@ -129,10 +113,15 @@ class TestQber:
         vals = [qber_total(m, d) for d in range(0, 120, 2)]
         assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
         assert all(v <= 0.5 for v in vals)
-        raw = [qber_total(m, d, clamp=False) for d in range(0, 120, 2)]
-        assert all(v <= 0.5 + m.qber_opt + 1e-12 for v in raw)
 
 
 def test_transmission():
     assert transmission(0.0) == 1.0
     assert transmission(13.0) == pytest.approx(10 ** (-1.3))
+
+
+def test_poisson_click_sum_closed_form():
+    # with offset 0 the sum telescopes to 1 - exp(-eta mu)
+    for mu in (0.05, 0.2, 1.37, 10.5):
+        got = poisson_click_sum(mu, 0.1, 0, 200)
+        assert got == pytest.approx(1.0 - math.exp(-0.1 * mu), abs=1e-13)

@@ -1,4 +1,5 @@
 """Core linear-algebra and quantum-primitive tests."""
+import functools
 import math
 
 import numpy as np
@@ -18,8 +19,6 @@ from pnsqkd.qmath import (
     partial_trace,
     symmetric_basis,
     symmetric_coordinates,
-    tensor,
-    tensor_pow,
     two_mode_number_state,
     two_mode_overlap,
 )
@@ -30,38 +29,14 @@ class TestStateVector:
     def test_normalization_enforced(self):
         with pytest.raises(ValueError):
             StateVector([1.0, 1.0])
-        StateVector([1.0, 1.0], normalized=False)  # flagged intermediate is fine
 
     def test_norm_tolerance(self):
         StateVector([1.0 + 4e-13, 0.0])  # within 1e-12 on the squared sum
 
 
-class TestOperator:
-    def test_hermitian_flag(self):
-        assert qmath.SIGMA_Y.is_hermitian()
-        assert not Operator([[0, 1], [0, 0]]).is_hermitian()
-
-    def test_density_check(self, rng):
-        rho = Operator(random_density(rng, 4))
-        assert rho.is_density()
-        assert not Operator(np.eye(4)).is_density()  # trace 4
-
-
-class TestTensor:
-    def test_basis_product(self):
-        v = tensor(qmath.KET_0, qmath.KET_1)
-        assert v.dim == 4
-        assert v.a[1] == pytest.approx(1.0)
-        assert np.sum(np.abs(v.a)) == pytest.approx(1.0)
-
-    def test_uniform_amplitudes(self):
-        v = tensor(qmath.PLUS_X, qmath.PLUS_X)
-        assert np.allclose(v.a, 0.5)
-
-    def test_operator_on_first_qubit(self):
-        op = tensor(qmath.SIGMA_X, qmath.IDENTITY_2)
-        out = op.m @ tensor(qmath.KET_0, qmath.KET_0).a
-        assert np.allclose(out, tensor(qmath.KET_1, qmath.KET_0).a)
+def _power(psi, n):
+    """|psi>^(x n) as a plain amplitude vector."""
+    return functools.reduce(np.kron, [psi.a] * n)
 
 
 class TestSymmetricBasis:
@@ -86,13 +61,13 @@ class TestSymmetricBasis:
         proj = sum(b.outer().m for b in basis)
         for _ in range(100):
             psi = StateVector(random_qubit(rng))
-            prod = tensor_pow(psi, 3).a
+            prod = _power(psi, 3)
             assert np.linalg.norm(prod - proj @ prod) < 1e-12
 
     def test_coordinates_match_projection(self, rng):
         basis = symmetric_basis(4)
         psi = StateVector(random_qubit(rng))
-        prod = tensor_pow(psi, 4).a
+        prod = _power(psi, 4)
         coords = symmetric_coordinates(psi, 4)
         direct = np.array([np.vdot(b.a, prod) for b in basis])
         assert np.max(np.abs(coords - direct)) < 1e-12
@@ -112,7 +87,7 @@ class TestPartialTrace:
 
     def test_product_state(self, rng):
         psi = StateVector(random_qubit(rng))
-        rho = tensor(psi, qmath.KET_0).outer()
+        rho = StateVector(np.kron(psi.a, qmath.KET_0.a)).outer()
         red = partial_trace(rho, [0], 2)
         assert np.max(np.abs(red.m - psi.outer().m)) < 1e-12
 
@@ -135,7 +110,7 @@ class TestEig:
         assert np.allclose(w, [-1.0, 1.0])
 
     def test_identity(self):
-        w, _ = eig_hermitian(qmath.identity(4))
+        w, _ = eig_hermitian(np.eye(4))
         assert np.allclose(w, 1.0)
 
     def test_rejects_non_hermitian(self):
@@ -211,7 +186,7 @@ class TestMeasurement:
         from pnsqkd.discrimination import b92_filter, b92_pair
 
         eta = math.pi / 3
-        res = apply_measurement(b92_filter(eta), b92_pair(eta).states[0])
+        res = apply_measurement(b92_filter(eta), b92_pair(eta)[0])
         assert res[0].probability == pytest.approx(1.0 - math.cos(eta), abs=1e-12)
         # success branch lands exactly on |+x>
         assert res[0].post_state.expectation(qmath.PLUS_X).real == pytest.approx(1.0, abs=1e-12)
@@ -220,13 +195,13 @@ class TestMeasurement:
         from pnsqkd.discrimination import b92_filter, b92_pair
 
         eta = math.pi / 2 - 1e-9
-        res = apply_measurement(b92_filter(eta), b92_pair(eta).states[0])
+        res = apply_measurement(b92_filter(eta), b92_pair(eta)[0])
         assert res[0].probability == pytest.approx(1.0, abs=1e-8)
 
 
 class TestHelstrom:
     def test_orthogonal(self):
-        assert helstrom_error(qmath.KET_0, qmath.KET_1) == pytest.approx(0.0, abs=1e-14)
+        assert helstrom_error(qmath.KET_0, qmath.ket(1)) == pytest.approx(0.0, abs=1e-14)
 
     def test_identical(self):
         assert helstrom_error(qmath.PLUS_X, qmath.PLUS_X) == pytest.approx(0.5, abs=1e-14)
@@ -246,7 +221,7 @@ class TestHelstrom:
 
     def test_prior_validation(self):
         with pytest.raises(ValueError):
-            helstrom_error(qmath.KET_0, qmath.KET_1, 1.5)
+            helstrom_error(qmath.KET_0, qmath.ket(1), 1.5)
 
     def test_stacks_match_pairs(self, rng):
         rho0 = np.stack([random_density(rng, 4) for _ in range(7)])
@@ -295,7 +270,7 @@ class TestTwoModeNumberState:
     def test_orthonormality(self):
         for n in (3, 7):
             v = two_mode_number_state(n, 1.234, 0.37)
-            assert v.norm() == pytest.approx(1.0, abs=1e-13)
+            assert np.linalg.norm(v.a) == pytest.approx(1.0, abs=1e-13)
 
     def test_overlap_closed_form(self):
         for n in (1, 5, 50, 200):
@@ -311,3 +286,25 @@ class TestTwoModeNumberState:
             two_mode_number_state(100, 0.0, 0.01)))
         assert got == pytest.approx((0.99 / 1.01) ** 100, abs=1e-12)
         assert got == pytest.approx(math.exp(-2.0), rel=1e-3)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 32])
+def test_eig_hermitian_residuals(n, rng):
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    a = a + a.conj().T
+    w, v = eig_hermitian(a)
+    # spectral invariants: trace and Frobenius norm
+    fro2 = float(np.sum(np.abs(a) ** 2))
+    assert abs(np.sum(w) - np.trace(a).real) < 1e-12 * max(1.0, math.sqrt(fro2)) * n
+    assert abs(np.sum(w**2) - fro2) < 1e-12 * fro2
+    # eigenvector residuals and orthonormality
+    for k in range(n):
+        assert np.linalg.norm(a @ v[:, k] - w[k] * v[:, k]) < 1e-10
+    assert np.max(np.abs(v.conj().T @ v - np.eye(n))) < 1e-12
+
+
+def test_eig_hermitian_ascending(rng):
+    a = rng.normal(size=(12, 12))
+    a = a + a.T
+    w, _ = eig_hermitian(a.astype(complex))
+    assert np.all(np.diff(w) >= -1e-14)
