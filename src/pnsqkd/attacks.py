@@ -73,6 +73,8 @@ def bb84_multiphoton_fraction(mu):
 def bb84_critical_attenuation(mu):
     """Attenuation where splitting alone reproduces the expected raw rate:
     10 log10(mu / (mu - 1 + e^-mu))."""
+    if not 0.0 < mu < math.inf:
+        raise ValueError("mu must be positive and finite")
     return 10.0 * math.log10(mu / bb84_split_rate(mu))
 
 
@@ -424,6 +426,8 @@ def nb_storing_info_at(ladder, delta_db):
     Between rungs she mixes the two adjacent storing attacks; the mix is
     modeled as linear in attenuation between the rung endpoints.
     """
+    if not 0 <= delta_db < math.inf:
+        raise ValueError("attenuation must be non-negative and finite")
     if delta_db <= ladder[0][0]:
         return 0.0
     if delta_db >= ladder[-1][0]:

@@ -8,9 +8,11 @@ separator, '\\n' line endings).  Exit codes: 0 success, 1 failed self check,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -30,6 +32,56 @@ def _fmt(x):
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return format(float(x), ".12g")
+
+
+def _spec(kind):
+    """The %-format that writes a value of this type as ``_fmt`` does."""
+    if issubclass(kind, str):
+        return "%s"
+    if issubclass(kind, (int, np.integer)):
+        return "%d"
+    return "%.12g"
+
+
+@functools.cache
+def _row_template(kinds):
+    """CSV template of a row whose values have these types."""
+    return ",".join(map(_spec, kinds))
+
+
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_literal(x):
+    """A value as ``json.dumps`` writes it: strings as JSON strings, numbers
+    as the float of their ``_fmt`` text."""
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    text = repr(float(_fmt(x)))
+    return _JSON_NONFINITE.get(text, text)
+
+
+def _json_column(column):
+    """``_json_literal`` of every value, by C-level maps when the column is
+    all numbers of one format."""
+    specs = set(map(_spec, set(map(type, column))))
+    if len(specs) != 1 or "%s" in specs:
+        return list(map(_json_literal, column))
+    texts = list(map(repr, map(float, map(specs.pop().__mod__, column))))
+    return list(map(_JSON_NONFINITE.get, texts, texts))
+
+
+def _json_records(header, rows):
+    """The text of ``json.dumps`` with indent=2 and sorted keys, for the
+    list of records {header: float(_fmt(value))}, strings kept."""
+    if not rows:
+        return "[]"
+    index = {h: i for i, h in enumerate(header)}
+    keys = sorted(index)
+    columns = list(zip(*rows))
+    literals = [_json_column(columns[index[k]]) for k in keys]
+    record = "  {\n" + ",\n".join(f"    {encode_basestring_ascii(k)}: %s" for k in keys) + "\n  }"
+    return "[\n" + ",\n".join(map(record.__mod__, zip(*literals))) + "\n]"
 
 
 def finite(text):
@@ -77,6 +129,13 @@ def _parse_grid(text, default):
     return [lo + k * step for k in range(n)]
 
 
+def _parse_distances(text, default):
+    grid = _parse_grid(text, default)
+    if grid[0] < 0:
+        raise ValueError("distance grid min must be >= 0")
+    return grid
+
+
 def _parse_int_range(text, default):
     if text is None:
         return default
@@ -101,7 +160,7 @@ def _model_from_args(args, mu):
 
 def _curve_pns_bb84(args):
     mu = args.mu if args.mu is not None else 0.1
-    dists = _parse_grid(args.d, [float(k) for k in range(0, 121)])
+    dists = _parse_distances(args.d, [float(k) for k in range(0, 121)])
     header = ["distance_km", "delta_db", "q", "i_eve"]
     rows = []
     for d in dists:
@@ -113,7 +172,7 @@ def _curve_pns_bb84(args):
 def _curve_pns_42(args):
     mu_ref = args.mu if args.mu is not None else 0.1
     eta = args.eta if args.eta is not None else math.pi / 3
-    dists = _parse_grid(args.d, [float(k) for k in range(0, 121)])
+    dists = _parse_distances(args.d, [float(k) for k in range(0, 121)])
     header = ["distance_km", "delta_db", "q", "i_eve"]
     rows = []
     for d in dists:
@@ -124,7 +183,7 @@ def _curve_pns_42(args):
 
 def _curve_figiepr(args):
     mu = args.mu if args.mu is not None else 0.2
-    dists = _parse_grid(args.d, [float(k) for k in range(0, 121)])
+    dists = _parse_distances(args.d, [float(k) for k in range(0, 121)])
     header = ["distance_km", "delta_db", "i_eve_block_lt3", "i_eve_combined"]
     rows = []
     for d in dists:
@@ -136,7 +195,7 @@ def _curve_figiepr(args):
 
 
 def _curve_muopt(args):
-    dists = _parse_grid(args.d, [float(k) for k in range(4, 161, 4)])
+    dists = _parse_distances(args.d, [float(k) for k in range(4, 161, 4)])
     header = ["distance_km", "delta_db", "mu_opt", "key_rate"]
     rows = []
     for d in dists:
@@ -186,7 +245,7 @@ def _curve_dcrit(args):
 
 def _curve_stattnb(args):
     nbs = _parse_int_range(args.nb, list(range(2, 6)))
-    dists = _parse_grid(args.d, [float(k) for k in range(10, 241, 2)])
+    dists = _parse_distances(args.d, [float(k) for k in range(10, 241, 2)])
     header = ["n_b", "distance_km", "delta_db", "i_ab", "i_eve"]
     rows = []
     for nb in nbs:
@@ -216,7 +275,7 @@ def _curve_clonfid(args):
 
 def _curve_strongpulse(args):
     mu = args.mu if args.mu is not None else 0.025
-    dists = _parse_grid(args.d, [float(k) for k in range(0, 241, 2)])
+    dists = _parse_distances(args.d, [float(k) for k in range(0, 241, 2)])
     header = ["distance_km", "delta_db", "mu_prime", "intensity_ratio",
               "overlap", "p_e", "i_eve"]
     rows = []
@@ -252,17 +311,13 @@ def _write(text, out):
 
 
 def _emit(header, rows, args):
+    """Write the rows as CSV, one %-format per row, or as JSON records."""
     if args.format == "csv":
         lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(_fmt(x) if not isinstance(x, str) else x for x in row))
+        lines += [_row_template(tuple(map(type, row))) % tuple(row) for row in rows]
         text = "\n".join(lines) + "\n"
     else:
-        payload = [
-            {h: (x if isinstance(x, str) else float(_fmt(x))) for h, x in zip(header, row)}
-            for row in rows
-        ]
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = _json_records(header, rows) + "\n"
     _write(text, args.out)
 
 
@@ -299,7 +354,9 @@ def _cmd_validate(args):
     return 0 if result["all_pass"] else 1
 
 
+@functools.cache
 def build_parser():
+    """The argparse parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="pnsqkd",
         description="Security curves for weak- and strong-pulse QKD under "

@@ -354,6 +354,10 @@ def pns_cloning_attack(machine_factory, mu, delta_db, param_grid):
     two output qubits plus ancillas; the information accounting is the same
     sifted machinery with her enlarged system.
     """
+    if not 0.0 < mu < math.inf:
+        raise ValueError("mu must be positive and finite")
+    if not math.isfinite(delta_db):
+        raise ValueError("attenuation must be finite")
     required = mu * 10.0 ** (-delta_db / 10.0)
     if required > attacks.bb84_split_rate(mu) + 1e-15:
         raise InfeasibleModelError(

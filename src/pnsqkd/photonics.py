@@ -31,10 +31,10 @@ class SourceChannelModel:
     qber_opt: float = 0.01
 
     def __post_init__(self):
-        if self.mu <= 0:
-            raise ValueError("mu must be positive")
-        if self.alpha < 0:
-            raise ValueError("alpha must be non-negative")
+        if not 0 < self.mu < math.inf:
+            raise ValueError("mu must be positive and finite")
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError("alpha must be non-negative and finite")
         if not 0 < self.eta_det <= 1:
             raise ValueError("eta_det must be in (0, 1]")
         if not 0 <= self.p_d < 1:
@@ -97,8 +97,8 @@ def qber_total(model, delta_db):
     (p_d / 2) / (p_d + mu eta_det 10^(-delta/10)) + qber_opt, clamped to
     [0, 0.5] (information is symmetric beyond one half).
     """
-    if delta_db < 0:
-        raise ValueError("attenuation must be non-negative")
+    if not 0 <= delta_db < math.inf:
+        raise ValueError("attenuation must be non-negative and finite")
     signal = model.mu * model.eta_det * transmission(delta_db)
     q = (model.p_d / 2.0) / (model.p_d + signal) + model.qber_opt
     return min(q, 0.5)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from pnsqkd import attacks, photonics, qmath
+from pnsqkd import attacks, cloning, keyrate, photonics, qmath
 from pnsqkd.attacks import (
     StrongPulseModel,
     bb84_critical_attenuation,
@@ -18,6 +18,7 @@ from pnsqkd.attacks import (
     nb_critical_usd,
     nb_mu,
     nb_storing_critical,
+    nb_storing_info_at,
     nb_storing_ladder,
     storing_attack_info,
     strongpulse_asymptotic_info,
@@ -375,8 +376,19 @@ class TestNbGeneralization:
     lambda x: fourstate_irud_critical(x),
     lambda x: fourstate_combined_info(0.2, x),
     lambda x: strongpulse_b92(x, 0.1),
+    lambda x: SourceChannelModel(mu=x),
+    lambda x: photonics.qber_total(SourceChannelModel(mu=0.1), x),
+    lambda x: nb_storing_info_at(nb_storing_ladder(2), x),
+    lambda x: bb84_critical_attenuation(x),
+    lambda x: keyrate.key_rate(x, 10.0, 0.1),
+    lambda x: keyrate.key_rate(0.2, x, 0.1),
+    lambda x: cloning.pns_cloning_attack(cloning.make_ngs23, x, 12.0, [0.3]),
+    lambda x: cloning.pns_cloning_attack(cloning.make_ngs23, 0.2, x, [0.3]),
 ], ids=["bb84_pns-mu", "bb84_pns-delta", "fourstate_irud_pns-mu", "fourtwo_pns-delta",
-        "fourstate_irud_critical-mu", "fourstate_combined_info-delta", "strongpulse_b92-delta"])
+        "fourstate_irud_critical-mu", "fourstate_combined_info-delta", "strongpulse_b92-delta",
+        "SourceChannelModel-mu", "qber_total-delta", "nb_storing_info_at-delta",
+        "bb84_critical_attenuation-mu", "key_rate-mu", "key_rate-delta",
+        "pns_cloning_attack-mu", "pns_cloning_attack-delta"])
 def test_non_finite_input_is_rejected(call, bad):
     with pytest.raises(ValueError):
         call(bad)

@@ -1,10 +1,15 @@
 """Command-line interface: determinism, formats, exit codes."""
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pnsqkd import cli
@@ -120,6 +125,12 @@ class TestExitCodes:
         # the four-plus-two sums are closed forms, so a tiny eta is quick
         (["curve", "pns-42", "--eta", "1e-4", "--d", "0:2:1"], 0),
         (["curve", "pns-42", "--eta", "1e-170", "--d", "0:2:1"], 2),
+        # distances below 0 km: no q > 1, negative I_Eve or overflow
+        (["curve", "pns-bb84", "--d=-10:-8:1"], 2),
+        (["curve", "pns-42", "--d=-10:-8:1"], 2),
+        (["curve", "figiepr", "--d=-10:-8:1"], 2),
+        (["curve", "pns-bb84", "--d=-20000:-19000:500"], 2),
+        (["curve", "strongpulse", "--d=-1:2:1"], 2),
     ])
     def test_domain_and_ladder_exit_codes(self, args, code):
         proc = run_cli(args)
@@ -148,3 +159,84 @@ class TestValidatorSensitivity:
         monkeypatch.setattr(disc, "usd_optimal_pok", lambda nb: 0.45)
         checks = {c["name"]: c for c in validation.run_checks()}
         assert not checks["usd_pok_2_bases"]["pass"]
+
+
+# The emit formulas of the previous release, kept here as the oracle.
+def _fmt_oracle(x):
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return format(float(x), ".12g")
+
+
+def _emit_oracle(header, rows, fmt):
+    if fmt == "csv":
+        lines = [",".join(header)]
+        for row in rows:
+            lines.append(",".join(_fmt_oracle(x) if not isinstance(x, str) else x for x in row))
+        return "\n".join(lines) + "\n"
+    payload = [
+        {h: (x if isinstance(x, str) else float(_fmt_oracle(x))) for h, x in zip(header, row)}
+        for row in rows
+    ]
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _emitted(header, rows, fmt):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        cli._emit(header, rows, types.SimpleNamespace(format=fmt, out=None))
+    return buf.getvalue()
+
+
+# One argument set per curve, shaped like the benchmark's invocations of it.
+_BENCH_ARGS = {
+    "pns-bb84": ["--d", "7.25:151.9:3.7", "--alpha", "0.2213", "--mu", "0.3417"],
+    "pns-42": ["--d", "4.5:158.5:3.85", "--alpha", "0.2875", "--mu", "0.0731"],
+    "figiepr": ["--d", "5.125:159:3.9", "--alpha", "0.1934", "--mu", "0.4422"],
+    "muopt": ["--d", "12.5:140:18", "--alpha", "0.2561"],
+    "ieclon12": ["--gamma", "0.0731:1.55:0.0625"],
+    "ieclon23": ["--gamma", "0.115:1.52:0.125"],
+    "dcrit": ["--nb", "2:8", "--pd", "3.162e-06", "--eta-det", "0.2173",
+              "--qber-opt", "0.0192", "--alpha", "0.2419"],
+    "stattnb": ["--nb", "2:8", "--pd", "8.4e-05", "--eta-det", "0.0612",
+                "--qber-opt", "0.0027", "--alpha", "0.1855"],
+    "clonfid": ["--gamma", "0.0:1.5:0.0375"],
+    "strongpulse": ["--d", "6.75:159.1:3.9", "--alpha", "0.2744", "--mu", "0.1588"],
+}
+
+
+class TestEmit:
+    @pytest.mark.parametrize("bench_args", [False, True], ids=["default", "bench"])
+    @pytest.mark.parametrize("curve_id", cli.CURVE_IDS)
+    def test_matches_the_previous_formulas(self, curve_id, bench_args):
+        argv = ["curve", curve_id] + (_BENCH_ARGS[curve_id] if bench_args else [])
+        args = cli.build_parser().parse_args(argv)
+        header, rows = cli._CURVES[curve_id](args)
+        assert rows
+        for fmt in ("csv", "json"):
+            assert _emitted(header, rows, fmt) == _emit_oracle(header, rows, fmt)
+
+    def test_mixed_non_finite_and_empty(self):
+        header = ["b", "a", "c"]
+        rows = [[np.int64(3), "x,y", math.nan], [2.5, True, math.inf],
+                [np.float32(0.1), "q\"", -math.inf], [10**13, 1.5e13, -0.0]]
+        for fmt in ("csv", "json"):
+            assert _emitted(header, rows, fmt) == _emit_oracle(header, rows, fmt)
+            assert _emitted(header, [], fmt) == _emit_oracle(header, [], fmt)
+
+    def test_parser_is_reused_without_state(self):
+        default = ["curve", "pns-bb84"]
+        other = ["curve", "pns-bb84", "--format", "json", "--mu", "0.3"]
+
+        def out(argv):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                assert cli.main(argv) == 0
+            return buf.getvalue()
+
+        cli.build_parser.cache_clear()
+        first = out(default)
+        parser = cli.build_parser()
+        assert out(other) != first
+        assert out(default) == first
+        assert cli.build_parser() is parser

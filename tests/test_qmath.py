@@ -149,15 +149,6 @@ class TestEig:
         with pytest.raises(ValueError):
             eig_hermitian(np.zeros((3, 2, 4)))
 
-    def test_four_state_multicopy_bound_operator(self):
-        # reciprocal of the top eigenvalue of the dual-projector sum is 1/2
-        from pnsqkd.discrimination import equatorial_phase_states, usd_conclusive_bound_operator
-
-        op = usd_conclusive_bound_operator(equatorial_phase_states(2), 3)
-        w, _ = eig_hermitian(op)
-        assert w[-1] == pytest.approx(2.0, abs=1e-10)
-        assert 1.0 / w[-1] == pytest.approx(0.5, abs=1e-10)
-
 
 class TestMeasurement:
     def test_projective_x(self):
