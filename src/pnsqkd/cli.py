@@ -126,7 +126,10 @@ def _parse_grid(text, default):
         raise ValueError("grid must satisfy min < max and step > 0")
     n = int(math.floor((hi - lo) / step + 1e-9)) + 1
     _check_grid_size(n)
-    return [lo + k * step for k in range(n)]
+    grid = [lo + k * step for k in range(n)]
+    # lo + (n - 1) step can round past max, for example one ulp above pi/2
+    grid[-1] = min(grid[-1], hi)
+    return grid
 
 
 def _parse_distances(text, default):

@@ -205,6 +205,8 @@ def make_cerf23(x):
 # closed-form equatorial fidelities ------------------------------------------
 
 def ng23_fidelities(gamma):
+    if not 0.0 <= gamma <= math.pi / 2:
+        raise ValueError("gamma must be in [0, pi/2]")
     f12 = (0.5 + math.cos(gamma) / (2.0 * math.sqrt(3.0 + math.cos(2 * gamma)))
            + 1.0 / math.sqrt(17.0 - math.cos(4 * gamma)))
     f3 = (0.5 + math.sin(gamma) / (2.0 * math.sqrt(3.0 + math.cos(2 * gamma)))
@@ -275,31 +277,48 @@ _STATE_BY_NAME = {
 }
 
 
+def _sifting(machine, announced):
+    """The receiver's side of the sifted attack at every grid point: his
+    projected amplitudes e[:, k, o], the acceptance weights per sent state
+    and the sifted error rate.
+
+    The sender emits one of the two announced states; the receiver accepts
+    when his outcome is orthogonal to one of them (excluding it), inferring
+    the other.  In e[:, k, o] the state k was sent and the outcome is
+    orthogonal to announced state o, so o = k leads to the wrong inference.
+    """
+    states = [_STATE_BY_NAME[a] for a in announced]
+    e = _receiver_amplitudes(machine, states, [qmath.orthogonal_qubit(s) for s in states])
+    w = _squared_norms(e)
+    accepted = w[:, :, 0] + w[:, :, 1]
+    qber = 0.5 * (w[:, 0, 0] / accepted[:, 0] + w[:, 1, 1] / accepted[:, 1])
+    return e, accepted, qber
+
+
+def sifted_qber(machine, announced=_DEFAULT_ANNOUNCED):
+    """Sifted error rate at every grid point of a stack (or at its one
+    point): the projection stage of ``sifted_points`` alone, with no
+    eigensolve.  Each value equals that of ``sifted_points`` bit for bit."""
+    return _sifting(machine, announced)[2]
+
+
 def sifted_points(machine, announced=_DEFAULT_ANNOUNCED):
     """Sifted-attack evaluation of a cloning machine at every grid point of
     a stack (or at its one point).
 
-    The sender emits one of the two announced states; the receiver accepts
-    when his outcome is orthogonal to one of them (excluding it), inferring
-    the other.  The eavesdropper knows the announcement and the acceptance
-    (the receiver projected onto one of the two excluding outcomes, she
-    does not learn which), so her conditional state per hypothesis is the
-    acceptance-weighted mixture over those two projections; she then
-    discriminates the two hypotheses with a minimum-error measurement,
-    one stacked eigensolve for the whole grid.
+    The receiver's side is ``sifted_qber``'s stage.  The eavesdropper knows
+    the announcement and the acceptance (the receiver projected onto one of
+    the two excluding outcomes, she does not learn which), so her
+    conditional state per hypothesis is the acceptance-weighted mixture
+    over those two projections; she then discriminates the two hypotheses
+    with a minimum-error measurement, one stacked eigensolve for the whole
+    grid.
 
     Returns a dict of arrays over the grid: the clone disturbance, the
     sifted error rate, the honest-party and eavesdropper informations and
     her error probability.
     """
-    states = [_STATE_BY_NAME[a] for a in announced]
-    # e[:, k, o]: sent state k, receiver outcome orthogonal to announced
-    # state o; the outcome orthogonal to the *sent* state (o = k) leads to
-    # the wrong inference
-    e = _receiver_amplitudes(machine, states, [qmath.orthogonal_qubit(s) for s in states])
-    w = _squared_norms(e)
-    accepted = w[:, :, 0] + w[:, :, 1]
-    qber = 0.5 * (w[:, 0, 0] / accepted[:, 0] + w[:, 1, 1] / accepted[:, 1])
+    e, accepted, qber = _sifting(machine, announced)
     rho0, rho1 = (_accepted_mixture(e[:, k], 0.5 * accepted[:, k]) for k in (0, 1))
     p_e = qmath.helstrom_error(rho0, rho1, 0.5)
     return {

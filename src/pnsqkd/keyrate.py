@@ -110,28 +110,42 @@ class GenevaLausanneReport:
     secure_full_error: bool
 
 
-def _cloning_rows():
-    """Sifted error rates and eavesdropper informations of the two-photon
-    cloning attack (stronger, symmetrized machine) over its 241-point gamma
-    grid."""
-    grid = [1e-6 + (math.pi / 2 - 2e-6) * k / 240 for k in range(241)]
-    points = cloning.sifted_points(cloning.make_ngs23(grid))
-    return list(zip(points["qber_sifted"].tolist(), points["i_eve"].tolist()))
+_CLONING_GRID = [1e-6 + (math.pi / 2 - 2e-6) * k / 240 for k in range(241)]
 
 
-def _cloning_info_at_qber(rows, qber):
-    """Eavesdropper information at a given sifted error rate, interpolated
-    linearly from the first row that reaches it."""
-    prev = None
-    for q, i_eve in rows:
-        if q >= qber:
-            if prev is None:
-                return i_eve
-            q0, i0 = prev
-            t = (qber - q0) / (q - q0)
-            return i0 + t * (i_eve - i0)
-        prev = (q, i_eve)
-    return rows[-1][1]
+def _cloning_infos(qbers):
+    """Eavesdropper information of the two-photon cloning attack (stronger,
+    symmetrized machine) at each target sifted error rate, interpolated
+    linearly from the first row of the 241-point gamma grid that reaches it.
+
+    The error rate is scanned over the whole grid; only the rows that
+    bracket a target are built again and eigensolved, in one stack (each
+    slice of a stack equals its one-point machine, so these rows read the
+    same as on the full grid).  A target the first row already reaches
+    reads the first row, and one that no row reaches reads the last.
+    """
+    scan = cloning.sifted_qber(cloning.make_ngs23(_CLONING_GRID)).tolist()
+    brackets = []
+    for qber in qbers:
+        k = next((k for k, q in enumerate(scan) if q >= qber), None)
+        if k is None:
+            brackets.append((len(scan) - 1,))
+        elif k == 0:
+            brackets.append((0,))
+        else:
+            brackets.append((k - 1, k))
+    rows = sorted(set().union(*brackets))
+    i_eve = dict(zip(rows, cloning.sifted_points(
+        cloning.make_ngs23([_CLONING_GRID[k] for k in rows]))["i_eve"].tolist()))
+    infos = []
+    for qber, bracket in zip(qbers, brackets):
+        if len(bracket) == 1:
+            infos.append(i_eve[bracket[0]])
+            continue
+        lo, hi = bracket
+        t = (qber - scan[lo]) / (scan[hi] - scan[lo])
+        infos.append(i_eve[lo] + t * (i_eve[hi] - i_eve[lo]))
+    return infos
 
 
 def geneva_lausanne_report(alpha=photonics.DEFAULT_ALPHA_DB_PER_KM):
@@ -148,9 +162,7 @@ def geneva_lausanne_report(alpha=photonics.DEFAULT_ALPHA_DB_PER_KM):
     qber, qber_optical = 0.05, 0.01
     i_ab = qmath.binary_information(qber)
     i_eve_pns, _, _ = attacks.fourstate_combined_info(mu, delta)
-    rows = _cloning_rows()
-    i_clone_opt = _cloning_info_at_qber(rows, qber_optical)
-    i_clone_full = _cloning_info_at_qber(rows, qber)
+    i_clone_opt, i_clone_full = _cloning_infos((qber_optical, qber))
     return GenevaLausanneReport(
         mu=mu,
         distance_km=distance,

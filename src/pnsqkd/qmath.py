@@ -310,7 +310,9 @@ def pure_state_error(overlap):
 def binary_information(p):
     """Binary mutual information 1 + p log2 p + (1-p) log2 (1-p), in bits.
 
-    0 log 0 is taken as 0; p is an error probability in [0, 1].
+    0 log 0 is taken as 0; p is an error probability in [0, 1].  Near
+    p = 1/2 the sum cancels to a rounding residue, which can be negative;
+    the result is then 0.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("probability out of range")
@@ -318,7 +320,7 @@ def binary_information(p):
     for x in (p, 1.0 - p):
         if x > 0.0:
             out += x * math.log2(x)
-    return out
+    return out if out > 0.0 else 0.0
 
 
 def two_mode_number_state(n, phase, ratio):

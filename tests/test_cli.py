@@ -64,6 +64,15 @@ class TestCurves:
         assert set(data[0]) == {"distance_km", "delta_db", "mu_prime",
                                 "intensity_ratio", "overlap", "p_e", "i_eve"}
 
+    def test_stattnb_prints_no_negative_information(self, capsys):
+        # at 226 km for 4 bases the QBER is just below 1/2, where the binary
+        # information cancels to a rounding residue (-5.55e-17 unclamped)
+        argv = ["curve", "stattnb", "--nb", "2:8", "--pd", "2.453e-05", "--eta-det", "0.1636",
+                "--qber-opt", "0.0014", "--alpha", "0.2881", "--format", "json"]
+        assert cli.main(argv) == 0
+        records = json.loads(capsys.readouterr().out)
+        assert min(min(record.values()) for record in records) >= 0.0
+
     def test_ieclon12_columns(self, tmp_path):
         out = tmp_path / "c.csv"
         assert cli.main(["curve", "ieclon12", "--gamma", "0.2:1.4:0.2",
@@ -131,6 +140,12 @@ class TestExitCodes:
         (["curve", "figiepr", "--d=-10:-8:1"], 2),
         (["curve", "pns-bb84", "--d=-20000:-19000:500"], 2),
         (["curve", "strongpulse", "--d=-1:2:1"], 2),
+        # gamma outside the machines' [0, pi/2]
+        (["curve", "clonfid", "--gamma=-1:0.5:0.5"], 2),
+        (["curve", "clonfid", "--gamma=0:5:1"], 2),
+        # 25 steps of pi/50 round one ulp past pi/2; the grid ends at its max
+        (["curve", "clonfid", "--gamma", "0:1.5707963267948966:0.06283185307179587"], 0),
+        (["curve", "ieclon12", "--gamma", "0:1.5707963267948966:0.06283185307179587"], 0),
     ])
     def test_domain_and_ladder_exit_codes(self, args, code):
         proc = run_cli(args)

@@ -250,6 +250,11 @@ class TestNg23:
         f12, f3 = ng23_fidelities(math.pi / 2)
         assert f12 == pytest.approx(0.75, abs=1e-12)
 
+    @pytest.mark.parametrize("gamma", [-1e-9, -1.0, math.pi / 2 + 1e-9, 5.0, math.nan])
+    def test_gamma_out_of_range(self, gamma):
+        with pytest.raises(ValueError, match=r"gamma must be in \[0, pi/2\]"):
+            ng23_fidelities(gamma)
+
     def test_third_clone_never_perfect(self):
         assert max(ng23_fidelities(g)[1] for g in np.linspace(0, math.pi / 2, 200)) < 1.0
 
@@ -379,6 +384,12 @@ class TestSiftedPoints:
             want = _oracle_sifted_point(factory(float(p)))
             for key in ("disturbance", "qber_sifted", "p_e", "i_eve"):
                 assert points[key][k] == pytest.approx(want[key], abs=1e-14, rel=0)
+
+    @pytest.mark.parametrize("factory,grid", FACTORY_GRIDS)
+    def test_sifted_qber_is_the_same_stage(self, factory, grid):
+        machine = factory(grid)
+        assert np.array_equal(cloning.sifted_qber(machine),
+                              cloning.sifted_points(machine)["qber_sifted"])
 
     def test_single_point_is_one_slice(self):
         machine = make_cerf23(0.2)

@@ -1,9 +1,10 @@
 """Key-rate, optimal mean photon number, protocol comparison, case study."""
 import math
 
+import numpy as np
 import pytest
 
-from pnsqkd import attacks, photonics
+from pnsqkd import attacks, cloning, keyrate, photonics, qmath
 from pnsqkd.keyrate import (
     fourstate_key_rate,
     geneva_lausanne_report,
@@ -123,3 +124,50 @@ class TestGenevaLausanne:
     def test_cloning_scenarios_ordered(self):
         gl = geneva_lausanne_report()
         assert gl.i_eve_cloning_optical < gl.i_eve_cloning_full < gl.i_ab
+
+
+def _full_grid_cloning_info(qber):
+    """The report's cloning term read the long way: sifted points on the
+    whole 241-point grid, interpolated from the first row reaching qber."""
+    grid = [1e-6 + (math.pi / 2 - 2e-6) * k / 240 for k in range(241)]
+    points = cloning.sifted_points(cloning.make_ngs23(grid))
+    rows = list(zip(points["qber_sifted"].tolist(), points["i_eve"].tolist()))
+    prev = None
+    for q, i_eve in rows:
+        if q >= qber:
+            if prev is None:
+                return i_eve
+            q0, i0 = prev
+            return i0 + (qber - q0) / (q - q0) * (i_eve - i0)
+        prev = (q, i_eve)
+    return rows[-1][1]
+
+
+class TestCloningInfos:
+    """The report evaluates the sifted attack only on the rows it reads."""
+
+    def test_matches_the_full_grid(self):
+        scan = cloning.sifted_qber(cloning.make_ngs23(keyrate._CLONING_GRID)).tolist()
+        targets = [0.01, 0.05, scan[0] / 2, scan[-1] + 0.01, scan[57], 0.0, 0.02]
+        want = [_full_grid_cloning_info(q) for q in targets]
+        assert keyrate._cloning_infos(targets) == want
+        for q in targets:
+            assert keyrate._cloning_infos([q]) == [_full_grid_cloning_info(q)]
+
+    def test_report_reads_the_same_terms(self):
+        gl = geneva_lausanne_report()
+        assert gl.i_eve_cloning_optical == _full_grid_cloning_info(0.01)
+        assert gl.i_eve_cloning_full == _full_grid_cloning_info(0.05)
+
+    def test_report_makes_one_small_eigensolve(self, monkeypatch):
+        shapes = []
+        solve = qmath.eig_hermitian
+
+        def recording(a):
+            shapes.append(np.shape(a))
+            return solve(a)
+
+        monkeypatch.setattr(qmath, "eig_hermitian", recording)
+        geneva_lausanne_report()
+        assert len(shapes) == 1
+        assert len(shapes[0]) == 3 and shapes[0][0] <= 4

@@ -239,6 +239,12 @@ class TestBinaryInformation:
         with pytest.raises(ValueError):
             binary_information(-0.1)
 
+    def test_never_negative_near_half(self):
+        # the sum cancels to a rounding residue there, as low as -5.55e-17
+        ps = np.concatenate([np.linspace(0.5 - 1e-6, 0.5 + 1e-6, 4001),
+                             0.5 + np.arange(-200, 201) * 2.0 ** -53])
+        assert min(binary_information(p) for p in ps.tolist()) >= 0.0
+
     @given(st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=200, deadline=None)
     def test_bounds_and_symmetry(self, p):
