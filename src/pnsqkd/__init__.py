@@ -50,7 +50,6 @@ from .cloning import (
     make_ng23,
     make_ngs23,
     pns_cloning_attack,
-    sifted_cloning_attack,
 )
 from .keyrate import (
     geneva_lausanne_report,

@@ -187,6 +187,13 @@ class StrongPulseModel:
             raise ValueError("mu must be in (0, 1)")
         if not 0.0 <= self.delta_db < math.inf:
             raise ValueError("attenuation must be non-negative and finite")
+        try:
+            finite = math.isfinite(self.mu_prime)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(f"attenuation {self.delta_db:g} dB too large: "
+                             "the reference pulse overflows")
 
     @property
     def mu_prime(self):
@@ -234,7 +241,9 @@ def fourstate_irud_rate(mu):
 
 def fourstate_irud_fraction(mu):
     """Probability a pulse has >= 3 photons and the discrimination concludes."""
-    return 0.5 * (1.0 - math.exp(-mu) * (1.0 + mu + 0.5 * mu * mu))
+    head = math.exp(-mu)
+    # mu * mu overflows above about 1.3e154, where exp(-mu) is already 0
+    return 0.5 * (1.0 - (head * (1.0 + mu + 0.5 * mu * mu) if head else 0.0))
 
 
 def fourstate_irud_critical(mu):

@@ -226,11 +226,12 @@ def _curve_ieclon23(args):
     mu = args.mu if args.mu is not None else 0.2
     delta = args.delta if args.delta is not None else 12.0
     header = ["gamma", "disturbance", "qber_sifted", "i_ab", "i_eve_ngs", "i_eve_cerf"]
-    ngs_rows = cloning.pns_cloning_attack(cloning.make_ngs23, mu, delta, grid)
-    xs = [min(math.sqrt(row["disturbance"] / 2.0), 1 / math.sqrt(8)) for row in ngs_rows]
+    ngs = cloning.pns_cloning_attack(cloning.make_ngs23, mu, delta, grid)
+    xs = [min(math.sqrt(d / 2.0), 1 / math.sqrt(8)) for d in ngs["disturbance"].tolist()]
     cf = cloning.sifted_points(cloning.make_cerf23(xs))
-    return header, [[g, row["disturbance"], row["qber_sifted"], row["i_ab"], row["i_eve"], i_cf]
-                    for g, row, i_cf in zip(grid, ngs_rows, cf["i_eve"].tolist())]
+    columns = (grid, ngs["disturbance"], ngs["qber_sifted"], ngs["i_ab"], ngs["i_eve"],
+               cf["i_eve"])
+    return header, [list(row) for row in zip(*columns)]
 
 
 def _curve_dcrit(args):

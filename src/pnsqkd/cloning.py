@@ -4,9 +4,12 @@ Four machines are provided: two 1 -> 2 cloners (a two-qubit construction
 and a Bell-ancilla construction) and their 2 -> 3 generalizations.  Each is
 represented as an isometry from the input space (with the ancilla reference
 fixed) to the full output register; a factory called with a parameter grid
-returns the stack of those isometries, and ``sifted_points`` evaluates the
-whole stack at once.  The attack model mirrors the protocol:
-the receiver measures his clone, sifting succeeds when his outcome excludes
+returns the stack of those isometries.  ``sifted_points`` is the one
+evaluator of a cloning attack: for a machine or a stack it returns a dict
+of column arrays over the grid, which ``pns_cloning_attack``,
+``information_crossing`` and the CLI read as they are.  The attack model
+mirrors the protocol: the sender emits +x or +y (the announced pair), the
+receiver measures his clone, sifting succeeds when his outcome excludes
 one announced state, and the eavesdropper then discriminates her two
 conditional states with a minimum-error measurement.
 """
@@ -230,7 +233,7 @@ def clone_reduced_states(machine, psi):
     rho = out.outer()
     results = []
     for pos in machine.clone_positions:
-        red = partial_trace(rho, [pos], machine.n_qubits)
+        red = partial_trace(rho, [pos])
         fid = float(red.expectation(psi).real)
         results.append((pos, red, fid))
     return results
@@ -260,49 +263,37 @@ def _squared_norms(e):
     return (e.conj()[..., None, :] @ e[..., :, None])[..., 0, 0].real
 
 
-def _disturbances(machine):
-    """||<-x|_B V|+x>||^2 = 1 - F for every slice, without the
-    cancellation of 1 - F."""
-    wrong = _receiver_amplitudes(machine, (qmath.PLUS_X,), (qmath.MINUS_X,))
-    return _squared_norms(wrong)[:, 0, 0]
-
-
 # ---------------------------------------------------------------------------
 # sifted-attack machinery
 
-_DEFAULT_ANNOUNCED = ("+x", "+y")
-_STATE_BY_NAME = {
-    "+x": qmath.PLUS_X, "-x": qmath.MINUS_X,
-    "+y": qmath.PLUS_Y, "-y": qmath.MINUS_Y,
-}
-
-
-def _sifting(machine, announced):
+def _sifting(machine):
     """The receiver's side of the sifted attack at every grid point: his
-    projected amplitudes e[:, k, o], the acceptance weights per sent state
-    and the sifted error rate.
+    projected amplitudes e[:, k, o], their weights w = ||e||^2, the
+    acceptance weights per sent state and the sifted error rate.
 
-    The sender emits one of the two announced states; the receiver accepts
+    The sender emits +x or +y, the announced pair; the receiver accepts
     when his outcome is orthogonal to one of them (excluding it), inferring
     the other.  In e[:, k, o] the state k was sent and the outcome is
     orthogonal to announced state o, so o = k leads to the wrong inference.
+    Every other announced pair of neighboring equatorial states is a
+    rotation or reflection of this one and gives the same numbers.
     """
-    states = [_STATE_BY_NAME[a] for a in announced]
+    states = (qmath.PLUS_X, qmath.PLUS_Y)
     e = _receiver_amplitudes(machine, states, [qmath.orthogonal_qubit(s) for s in states])
     w = _squared_norms(e)
     accepted = w[:, :, 0] + w[:, :, 1]
     qber = 0.5 * (w[:, 0, 0] / accepted[:, 0] + w[:, 1, 1] / accepted[:, 1])
-    return e, accepted, qber
+    return e, w, accepted, qber
 
 
-def sifted_qber(machine, announced=_DEFAULT_ANNOUNCED):
+def sifted_qber(machine):
     """Sifted error rate at every grid point of a stack (or at its one
     point): the projection stage of ``sifted_points`` alone, with no
     eigensolve.  Each value equals that of ``sifted_points`` bit for bit."""
-    return _sifting(machine, announced)[2]
+    return _sifting(machine)[3]
 
 
-def sifted_points(machine, announced=_DEFAULT_ANNOUNCED):
+def sifted_points(machine):
     """Sifted-attack evaluation of a cloning machine at every grid point of
     a stack (or at its one point).
 
@@ -314,15 +305,16 @@ def sifted_points(machine, announced=_DEFAULT_ANNOUNCED):
     with a minimum-error measurement, one stacked eigensolve for the whole
     grid.
 
-    Returns a dict of arrays over the grid: the clone disturbance, the
-    sifted error rate, the honest-party and eavesdropper informations and
-    her error probability.
+    Returns a dict of arrays over the grid: the clone disturbance
+    ||<-x|_B V|+x>||^2 = 1 - F (read without the cancellation of 1 - F),
+    the sifted error rate, the honest-party and eavesdropper informations
+    and her error probability.
     """
-    e, accepted, qber = _sifting(machine, announced)
+    e, w, accepted, qber = _sifting(machine)
     rho0, rho1 = (_accepted_mixture(e[:, k], 0.5 * accepted[:, k]) for k in (0, 1))
     p_e = qmath.helstrom_error(rho0, rho1, 0.5)
     return {
-        "disturbance": _disturbances(machine),
+        "disturbance": w[:, 0, 0],
         "qber_sifted": qber,
         "i_ab": np.array([qmath.binary_information(q) for q in qber.tolist()]),
         "i_eve": np.array([qmath.binary_information(p) for p in p_e.tolist()]),
@@ -340,32 +332,15 @@ def _accepted_mixture(e, weight):
     return rho
 
 
-def _rows(points):
-    return [dict(zip(points, values)) for values in zip(*(c.tolist() for c in points.values()))]
-
-
-def sifted_point(machine, announced=_DEFAULT_ANNOUNCED):
-    """``sifted_points`` for one machine, as a dict of floats."""
+def sifted_point(machine):
+    """``sifted_points`` of one machine, as a dict of floats."""
     _require_single(machine)
-    return _rows(sifted_points(machine, announced))[0]
-
-
-def sifted_cloning_attack(machine_factory, param_grid):
-    """Sifted-attack series over a machine parameter grid.
-
-    ``machine_factory`` is one of the ``make_*`` factories (for example
-    ``make_ng12`` over gamma, or ``make_cerf12`` over the fidelity); it is
-    called once with the whole grid.  Returns a list of row dicts in grid
-    order.
-    """
-    rows = _rows(sifted_points(machine_factory(np.asarray(param_grid, dtype=float))))
-    for row, p in zip(rows, param_grid):
-        row["parameter"] = p
-    return rows
+    return {key: float(column[0]) for key, column in sifted_points(machine).items()}
 
 
 def pns_cloning_attack(machine_factory, mu, delta_db, param_grid):
-    """Two-photon splitting attack with a 2 -> 3 cloner.
+    """Two-photon splitting attack with a 2 -> 3 cloner, as the
+    ``sifted_points`` columns of ``machine_factory(param_grid)``.
 
     Feasible only when the channel loss lets the eavesdropper block every
     single-photon pulse: mu 10^(-delta/10) <= sum_{n>=2} p_n (n-1).  She
@@ -381,17 +356,16 @@ def pns_cloning_attack(machine_factory, mu, delta_db, param_grid):
     if required > attacks.bb84_split_rate(mu) + 1e-15:
         raise InfeasibleModelError(
             f"attenuation {delta_db:g} dB too small: single-photon pulses cannot all be blocked")
-    return sifted_cloning_attack(machine_factory, param_grid)
+    return sifted_points(machine_factory(param_grid))
 
 
-def information_crossing(rows, axis="qber_sifted"):
-    """First point along the series where the eavesdropper information
-    meets the honest-party information, located by linear interpolation
-    on the chosen abscissa ('qber_sifted' or 'disturbance')."""
+def information_crossing(points):
+    """First grid point where the eavesdropper information meets the
+    honest-party information in ``sifted_points`` columns, located by
+    linear interpolation on the sifted error rate."""
     prev = None
-    for row in rows:
-        gap = row["i_ab"] - row["i_eve"]
-        x = row[axis]
+    for i_ab, i_eve, x in zip(*(points[k].tolist() for k in ("i_ab", "i_eve", "qber_sifted"))):
+        gap = i_ab - i_eve
         if prev is not None:
             pgap, px = prev
             if pgap > 0.0 >= gap:

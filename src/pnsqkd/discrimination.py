@@ -104,24 +104,20 @@ def filtered_overlap_bound(eta):
     return new_overlap, p_b
 
 
-def linear_independence_check(states, copies=None):
-    """Linear independence of |psi_i>^(x copies) for N distinct qubit states.
+def linear_independence_check(states):
+    """Linear independence of |psi_i>^(x N-1) for N distinct qubit states.
 
-    With copies = N-1 the product states live in the N-dimensional symmetric
-    subspace; the check forms their coordinate matrix in the Dicke basis and
-    tests |det| > 1e-10 (columns have unit norm).  Returns (independent,
-    |det|).  Raises if two input states coincide up to phase.
+    The N-1 copies live in the N-dimensional symmetric subspace; the check
+    forms their coordinate matrix in the Dicke basis and tests
+    |det| > 1e-10 (columns have unit norm).  Returns (independent, |det|).
+    Raises if two input states coincide up to phase.
     """
     n = len(states)
-    if copies is None:
-        copies = n - 1
-    if copies != n - 1:
-        raise ValueError("copies must equal N - 1")
     for i in range(n):
         for j in range(i + 1, n):
             if abs(states[i].overlap(states[j])) >= 1.0 - DISTINCT_TOL:
                 raise ValueError(f"states {i} and {j} are not distinct")
-    cols = np.column_stack([symmetric_coordinates(s, copies) for s in states])
+    cols = np.column_stack([symmetric_coordinates(s, n - 1) for s in states])
     det = abs(np.linalg.det(cols))
     return det > 1e-10, det
 

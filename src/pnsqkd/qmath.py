@@ -132,7 +132,6 @@ KET_0 = ket(0)
 PLUS_X = equatorial(0.0)
 MINUS_X = equatorial(math.pi)
 PLUS_Y = equatorial(math.pi / 2)
-MINUS_Y = equatorial(-math.pi / 2)
 
 SIGMA_X = Operator([[0, 1], [1, 0]])
 SIGMA_Y = Operator([[0, -1j], [1j, 0]])
@@ -183,7 +182,7 @@ def symmetric_coordinates(psi, n):
     )
 
 
-def partial_trace(rho, keep, n_qubits=None):
+def partial_trace(rho, keep):
     """Partial trace of a multi-qubit operator, keeping the listed qubits.
 
     Qubit 0 is the most significant index.  Trace and positivity are
@@ -191,7 +190,7 @@ def partial_trace(rho, keep, n_qubits=None):
     """
     if isinstance(rho, StateVector):
         rho = rho.outer()
-    n = n_qubits if n_qubits is not None else Operator(rho.m).dim.bit_length() - 1
+    n = rho.dim.bit_length() - 1
     if 2**n != rho.dim:
         raise ValueError("operator dimension is not a power of two")
     keep = sorted(set(int(k) for k in keep))

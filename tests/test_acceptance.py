@@ -181,19 +181,17 @@ def test_criterion_06d_third_clone_perfect_at_v_3x():
 
 # -- 7: sifted 1 -> 2 cloning attack ---------------------------------------------
 
-def _cerf12_rows():
-    return cloning.sifted_cloning_attack(cloning.make_cerf12,
-                                         1 - np.linspace(1e-6, 0.5, 400))
+def _cerf12_points():
+    return cloning.sifted_points(cloning.make_cerf12(1 - np.linspace(1e-6, 0.5, 400)))
 
 
-def _ng12_rows():
-    return cloning.sifted_cloning_attack(cloning.make_ng12,
-                                         np.linspace(1e-4, math.pi / 2, 400))
+def _ng12_points():
+    return cloning.sifted_points(cloning.make_ng12(np.linspace(1e-4, math.pi / 2, 400)))
 
 
 def test_criterion_07a_cerf_crossing_15pct():
     # the 15% anchor selects the sifted-error-rate reading of the abscissa
-    crossing = cloning.information_crossing(_cerf12_rows(), axis="qber_sifted")
+    crossing = cloning.information_crossing(_cerf12_points())
     check("07a", abs(crossing - 0.15) <= 0.01, f"crossing at {crossing:.4f}")
 
 
@@ -207,7 +205,7 @@ def _bob_choi(machine):
             e_ij = np.zeros((2, 2))
             e_ij[i, j] = 1.0
             out = qmath.Operator(v @ e_ij @ v.conj().T)
-            choi += np.kron(e_ij, qmath.partial_trace(out, [bob], machine.n_qubits).m)
+            choi += np.kron(e_ij, qmath.partial_trace(out, [bob]).m)
     return choi
 
 
@@ -241,8 +239,8 @@ def test_criterion_07b_cerf_strictly_above_ng():
         mixture = 0.5 * (choi_ng + flip @ choi_ng @ flip)
         choi_err = max(choi_err, float(np.max(np.abs(choi_cerf - mixture))))
         distinct = distinct and float(np.max(np.abs(choi_cerf - choi_ng))) > 1e-2
-    cross_cerf = cloning.information_crossing(_cerf12_rows(), axis="qber_sifted")
-    cross_ng = cloning.information_crossing(_ng12_rows(), axis="qber_sifted")
+    cross_cerf = cloning.information_crossing(_cerf12_points())
+    cross_ng = cloning.information_crossing(_ng12_points())
     ok = choi_err <= 1e-12 and distinct and abs(cross_ng - cross_cerf) <= 1e-6
     check("07b", ok,
           f"Choi mismatch {choi_err:.1e}, channels distinct: {distinct}; "
@@ -250,11 +248,11 @@ def test_criterion_07b_cerf_strictly_above_ng():
 
 
 def test_criterion_07c_interior_maximum():
-    rows = _ng12_rows()
-    infos = [r["i_eve"] for r in rows]
+    points = _ng12_points()
+    infos = points["i_eve"].tolist()
     k = int(np.argmax(infos))
     ok = 0 < k < len(infos) - 1 and infos[k] > infos[-1]
-    check("07c", ok, f"max {infos[k]:.4f} at D = {rows[k]['disturbance']:.3f}, "
+    check("07c", ok, f"max {infos[k]:.4f} at D = {points['disturbance'][k]:.3f}, "
                      f"endpoint {infos[-1]:.4f}")
 
 
@@ -269,9 +267,9 @@ def test_criterion_07d_endpoint_value():
 # -- 8: splitting + 2 -> 3 cloning attack ----------------------------------------
 
 def test_criterion_08_crossing_and_dominance():
-    rows = cloning.pns_cloning_attack(cloning.make_ngs23, 0.2, 12.0,
-                                      np.linspace(1e-4, math.pi / 2, 400))
-    crossing = cloning.information_crossing(rows, axis="qber_sifted")
+    points = cloning.pns_cloning_attack(cloning.make_ngs23, 0.2, 12.0,
+                                        np.linspace(1e-4, math.pi / 2, 400))
+    crossing = cloning.information_crossing(points)
     ok_cross = abs(crossing - 0.085) <= 0.007
     dominance = True
     for d in (0.005, 0.01, 0.02):
@@ -369,7 +367,7 @@ def test_criterion_12_property_suites(rng):
 
     # linear independence over random draws
     indep_ok = all(discrimination.linear_independence_check(
-        [StateVector(random_qubit(rng)) for _ in range(4)], 3)[0] for _ in range(200))
+        [StateVector(random_qubit(rng)) for _ in range(4)])[0] for _ in range(200))
 
     # Poisson normalization
     poisson_ok = all(abs(sum(photonics.poisson_distribution(mu)) - 1) < 1e-12

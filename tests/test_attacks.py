@@ -244,6 +244,13 @@ class TestFourStateIrud:
         d2 = fourstate_irud_critical(1e-4)
         assert d2 - d1 == pytest.approx(20.0, abs=0.2)
 
+    def test_huge_mu_stays_finite(self):
+        # mu * mu overflows to inf where exp(-mu) is 0; 0 * inf gave nan
+        assert attacks.fourstate_irud_fraction(1e200) == 0.5
+        for delta in (0.0, 1.25, 2.5, 30.0):
+            values = fourstate_combined_info(1e200, delta)
+            assert all(0.0 <= v <= 1.0 for v in values)
+
 
 class TestStoring:
     def test_orthogonal_pair(self):

@@ -73,6 +73,14 @@ class TestCurves:
         records = json.loads(capsys.readouterr().out)
         assert min(min(record.values()) for record in records) >= 0.0
 
+    def test_figiepr_huge_mu_prints_no_nan(self, capsys):
+        assert cli.main(["curve", "figiepr", "--mu", "1e200", "--d", "0:10:5"]) == 0
+        out = capsys.readouterr().out
+        assert "nan" not in out
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows) == 3
+        assert all(0.0 <= float(v) <= 1.0 for row in rows for v in row[2:])
+
     def test_ieclon12_columns(self, tmp_path):
         out = tmp_path / "c.csv"
         assert cli.main(["curve", "ieclon12", "--gamma", "0.2:1.4:0.2",
@@ -146,6 +154,8 @@ class TestExitCodes:
         # 25 steps of pi/50 round one ulp past pi/2; the grid ends at its max
         (["curve", "clonfid", "--gamma", "0:1.5707963267948966:0.06283185307179587"], 0),
         (["curve", "ieclon12", "--gamma", "0:1.5707963267948966:0.06283185307179587"], 0),
+        # above about 3,072 dB the strong reference pulse overflows a float
+        (["curve", "strongpulse", "--d", "0:20000:10000"], 2),
     ])
     def test_domain_and_ladder_exit_codes(self, args, code):
         proc = run_cli(args)

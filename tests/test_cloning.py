@@ -18,8 +18,8 @@ from pnsqkd.cloning import (
     make_ngs23,
     ng23_fidelities,
     pns_cloning_attack,
-    sifted_cloning_attack,
     sifted_point,
+    sifted_points,
 )
 from conftest import random_qubit
 
@@ -71,15 +71,20 @@ def _direct_isometry(name, p):
                             for u, t in zip(cols, mirror)])
 
 
+STATE_BY_NAME = {"+x": qmath.PLUS_X, "-x": qmath.MINUS_X,
+                 "+y": qmath.PLUS_Y, "-y": qmath.equatorial(-math.pi / 2)}
+
+
 def _oracle_sifted_point(machine, announced=("+x", "+y")):
     """Reference: the sifted-attack evaluation one machine at a time, with
-    its own projections, density operators and Helstrom bound."""
+    its own projections, density operators and Helstrom bound, for any
+    announced pair."""
     def project(out, outcome):  # receiver's clone onto <outcome|
         t = out.a.reshape((2,) * machine.n_qubits)
         t = np.moveaxis(t, machine.clone_positions[0], 0).reshape(2, -1)
         return outcome.a.conj() @ t
 
-    s0, s1 = (cloning._STATE_BY_NAME[a] for a in announced)
+    s0, s1 = (STATE_BY_NAME[a] for a in announced)
     perp0, perp1 = qmath.orthogonal_qubit(s0), qmath.orthogonal_qubit(s1)
     rhos, qbers = [], []
     for sent, perp_sent, perp_other in ((s0, perp0, perp1), (s1, perp1, perp0)):
@@ -202,7 +207,7 @@ class TestCerf12:
         # clone 1 perfect, ancilla pair in the maximally entangled state
         fids = [f for _, _, f in clone_reduced_states(m, qmath.PLUS_X)]
         assert fids[0] == pytest.approx(1.0, abs=1e-12)
-        anc = qmath.partial_trace(out.outer(), [1, 2], 3)
+        anc = qmath.partial_trace(out.outer(), [1, 2])
         w, _ = qmath.eig_hermitian(anc)
         assert w[-1] == pytest.approx(1.0, abs=1e-10)  # pure ancilla state
 
@@ -379,7 +384,7 @@ class TestCloneReducedStates:
 class TestSiftedPoints:
     @pytest.mark.parametrize("factory,grid", FACTORY_GRIDS)
     def test_stack_matches_one_point_oracle(self, factory, grid):
-        points = cloning.sifted_points(factory(grid))
+        points = sifted_points(factory(grid))
         for k, p in enumerate(grid):
             want = _oracle_sifted_point(factory(float(p)))
             for key in ("disturbance", "qber_sifted", "p_e", "i_eve"):
@@ -389,11 +394,11 @@ class TestSiftedPoints:
     def test_sifted_qber_is_the_same_stage(self, factory, grid):
         machine = factory(grid)
         assert np.array_equal(cloning.sifted_qber(machine),
-                              cloning.sifted_points(machine)["qber_sifted"])
+                              sifted_points(machine)["qber_sifted"])
 
     def test_single_point_is_one_slice(self):
         machine = make_cerf23(0.2)
-        stack = cloning.sifted_points(make_cerf23([0.1, 0.2]))
+        stack = sifted_points(make_cerf23([0.1, 0.2]))
         row = sifted_point(machine)
         assert row == {key: float(col[1]) for key, col in stack.items()}
 
@@ -406,62 +411,65 @@ class TestSiftedPoints:
         m = make_ng12(0.3)
         swapped = cloning.CloningMachine("ng12", m.isometry, (1, 0))
         with pytest.raises(ValueError, match="qubit 0"):
-            cloning.sifted_points(swapped)
+            sifted_points(swapped)
 
     def test_empty_grid(self):
-        assert sifted_cloning_attack(make_ngs23, []) == []
+        points = sifted_points(make_ngs23([]))
+        assert all(col.shape == (0,) for col in points.values())
 
 
 class TestSiftedAttack:
     def test_announced_set_symmetry(self):
-        # all four announced sets and both set members give the same numbers
+        # the evaluator fixes the pair (+x, +y); the other three announced
+        # sets and both orders of every set give the same numbers
         announced_sets = (("+x", "+y"), ("+y", "-x"), ("-x", "-y"), ("-y", "+x"))
         m = make_cerf12(0.9)
-        rows = [sifted_point(m, announced=pair) for pair in announced_sets]
-        rows += [sifted_point(m, announced=(b, a)) for a, b in announced_sets]
-        for row in rows[1:]:
-            assert row["qber_sifted"] == pytest.approx(rows[0]["qber_sifted"], abs=1e-10)
-            assert row["i_eve"] == pytest.approx(rows[0]["i_eve"], abs=1e-10)
+        point = sifted_points(m)
+        pairs = list(announced_sets[1:])
+        pairs += [(b, a) for a, b in announced_sets]
+        for pair in pairs:
+            row = _oracle_sifted_point(m, announced=pair)
+            assert row["qber_sifted"] == pytest.approx(point["qber_sifted"][0], abs=1e-10)
+            assert row["i_eve"] == pytest.approx(point["i_eve"][0], abs=1e-10)
 
     def test_no_disturbance_endpoint(self):
-        row = sifted_point(make_ng12(1e-8))
-        assert row["disturbance"] == pytest.approx(0.0, abs=1e-12)
-        assert row["i_ab"] == pytest.approx(1.0, abs=1e-6)
-        assert row["i_eve"] == pytest.approx(0.0, abs=1e-6)
+        point = sifted_points(make_ng12(1e-8))
+        assert point["disturbance"][0] == pytest.approx(0.0, abs=1e-12)
+        assert point["i_ab"][0] == pytest.approx(1.0, abs=1e-6)
+        assert point["i_eve"][0] == pytest.approx(0.0, abs=1e-6)
 
     def test_full_disturbance_endpoint(self):
         # at D = 1/2 the eavesdropper holds the signal state itself and her
         # information is the plain stored-pair value
         expected = qmath.binary_information(0.5 * (1 - math.sqrt(0.5)))
         for machine in (make_ng12(math.pi / 2), make_cerf12(0.5)):
-            row = sifted_point(machine)
-            assert row["disturbance"] == pytest.approx(0.5, abs=1e-12)
-            assert row["i_eve"] == pytest.approx(expected, abs=1e-6)
+            point = sifted_points(machine)
+            assert point["disturbance"][0] == pytest.approx(0.5, abs=1e-12)
+            assert point["i_eve"][0] == pytest.approx(expected, abs=1e-6)
 
     @pytest.mark.parametrize("gamma", [1e-4, 1e-3, 0.01, math.pi / 4])
     def test_disturbance_keeps_relative_precision(self, gamma):
         # read by projection onto <-x|, not as 1 - F, which cancels at small gamma
         expected = math.sin(gamma / 2) ** 2
-        got = sifted_point(make_ng12(gamma))["disturbance"]
+        got = sifted_points(make_ng12(gamma))["disturbance"][0]
         assert got == pytest.approx(expected, rel=1e-14, abs=0)
 
     def test_qber_vs_disturbance_relation(self):
         # accepted-branch error rate is D / (D + 1/2)
         for g in (0.3, 0.7, 1.1):
-            row = sifted_point(make_ng12(g))
-            d = row["disturbance"]
-            assert row["qber_sifted"] == pytest.approx(d / (d + 0.5), abs=1e-10)
+            point = sifted_points(make_ng12(g))
+            d = point["disturbance"][0]
+            assert point["qber_sifted"][0] == pytest.approx(d / (d + 0.5), abs=1e-10)
 
     def test_interior_maximum(self):
-        rows = sifted_cloning_attack(make_ng12, np.linspace(1e-4, math.pi / 2, 120))
-        infos = [r["i_eve"] for r in rows]
+        infos = sifted_points(make_ng12(np.linspace(1e-4, math.pi / 2, 120)))["i_eve"].tolist()
         k = int(np.argmax(infos))
         assert 0 < k < len(infos) - 1
         assert infos[k] > infos[-1] + 0.05
 
     def test_crossing_near_15pct_qber(self):
-        rows = sifted_cloning_attack(make_cerf12, 1 - np.linspace(1e-6, 0.5, 400))
-        crossing = information_crossing(rows, axis="qber_sifted")
+        points = sifted_points(make_cerf12(1 - np.linspace(1e-6, 0.5, 400)))
+        crossing = information_crossing(points)
         assert crossing == pytest.approx(0.155, abs=0.002)
 
     def test_machines_equivalent_under_minimum_error_model(self):
@@ -469,10 +477,10 @@ class TestSiftedAttack:
         # machines give the same post-sifting information at equal
         # disturbance (the Bell-ancilla machine is never below)
         for g in (0.3, 0.6, 0.9, 1.2):
-            ng = sifted_point(make_ng12(g))
-            cf = sifted_point(make_cerf12(1 - ng["disturbance"]))
-            assert cf["i_eve"] >= ng["i_eve"] - 1e-9
-            assert cf["i_eve"] == pytest.approx(ng["i_eve"], abs=1e-9)
+            ng = sifted_points(make_ng12(g))
+            cf = sifted_points(make_cerf12(1 - ng["disturbance"][0]))
+            assert cf["i_eve"][0] >= ng["i_eve"][0] - 1e-9
+            assert cf["i_eve"][0] == pytest.approx(ng["i_eve"][0], abs=1e-9)
 
 
 class TestPnsCloning23:
@@ -483,26 +491,26 @@ class TestPnsCloning23:
         pns_cloning_attack(make_ngs23, 0.2, 10.3, [0.3])
 
     def test_crossing_near_8p5pct_qber(self):
-        rows = pns_cloning_attack(make_ngs23, 0.2, 12.0,
-                                  np.linspace(1e-4, math.pi / 2, 400))
-        crossing = information_crossing(rows, axis="qber_sifted")
+        points = pns_cloning_attack(make_ngs23, 0.2, 12.0,
+                                    np.linspace(1e-4, math.pi / 2, 400))
+        crossing = information_crossing(points)
         assert crossing == pytest.approx(0.085, abs=0.005)
 
     def test_symmetrized_machine_dominates_at_small_disturbance(self):
         for d in (0.002, 0.005, 0.01, 0.02):
             g = cloning.ngs23_gamma_for_disturbance(d)
-            ngs = sifted_point(make_ngs23(g))
-            cf = sifted_point(make_cerf23(math.sqrt(d / 2)))
-            assert ngs["disturbance"] == pytest.approx(cf["disturbance"], abs=1e-9)
-            assert ngs["i_eve"] > cf["i_eve"]
+            ngs = sifted_points(make_ngs23(g))
+            cf = sifted_points(make_cerf23(math.sqrt(d / 2)))
+            assert ngs["disturbance"][0] == pytest.approx(cf["disturbance"][0], abs=1e-9)
+            assert ngs["i_eve"][0] > cf["i_eve"][0]
 
     def test_zero_disturbance_limit_is_single_copy_storing(self):
         # with a perfect clone forwarded, the eavesdropper keeps exactly one
         # pristine copy, so the limit is the one-copy stored-pair value
         expected = qmath.binary_information(0.5 * (1 - math.sqrt(0.5)))
         for machine in (make_ngs23(1e-6), make_cerf23(1e-7)):
-            row = sifted_point(machine)
-            assert row["i_eve"] == pytest.approx(expected, abs=1e-4)
+            point = sifted_points(machine)
+            assert point["i_eve"][0] == pytest.approx(expected, abs=1e-4)
 
 
 class TestReferenceCurve:

@@ -82,26 +82,26 @@ class TestSymmetricBasis:
 class TestPartialTrace:
     def test_maximally_entangled(self):
         for keep in ([0], [1]):
-            red = partial_trace(qmath.PHI_PLUS.outer(), keep, 2)
+            red = partial_trace(qmath.PHI_PLUS.outer(), keep)
             assert np.allclose(red.m, np.eye(2) / 2)
 
     def test_product_state(self, rng):
         psi = StateVector(random_qubit(rng))
         rho = StateVector(np.kron(psi.a, qmath.KET_0.a)).outer()
-        red = partial_trace(rho, [0], 2)
+        red = partial_trace(rho, [0])
         assert np.max(np.abs(red.m - psi.outer().m)) < 1e-12
 
     def test_trace_and_positivity_preserved(self, rng):
         for _ in range(50):
             rho = Operator(random_density(rng, 8))
-            red = partial_trace(rho, [0, 2], 3)
+            red = partial_trace(rho, [0, 2])
             assert red.trace().real == pytest.approx(1.0, abs=1e-12)
             w, _ = eig_hermitian(red)
             assert w[0] >= -1e-10
 
     def test_invalid_index(self):
         with pytest.raises(ValueError):
-            partial_trace(qmath.PHI_PLUS.outer(), [2], 2)
+            partial_trace(qmath.PHI_PLUS.outer(), [2])
 
 
 class TestEig:
