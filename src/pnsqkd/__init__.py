@@ -3,7 +3,9 @@ photon-number-splitting and cloning attacks.
 
 Submodules:
 
-qmath           few-qubit linear algebra and quantum-information primitives
+qmath           few-qubit linear algebra and quantum-information primitives;
+                states are 1-D and operators 2-D complex128 arrays, built
+                with their checks by ``qmath.state`` and ``qmath.measurement``
 photonics       Poisson source and click sums, channel attenuation, QBER model
 discrimination  two-state POVM and filter, overlap penalty, multicopy
                 unambiguous-discrimination success probability
@@ -15,9 +17,6 @@ validation      the anchor self-check suite behind ``validate``
 cli             curve sweeps, reports and self checks
 """
 from .qmath import (
-    GeneralizedMeasurement,
-    Operator,
-    StateVector,
     apply_measurement,
     binary_information,
     eig_hermitian,

@@ -333,8 +333,6 @@ def _cmd_curve(args):
 
 
 def _cmd_report(args):
-    if args.report_id != "geneva-lausanne":
-        raise ValueError(f"unknown report {args.report_id!r}")
     gl = keyrate.geneva_lausanne_report(alpha=args.alpha)
     payload = {
         "mu": float(_fmt(gl.mu)),

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import attacks, qmath, solvers
 from .attacks import InfeasibleModelError
-from .qmath import StateVector, partial_trace
+from .qmath import partial_trace
 
 ISOMETRY_TOL = 1e-12
 
@@ -48,7 +48,7 @@ class CloningMachine:
     def __post_init__(self):
         v = self.isometry
         gram = np.swapaxes(v.conj(), -1, -2) @ v
-        if np.max(np.abs(gram - np.eye(v.shape[-1])), initial=0.0) > ISOMETRY_TOL:
+        if not np.max(np.abs(gram - np.eye(v.shape[-1])), initial=0.0) <= ISOMETRY_TOL:
             raise ValueError(f"{self.name}: isometry defect exceeds tolerance")
 
     @property
@@ -57,13 +57,13 @@ class CloningMachine:
 
     def input_coordinates(self, psi):
         if self.isometry.shape[-1] == 2:
-            return psi.a
+            return psi
         return qmath.symmetric_coordinates(psi, 2)
 
     def apply_to_qubit(self, psi):
         """Full output state for a single-qubit signal (pairs are lifted)."""
         _require_single(self)
-        return StateVector(self.isometry @ self.input_coordinates(psi))
+        return qmath.state(self.isometry @ self.input_coordinates(psi))
 
 
 def _require_single(machine):
@@ -93,13 +93,13 @@ _NG23_SIN = _basis_sums(8, "", "001", "011 101")
 # Bell-ancilla machines: input (x) ancilla pair, with the pair written in
 # swapped order so the clone lands next to the input.  Swapping the pair
 # leaves Phi+, Phi- and Psi+ unchanged and negates Psi-.
-_PHIP, _PHIM, _PSIP = (b.a[:, None] for b in (qmath.PHI_PLUS, qmath.PHI_MINUS, qmath.PSI_PLUS))
-_PSIM_SWAPPED = -qmath.PSI_MINUS.a[:, None]
-_X, _Y, _Z = qmath.SIGMA_X.m, qmath.SIGMA_Y.m, qmath.SIGMA_Z.m
+_PHIP, _PHIM, _PSIP = (b[:, None] for b in (qmath.PHI_PLUS, qmath.PHI_MINUS, qmath.PSI_PLUS))
+_PSIM_SWAPPED = -qmath.PSI_MINUS[:, None]
+_X, _Y, _Z = qmath.SIGMA_X, qmath.SIGMA_Y, qmath.SIGMA_Z
 _CERF12_F = np.kron(np.eye(2), _PHIP)
 _CERF12_G = np.kron(_Z, _PHIM)
 _CERF12_SQRT_FG = np.kron(_X, _PSIP) + 1j * np.kron(_Y, _PSIM_SWAPPED)
-_PAIR = np.column_stack([b.a for b in qmath.symmetric_basis(2)])
+_PAIR = np.column_stack(qmath.symmetric_basis(2))
 _X2, _Y2, _Z2 = (np.kron(p, np.eye(2)) + np.kron(np.eye(2), p) for p in (_X, _Y, _Z))
 _CERF23_V = np.kron(_PAIR, _PHIP)
 _CERF23_X = (np.kron(_Z2 @ _PAIR, _PHIM) + np.kron(_X2 @ _PAIR, _PSIP)
@@ -218,6 +218,8 @@ def ng23_fidelities(gamma):
 
 
 def cerf23_fidelities(x):
+    if not 0.0 <= x <= 1 / math.sqrt(8):
+        raise ValueError("x must be in [0, 1/sqrt 8]")
     v = math.sqrt(max(0.0, 1.0 - 8.0 * x * x))
     return 1.0 - 2.0 * x * x, 1.0 - 0.5 * (v - 2.0 * x) ** 2
 
@@ -225,16 +227,15 @@ def cerf23_fidelities(x):
 def clone_reduced_states(machine, psi):
     """Reduced state and fidelity of every declared clone position.
 
-    Applies the isometry to the (lifted) input, forms the output projector
-    and partial-traces down to each clone qubit.  Returns a list of
-    (position, Operator, fidelity).
+    Applies the isometry to the (lifted) input and partial-traces its
+    projector down to each clone qubit.  Returns a list of
+    (position, reduced density operator, fidelity).
     """
     out = machine.apply_to_qubit(psi)
-    rho = out.outer()
     results = []
     for pos in machine.clone_positions:
-        red = partial_trace(rho, [pos])
-        fid = float(red.expectation(psi).real)
+        red = partial_trace(out, [pos])
+        fid = float(np.vdot(psi, red @ psi).real)
         results.append((pos, red, fid))
     return results
 
@@ -254,7 +255,7 @@ def _receiver_amplitudes(machine, inputs, outcomes):
     # below rounds exactly as the single-machine one
     out = np.ascontiguousarray(np.moveaxis(v @ columns, 2, 1))
     out = out.reshape(len(v), len(inputs), 2, v.shape[1] // 2)
-    return np.stack([o.a.conj() @ out for o in outcomes], axis=2)
+    return np.stack([o.conj() @ out for o in outcomes], axis=2)
 
 
 def _squared_norms(e):

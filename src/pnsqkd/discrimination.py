@@ -14,9 +14,8 @@ import numpy as np
 
 from . import qmath
 from .qmath import (
-    GeneralizedMeasurement,
-    Operator,
     eig_hermitian,
+    measurement,
     operator_sqrt_psd,
     orthogonal_qubit,
     symmetric_coordinates,
@@ -33,7 +32,7 @@ def b92_pair(eta):
     if not 0 < eta <= math.pi / 2:
         raise ValueError("eta must be in (0, pi/2]")
     c, s = math.cos(eta / 2), math.sin(eta / 2)
-    return qmath.qubit(c, s), qmath.qubit(c, -s)
+    return qmath.state([c, s]), qmath.state([c, -s])
 
 
 def b92_povm(eta):
@@ -50,13 +49,13 @@ def b92_povm(eta):
     scale = 1.0 / (1.0 + math.cos(eta))
     perp1 = orthogonal_qubit(psi1)
     perp0 = orthogonal_qubit(psi0)
-    pi0 = scale * perp1.outer().m
-    pi1 = scale * perp0.outer().m
+    pi0 = scale * np.outer(perp1, perp1.conj())
+    pi1 = scale * np.outer(perp0, perp0.conj())
     pi_inc = np.eye(2) - pi0 - pi1
-    return GeneralizedMeasurement([
-        ("0", operator_sqrt_psd(Operator(pi0))),
-        ("1", operator_sqrt_psd(Operator(pi1))),
-        ("?", operator_sqrt_psd(Operator(pi_inc))),
+    return measurement([
+        ("0", operator_sqrt_psd(pi0)),
+        ("1", operator_sqrt_psd(pi1)),
+        ("?", operator_sqrt_psd(pi_inc)),
     ])
 
 
@@ -73,14 +72,14 @@ def b92_filter(eta):
     c, s = math.cos(eta / 2), math.sin(eta / 2)
     # perpendicular states phased so both cross-overlaps are +sin(eta); the
     # relative branch phase is what sends the conjugate set onto the y basis
-    perp1 = qmath.qubit(s, c)
-    perp0 = qmath.qubit(s, -c)
-    a_ok = (np.outer(qmath.PLUS_X.a, perp1.a.conj())
-            + np.outer(qmath.MINUS_X.a, perp0.a.conj())) / math.sqrt(1.0 + math.cos(eta))
+    perp1 = qmath.state([s, c])
+    perp0 = qmath.state([s, -c])
+    a_ok = (np.outer(qmath.PLUS_X, perp1.conj())
+            + np.outer(qmath.MINUS_X, perp0.conj())) / math.sqrt(1.0 + math.cos(eta))
     remainder = np.eye(2) - a_ok.conj().T @ a_ok
-    return GeneralizedMeasurement([
-        ("ok", Operator(a_ok)),
-        ("?", operator_sqrt_psd(Operator(remainder))),
+    return measurement([
+        ("ok", a_ok),
+        ("?", operator_sqrt_psd(remainder)),
     ])
 
 
@@ -115,7 +114,7 @@ def linear_independence_check(states):
     n = len(states)
     for i in range(n):
         for j in range(i + 1, n):
-            if abs(states[i].overlap(states[j])) >= 1.0 - DISTINCT_TOL:
+            if abs(np.vdot(states[i], states[j])) >= 1.0 - DISTINCT_TOL:
                 raise ValueError(f"states {i} and {j} are not distinct")
     cols = np.column_stack([symmetric_coordinates(s, n - 1) for s in states])
     det = abs(np.linalg.det(cols))

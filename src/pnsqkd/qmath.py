@@ -3,8 +3,11 @@
 Everything here is sized for few-qubit problems (dimension <= 32): pure
 states, operators, Kraus-style generalized measurements, the symmetric
 subspace of n qubits, Helstrom discrimination and the binary mutual
-information.  Kronecker convention: the left tensor factor is the slow
-index, i.e. qubit 0 is the most significant bit of the basis label.
+information.  States are 1-D and operators 2-D complex128 arrays, and a
+measurement is a list of (label, operator) pairs; ``state`` and
+``measurement`` build them with their checks.  Kronecker convention: the
+left tensor factor is the slow index, i.e. qubit 0 is the most
+significant bit of the basis label.
 """
 from __future__ import annotations
 
@@ -19,134 +22,66 @@ PSD_TOL = 1e-10
 _UNREACHABLE_P = 1e-14
 
 
-class StateVector:
-    """Pure state on a finite-dimensional space.
-
-    Amplitudes are stored as a 1-D complex array.  Construction checks
-    normalization to 1e-12.
-    """
-
-    __slots__ = ("a",)
-
-    def __init__(self, amplitudes):
-        a = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
-        if a.size == 0:
-            raise ValueError("empty state vector")
-        n = float(np.vdot(a, a).real)
-        if abs(n - 1.0) > NORM_TOL:
-            raise ValueError(f"state not normalized: |psi|^2 = {n!r}")
-        self.a = a
-
-    @property
-    def dim(self):
-        return self.a.size
-
-    def overlap(self, other):
-        """Inner product <self|other>."""
-        return complex(np.vdot(self.a, other.a))
-
-    def outer(self):
-        """Projector |psi><psi| as an Operator."""
-        return Operator(np.outer(self.a, self.a.conj()))
-
-    def __repr__(self):
-        return f"StateVector({self.a!r})"
+def state(amplitudes):
+    """Pure state as a 1-D complex128 array, checked to be normalized to 1e-12."""
+    a = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
+    if a.size == 0:
+        raise ValueError("empty state vector")
+    n = float(np.vdot(a, a).real)
+    if not abs(n - 1.0) <= NORM_TOL:
+        raise ValueError(f"state not normalized: |psi|^2 = {n!r}")
+    return a
 
 
-class Operator:
-    """Dense square operator."""
-
-    __slots__ = ("m",)
-
-    def __init__(self, matrix):
-        m = np.asarray(matrix, dtype=np.complex128)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("operator must be a square matrix")
-        self.m = m
-
-    @property
-    def dim(self):
-        return self.m.shape[0]
-
-    def trace(self):
-        return complex(np.trace(self.m))
-
-    def expectation(self, psi):
-        """<psi| self |psi>."""
-        return complex(np.vdot(psi.a, self.m @ psi.a))
-
-    def __repr__(self):
-        return f"Operator({self.m!r})"
-
-
-class GeneralizedMeasurement:
-    """Outcome-labeled set of measurement operators {A_i}.
+def measurement(outcomes):
+    """Generalized measurement as a list of (label, operator) pairs {A_i}.
 
     Completeness is the standard convention sum_i A_i^dag A_i = identity,
-    checked to 1e-10 at construction.
+    checked to 1e-10.
     """
+    outcomes = [(str(label), np.asarray(op, dtype=np.complex128)) for label, op in outcomes]
+    if not outcomes:
+        raise ValueError("measurement needs at least one outcome")
+    total = sum(op.conj().T @ op for _, op in outcomes)
+    defect = float(np.max(np.abs(total - np.eye(len(total)))))
+    if not defect <= COMPLETENESS_TOL:
+        raise ValueError(f"completeness violated: defect {defect:g}")
+    return outcomes
 
-    __slots__ = ("outcomes",)
 
-    def __init__(self, outcomes):
-        self.outcomes = [(str(label), op if isinstance(op, Operator) else Operator(op))
-                         for label, op in outcomes]
-        if not self.outcomes:
-            raise ValueError("measurement needs at least one outcome")
-        err = self.completeness_defect()
-        if err > COMPLETENESS_TOL:
-            raise ValueError(f"completeness violated: defect {err:g}")
-
-    @property
-    def dim(self):
-        return self.outcomes[0][1].dim
-
-    def completeness_defect(self):
-        total = sum(op.m.conj().T @ op.m for _, op in self.outcomes)
-        return float(np.max(np.abs(total - np.eye(self.dim))))
+def _density(rho):
+    """rho as a complex array; a 1-D state becomes its projector."""
+    rho = np.asarray(rho, dtype=np.complex128)
+    return np.outer(rho, rho.conj()) if rho.ndim == 1 else rho
 
 
 # ---------------------------------------------------------------------------
 # fixed states and operators
 
-def ket(*bits):
-    """Computational basis state |b0 b1 ...>, qubit 0 most significant."""
-    v = np.zeros(2 ** len(bits), dtype=np.complex128)
-    idx = 0
-    for b in bits:
-        idx = (idx << 1) | int(b)
-    v[idx] = 1.0
-    return StateVector(v)
-
-
-def qubit(alpha, beta):
-    return StateVector(np.array([alpha, beta], dtype=np.complex128))
-
-
 def equatorial(theta):
     """Equatorial Bloch state (|0> + e^{i theta} |1>)/sqrt(2)."""
-    return qubit(1 / math.sqrt(2), np.exp(1j * theta) / math.sqrt(2))
+    return state([1 / math.sqrt(2), np.exp(1j * theta) / math.sqrt(2)])
 
 
-KET_0 = ket(0)
+KET_0 = state([1, 0])
 PLUS_X = equatorial(0.0)
 MINUS_X = equatorial(math.pi)
 PLUS_Y = equatorial(math.pi / 2)
 
-SIGMA_X = Operator([[0, 1], [1, 0]])
-SIGMA_Y = Operator([[0, -1j], [1j, 0]])
-SIGMA_Z = Operator([[1, 0], [0, -1]])
+SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
+SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 
-PHI_PLUS = StateVector(np.array([1, 0, 0, 1]) / math.sqrt(2))
-PHI_MINUS = StateVector(np.array([1, 0, 0, -1]) / math.sqrt(2))
-PSI_PLUS = StateVector(np.array([0, 1, 1, 0]) / math.sqrt(2))
-PSI_MINUS = StateVector(np.array([0, 1, -1, 0]) / math.sqrt(2))
+PHI_PLUS = state(np.array([1, 0, 0, 1]) / math.sqrt(2))
+PHI_MINUS = state(np.array([1, 0, 0, -1]) / math.sqrt(2))
+PSI_PLUS = state(np.array([0, 1, 1, 0]) / math.sqrt(2))
+PSI_MINUS = state(np.array([0, 1, -1, 0]) / math.sqrt(2))
 
 
 def orthogonal_qubit(psi):
     """The qubit orthogonal to |psi> (global phase arbitrary)."""
-    a, b = psi.a
-    return StateVector(np.array([-np.conj(b), np.conj(a)]))
+    a, b = psi
+    return state(np.array([-np.conj(b), np.conj(a)]))
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +90,7 @@ def orthogonal_qubit(psi):
 def symmetric_basis(n):
     """Orthonormal Dicke basis of the symmetric subspace of n qubits.
 
-    Returns n+1 StateVectors of dimension 2^n ordered by excitation number
+    Returns n+1 states of dimension 2^n ordered by excitation number
     ascending.  The span contains |psi>^(x n) for every single-qubit state.
     """
     if not 1 <= n <= 8:
@@ -166,7 +101,7 @@ def symmetric_basis(n):
         for idx in range(2**n):
             if bin(idx).count("1") == k:
                 v[idx] = 1.0
-        basis.append(StateVector(v / np.linalg.norm(v)))
+        basis.append(state(v / np.linalg.norm(v)))
     return basis
 
 
@@ -175,7 +110,7 @@ def symmetric_coordinates(psi, n):
 
     For psi = (a, b): coordinate k is sqrt(C(n,k)) a^(n-k) b^k.
     """
-    a, b = psi.a
+    a, b = psi
     return np.array(
         [math.sqrt(math.comb(n, k)) * a ** (n - k) * b**k for k in range(n + 1)],
         dtype=np.complex128,
@@ -183,27 +118,27 @@ def symmetric_coordinates(psi, n):
 
 
 def partial_trace(rho, keep):
-    """Partial trace of a multi-qubit operator, keeping the listed qubits.
+    """Partial trace of a multi-qubit operator (or of a state's projector),
+    keeping the listed qubits.
 
     Qubit 0 is the most significant index.  Trace and positivity are
     preserved for density operators.
     """
-    if isinstance(rho, StateVector):
-        rho = rho.outer()
-    n = rho.dim.bit_length() - 1
-    if 2**n != rho.dim:
+    rho = _density(rho)
+    n = len(rho).bit_length() - 1
+    if 2**n != len(rho):
         raise ValueError("operator dimension is not a power of two")
     keep = sorted(set(int(k) for k in keep))
     if not keep or any(k < 0 or k >= n for k in keep):
         raise ValueError("invalid qubit index set")
-    t = rho.m.reshape((2,) * (2 * n))
+    t = rho.reshape((2,) * (2 * n))
     idx = list(range(2 * n))
     for q in range(n):
         if q not in keep:
             idx[n + q] = idx[q]
     out_idx = [idx[q] for q in keep] + [idx[n + q] for q in keep]
     k = len(keep)
-    return Operator(np.einsum(t, idx, out_idx).reshape(2**k, 2**k))
+    return np.einsum(t, idx, out_idx).reshape(2**k, 2**k)
 
 
 def eig_hermitian(a):
@@ -213,14 +148,14 @@ def eig_hermitian(a):
     LAPACK via ``numpy.linalg.eigh``, one call for the whole stack; raises
     if any matrix is not Hermitian.
     """
-    m = a.m if isinstance(a, Operator) else np.asarray(a, dtype=np.complex128)
+    m = np.asarray(a, dtype=np.complex128)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError("expected a square matrix or a stack of them")
     size = m.shape[-1] ** 2
     mh = m.conj().swapaxes(-1, -2)
     defect = np.abs(m - mh).reshape(-1, size).max(axis=1)
     scale = np.abs(m).reshape(-1, size).max(axis=1)
-    if (defect > 1e-10 * np.maximum(scale, 1.0)).any():
+    if not (defect <= 1e-10 * np.maximum(scale, 1.0)).all():
         raise ValueError("matrix is not Hermitian")
     m = m + mh
     m *= 0.5
@@ -232,7 +167,7 @@ def operator_sqrt_psd(a):
     w, v = eig_hermitian(a)
     if w[0] < -PSD_TOL:
         raise ValueError("operator is not positive semidefinite")
-    return Operator((v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T)
+    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
 
 
 def trace_norm(a):
@@ -243,44 +178,25 @@ def trace_norm(a):
     return float(norms) if norms.ndim == 0 else norms
 
 
-class MeasurementOutcome:
-    """One branch of a measurement: label, probability and post-state.
+def apply_measurement(meas, rho):
+    """Apply a generalized measurement, checked again by ``measurement``,
+    to a density operator or a state.
 
-    ``post_state`` is None for branches with probability below 1e-14
-    (marked unreachable rather than divided by ~0).
+    Returns one (label, p, post) tuple per outcome, with
+    p = tr(A rho A^dag) and post-state A rho A^dag / p; post is None for
+    branches with p below 1e-14 (marked unreachable rather than divided by
+    ~0).  Probabilities sum to one within 1e-10 when the input is a valid
+    density operator.
     """
-
-    __slots__ = ("label", "probability", "post_state")
-
-    def __init__(self, label, probability, post_state):
-        self.label = label
-        self.probability = probability
-        self.post_state = post_state
-
-    def __repr__(self):
-        return f"MeasurementOutcome({self.label!r}, p={self.probability:.6g})"
-
-
-def apply_measurement(measurement, rho):
-    """Apply a generalized measurement to a density operator.
-
-    Returns the list of outcomes with p_i = tr(A_i rho A_i^dag) and
-    post-states A_i rho A_i^dag / p_i.  Probabilities sum to one within
-    1e-10 when the input is a valid density operator.
-    """
-    if isinstance(rho, StateVector):
-        rho = rho.outer()
-    defect = measurement.completeness_defect()
-    if defect > COMPLETENESS_TOL:
-        raise ValueError(f"completeness violated: defect {defect:g}")
+    rho = _density(rho)
     results = []
-    for label, op in measurement.outcomes:
-        t = op.m @ rho.m @ op.m.conj().T
+    for label, op in measurement(meas):
+        t = op @ rho @ op.conj().T
         p = float(np.trace(t).real)
         if p > _UNREACHABLE_P:
-            results.append(MeasurementOutcome(label, p, Operator(t / p)))
+            results.append((label, p, t / p))
         else:
-            results.append(MeasurementOutcome(label, max(p, 0.0), None))
+            results.append((label, max(p, 0.0), None))
     return results
 
 
@@ -293,10 +209,8 @@ def helstrom_error(rho0, rho1, prior0=0.5):
     """
     if not 0.0 <= prior0 <= 1.0:
         raise ValueError("prior must be in [0, 1]")
-    m0, m1 = (r.outer().m if isinstance(r, StateVector) else getattr(r, "m", r)
-              for r in (rho0, rho1))
-    gamma = prior0 * np.asarray(m0, dtype=np.complex128)
-    gamma -= (1.0 - prior0) * np.asarray(m1, dtype=np.complex128)
+    gamma = prior0 * _density(rho0)
+    gamma -= (1.0 - prior0) * _density(rho1)
     return 0.5 * (1.0 - trace_norm(gamma))
 
 
@@ -332,6 +246,8 @@ def two_mode_number_state(n, phase, ratio):
     """
     if n < 0:
         raise ValueError("photon number must be non-negative")
+    if not (math.isfinite(ratio) and math.isfinite(phase)):
+        raise ValueError("intensity ratio and phase must be finite")
     if ratio <= 0:
         raise ValueError("intensity ratio must be positive")
     logt = math.log(ratio)
@@ -340,7 +256,7 @@ def two_mode_number_state(n, phase, ratio):
     for m in range(n + 1):
         lc = lgamma(n + 1) - lgamma(m + 1) - lgamma(n - m + 1)
         amps[m] = math.exp(0.5 * (lc + m * logt - n * log1t)) * np.exp(1j * m * phase)
-    return StateVector(amps)
+    return state(amps)
 
 
 def two_mode_overlap(n, ratio):

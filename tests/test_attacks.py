@@ -254,7 +254,7 @@ class TestFourStateIrud:
 
 class TestStoring:
     def test_orthogonal_pair(self):
-        _, info = storing_attack_info((qmath.KET_0, qmath.ket(1)))
+        _, info = storing_attack_info((qmath.KET_0, qmath.state([0, 1])))
         assert info == pytest.approx(1.0, abs=1e-12)
 
     def test_four_state_pair(self):

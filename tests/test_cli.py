@@ -156,6 +156,8 @@ class TestExitCodes:
         (["curve", "ieclon12", "--gamma", "0:1.5707963267948966:0.06283185307179587"], 0),
         # above about 3,072 dB the strong reference pulse overflows a float
         (["curve", "strongpulse", "--d", "0:20000:10000"], 2),
+        # argparse choices hold the only report id
+        (["report", "nope"], 2),
     ])
     def test_domain_and_ladder_exit_codes(self, args, code):
         proc = run_cli(args)

@@ -28,7 +28,7 @@ EQUATOR = [qmath.equatorial(th) for th in np.linspace(0, 2 * math.pi, 32, endpoi
 
 
 def _ket(bits):
-    return qmath.ket(*map(int, bits)).a
+    return np.eye(2 ** len(bits), dtype=complex)[int(bits, 2)]
 
 
 def _move_qubit(vec, src, dst):
@@ -39,9 +39,8 @@ def _move_qubit(vec, src, dst):
 def _direct_isometry(name, p):
     """Reference: each isometry built column by column from basis kets,
     Kronecker products and an explicit qubit move and flip matrix."""
-    phip, phim, psip, psim = (b.a for b in (qmath.PHI_PLUS, qmath.PHI_MINUS,
-                                            qmath.PSI_PLUS, qmath.PSI_MINUS))
-    x_, y_, z_ = qmath.SIGMA_X.m, qmath.SIGMA_Y.m, qmath.SIGMA_Z.m
+    phip, phim, psip, psim = qmath.PHI_PLUS, qmath.PHI_MINUS, qmath.PSI_PLUS, qmath.PSI_MINUS
+    x_, y_, z_ = qmath.SIGMA_X, qmath.SIGMA_Y, qmath.SIGMA_Z
     c, s = math.cos(p), math.sin(p)
     if name == "ng12":
         return np.column_stack([_ket("00"), c * _ket("10") + s * _ket("01")])
@@ -80,9 +79,9 @@ def _oracle_sifted_point(machine, announced=("+x", "+y")):
     its own projections, density operators and Helstrom bound, for any
     announced pair."""
     def project(out, outcome):  # receiver's clone onto <outcome|
-        t = out.a.reshape((2,) * machine.n_qubits)
+        t = out.reshape((2,) * machine.n_qubits)
         t = np.moveaxis(t, machine.clone_positions[0], 0).reshape(2, -1)
-        return outcome.a.conj() @ t
+        return outcome.conj() @ t
 
     s0, s1 = (STATE_BY_NAME[a] for a in announced)
     perp0, perp1 = qmath.orthogonal_qubit(s0), qmath.orthogonal_qubit(s1)
@@ -93,7 +92,7 @@ def _oracle_sifted_point(machine, announced=("+x", "+y")):
         w_err, w_ok = float(np.vdot(e_err, e_err).real), float(np.vdot(e_ok, e_ok).real)
         qbers.append(w_err / (w_err + w_ok))
         rho = 0.5 * (np.outer(e_err, e_err.conj()) + np.outer(e_ok, e_ok.conj()))
-        rhos.append(qmath.Operator(rho / (0.5 * (w_err + w_ok))))
+        rhos.append(rho / (0.5 * (w_err + w_ok)))
     p_e = qmath.helstrom_error(rhos[0], rhos[1], 0.5)
     wrong = project(machine.apply_to_qubit(qmath.PLUS_X), qmath.MINUS_X)
     qber = 0.5 * (qbers[0] + qbers[1])
@@ -189,8 +188,8 @@ class TestNg12:
         g = 0.7
         psi = qmath.equatorial(1.1)
         _, rho, fid = clone_reduced_states(make_ng12(g), psi)[0]
-        rx = np.trace(rho.m @ qmath.SIGMA_X.m).real
-        ry = np.trace(rho.m @ qmath.SIGMA_Y.m).real
+        rx = np.trace(rho @ qmath.SIGMA_X).real
+        ry = np.trace(rho @ qmath.SIGMA_Y).real
         assert rx == pytest.approx(math.cos(g) * math.cos(1.1), abs=1e-12)
         assert ry == pytest.approx(math.cos(g) * math.sin(1.1), abs=1e-12)
         assert fid == pytest.approx((1 + math.cos(g)) / 2, abs=1e-12)
@@ -207,7 +206,7 @@ class TestCerf12:
         # clone 1 perfect, ancilla pair in the maximally entangled state
         fids = [f for _, _, f in clone_reduced_states(m, qmath.PLUS_X)]
         assert fids[0] == pytest.approx(1.0, abs=1e-12)
-        anc = qmath.partial_trace(out.outer(), [1, 2])
+        anc = qmath.partial_trace(out, [1, 2])
         w, _ = qmath.eig_hermitian(anc)
         assert w[-1] == pytest.approx(1.0, abs=1e-10)  # pure ancilla state
 
@@ -232,7 +231,7 @@ class TestCerf12:
     def test_output_normalization(self):
         for F in np.linspace(0.5, 1.0, 20):
             out = make_cerf12(F).apply_to_qubit(qmath.PLUS_Y)
-            assert np.linalg.norm(out.a) == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
 
     def test_phase_covariance(self):
         fids = [clone_reduced_states(make_cerf12(0.85), psi)[1][2] for psi in EQUATOR]
@@ -309,7 +308,7 @@ class TestCerf23:
         x = 0.21
         m = make_cerf23(x)
         for _ in range(32):
-            psi = qmath.StateVector(random_qubit(rng))
+            psi = qmath.state(random_qubit(rng))
             fids = [f for _, _, f in clone_reduced_states(m, psi)]
             assert fids[0] == pytest.approx(1 - 2 * x * x, abs=1e-10)
             assert fids[1] == pytest.approx(1 - 2 * x * x, abs=1e-10)
@@ -319,7 +318,7 @@ class TestCerf23:
         v = math.sqrt(1 - 8 * x * x)
         m = make_cerf23(x)
         for _ in range(32):
-            psi = qmath.StateVector(random_qubit(rng))
+            psi = qmath.state(random_qubit(rng))
             f3 = clone_reduced_states(m, psi)[2][2]
             assert f3 == pytest.approx(1 - 0.5 * (v - 2 * x) ** 2, abs=1e-10)
 
@@ -346,6 +345,11 @@ class TestCerf23:
         grid_max = max(cerf23_fidelities(x)[1]
                        for x in np.linspace(0, 1 / math.sqrt(8), 400))
         assert grid_max == pytest.approx(1.0, abs=1e-5)
+
+    @pytest.mark.parametrize("x", [-1e-9, 1 / math.sqrt(8) + 1e-12, 1.0, math.nan])
+    def test_closed_form_range(self, x):
+        with pytest.raises(ValueError, match=r"x must be in \[0, 1/sqrt 8\]"):
+            cerf23_fidelities(x)
 
     def test_closed_form_helper(self):
         for x in np.linspace(0, 1 / math.sqrt(8), 25):
