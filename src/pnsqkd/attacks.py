@@ -9,6 +9,7 @@ introducing errors.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from . import discrimination, photonics, qmath, solvers
 from .photonics import (
     SourceChannelModel,
-    poisson_click_sum,
+    poisson_click_sums,
     poisson_cutoff,
     transmission,
 )
@@ -381,28 +382,37 @@ def nb_critical_usd(n_bases, model=None):
     p_ok = discrimination.usd_optimal_pok(n_bases)
     if model is None:
         model = SourceChannelModel(mu=mu)
-    target = p_ok * poisson_click_sum(mu, model.eta_det, n_e - 1, poisson_cutoff(mu))
+    target = p_ok * poisson_click_sums(mu, model.eta_det, poisson_cutoff(mu))[n_e - 1]
     return _solve_click_attenuation(model, mu, target)
 
 
-def nb_storing_critical(n_bases, n_stored, model=None):
-    """Attenuation at which storing ``n_stored`` photons per pulse becomes
-    rate invisible, with the information it yields.
+def _storing_rungs(n_bases, model):
+    """(delta(n_s), I(n_s)) for n_s = 1, 2, ..., every click sum from one pass.
 
     Both sides count detector clicks: 1 - e^(-eta mu 10^(-d/10))
       = sum_{m>=n_s} p(m, mu) (1 - (1 - eta)^(m - n_s)).
     The stored copies are discriminated collectively, so the effective
-    overlap is cos(pi/(2 n_b))^n_s.  Returns (delta_db, i_eve).
+    overlap is cos(pi/(2 n_b))^n_s.  Past the Poisson cutoff the sum is 0
+    and the attenuation infinite.
     """
+    mu = nb_mu(n_bases)
+    sums = poisson_click_sums(mu, model.eta_det, poisson_cutoff(mu))
+    overlap = nb_neighbor_overlap(n_bases)
+    for n_s in itertools.count(1):
+        target = sums[n_s] if n_s < len(sums) else 0.0
+        i_eve = qmath.binary_information(qmath.pure_state_error(overlap ** n_s))
+        yield _solve_click_attenuation(model, mu, target), i_eve
+
+
+def nb_storing_critical(n_bases, n_stored, model=None):
+    """Rung ``n_stored`` of ``_storing_rungs``: the attenuation at which storing
+    that many photons per pulse becomes rate invisible, and the information
+    it yields, as (delta_db, i_eve)."""
     if n_stored < 1:
         raise ValueError("n_stored must be at least 1")
-    mu = nb_mu(n_bases)
-    overlap = nb_neighbor_overlap(n_bases) ** n_stored
-    i_eve = qmath.binary_information(qmath.pure_state_error(overlap))
     if model is None:
-        model = SourceChannelModel(mu=mu)
-    target = poisson_click_sum(mu, model.eta_det, n_stored, poisson_cutoff(mu))
-    return _solve_click_attenuation(model, mu, target), i_eve
+        model = SourceChannelModel(mu=nb_mu(n_bases))
+    return next(itertools.islice(_storing_rungs(n_bases, model), n_stored - 1, None))
 
 
 def nb_storing_ladder(n_bases, model=None):
@@ -413,12 +423,10 @@ def nb_storing_ladder(n_bases, model=None):
     pulse holds n_s photons, so the rung is unreachable (infinite
     attenuation); reaching it first raises InfeasibleModelError.
     """
-    mu = nb_mu(n_bases)
     if model is None:
-        model = SourceChannelModel(mu=mu)
+        model = SourceChannelModel(mu=nb_mu(n_bases))
     ladder = []
-    for n_s in itertools.count(1):
-        delta, i_eve = nb_storing_critical(n_bases, n_s, model)
+    for n_s, (delta, i_eve) in enumerate(_storing_rungs(n_bases, model), 1):
         if math.isinf(delta):
             raise InfeasibleModelError(
                 f"storing ladder for {n_bases} bases: no reachable rung with {n_s} stored "
@@ -441,8 +449,8 @@ def nb_storing_info_at(ladder, delta_db):
         return 0.0
     if delta_db >= ladder[-1][0]:
         return ladder[-1][1]
-    for (d0, i0), (d1, i1) in zip(ladder, ladder[1:]):
-        if d0 <= delta_db <= d1:
-            t = (delta_db - d0) / (d1 - d0)
-            return i0 + t * (i1 - i0)
-    return ladder[-1][1]
+    # the first rung at or above delta_db, as a scan for d0 <= delta_db <= d1 finds it
+    k = bisect.bisect_left(ladder, (delta_db,))
+    (d0, i0), (d1, i1) = ladder[k - 1], ladder[k]
+    t = (delta_db - d0) / (d1 - d0)
+    return i0 + t * (i1 - i0)

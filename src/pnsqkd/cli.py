@@ -62,12 +62,15 @@ def _json_literal(x):
 
 
 def _json_column(column):
-    """``_json_literal`` of every value, by C-level maps when the column is
-    all numbers of one format."""
+    """``_json_literal`` of every value, by one %-format when the column is
+    all numbers of one format.  A ``%.12g`` text in fixed notation (a '.'
+    and no 'e') is a normal float of at most 12 significant digits, so it
+    already is its float's repr; only other texts are parsed back."""
     specs = set(map(_spec, set(map(type, column))))
     if len(specs) != 1 or "%s" in specs:
         return list(map(_json_literal, column))
-    texts = list(map(repr, map(float, map(specs.pop().__mod__, column))))
+    texts = map(specs.pop().__mod__, column)
+    texts = [t if "." in t and "e" not in t else repr(float(t)) for t in texts]
     return list(map(_JSON_NONFINITE.get, texts, texts))
 
 

@@ -3,7 +3,8 @@
 An attenuated laser pulse with no external phase reference behaves as a
 Poisson mixture of photon-number states with mean mu.  The channel is
 described by its attenuation in dB; detection by an efficiency and a
-dark-count probability per gate.
+dark-count probability per gate.  The detector click sums for every
+photon-number offset come from one backward pass.
 """
 from __future__ import annotations
 
@@ -69,26 +70,27 @@ def poisson_distribution(mu):
     return [poisson_pmf(n, mu) for n in range(poisson_cutoff(mu) + 1)]
 
 
-def poisson_click_sum(mu, eta, offset, nmax):
-    """Sum over offset < n <= nmax of p(n, mu) (1 - (1 - eta)^(n - offset)).
+def poisson_click_sums(mu, eta, nmax):
+    """Click sums S(k) = sum over k < n <= nmax of p(n, mu) (1 - (1 - eta)^(n - k))
+    for every offset k = 0..nmax, from one backward pass.
 
+    S(k) = eta T(k) + (1 - eta) S(k + 1) with S(nmax) = 0 and T(k) the
+    Poisson mass on k < n <= nmax; no term is negative, so nothing cancels.
     Poisson weights come from the stable multiplicative recurrence; the
-    caller chooses ``nmax`` so that the neglected tail is below 1e-12.
-    """
+    caller chooses ``nmax`` so that the neglected tail is below 1e-12."""
     if mu < 0.0:
         raise ValueError("mu must be non-negative")
-    if offset < 0:
-        raise ValueError("offset must be non-negative")
-    if mu == 0.0:
-        return 0.0
-    total = 0.0
-    p = math.exp(-mu)
-    loss = 1.0 - eta
+    if nmax < 0:
+        raise ValueError("nmax must be non-negative")
+    pmf = [math.exp(-mu)]
     for n in range(1, nmax + 1):
-        p *= mu / n
-        if n > offset:
-            total += p * (1.0 - loss ** (n - offset))
-    return total
+        pmf.append(pmf[-1] * (mu / n))
+    sums = [0.0] * (nmax + 1)
+    tail, loss = 0.0, 1.0 - eta
+    for k in range(nmax - 1, -1, -1):
+        tail += pmf[k + 1]
+        sums[k] = eta * tail + loss * sums[k + 1]
+    return sums
 
 
 def qber_total(model, delta_db):

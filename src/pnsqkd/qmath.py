@@ -24,7 +24,9 @@ _UNREACHABLE_P = 1e-14
 
 def state(amplitudes):
     """Pure state as a 1-D complex128 array, checked to be normalized to 1e-12."""
-    a = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
+    a = np.asarray(amplitudes, dtype=np.complex128)
+    if a.ndim != 1:
+        raise ValueError(f"state must be a 1-D amplitude vector, got shape {a.shape}")
     if a.size == 0:
         raise ValueError("empty state vector")
     n = float(np.vdot(a, a).real)

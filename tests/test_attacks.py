@@ -24,7 +24,7 @@ from pnsqkd.attacks import (
     strongpulse_asymptotic_info,
     strongpulse_b92,
 )
-from pnsqkd.photonics import SourceChannelModel, poisson_click_sum, poisson_pmf
+from pnsqkd.photonics import SourceChannelModel, poisson_click_sums, poisson_pmf
 
 
 class TestBB84:
@@ -311,6 +311,20 @@ class TestCombinedCurve:
         assert all(b >= a - 1e-9 for a, b in zip(i_eve, i_eve[1:]))
 
 
+def _scan_storing_info(ladder, delta_db):
+    """Reference rung lookup: the first rung pair d0 <= delta_db <= d1 by a
+    linear scan, interpolated linearly in attenuation."""
+    if delta_db <= ladder[0][0]:
+        return 0.0
+    if delta_db >= ladder[-1][0]:
+        return ladder[-1][1]
+    for (d0, i0), (d1, i1) in zip(ladder, ladder[1:]):
+        if d0 <= delta_db <= d1:
+            t = (delta_db - d0) / (d1 - d0)
+            return i0 + t * (i1 - i0)
+    return ladder[-1][1]
+
+
 class TestNbGeneralization:
     def test_mu_values(self):
         assert nb_mu(2) == pytest.approx(0.2, abs=1e-12)
@@ -324,8 +338,8 @@ class TestNbGeneralization:
 
         mu = nb_mu(2)
         lhs = 1 - math.exp(-model.eta_det * mu * 10 ** (-delta1 / 10))
-        rhs = usd_optimal_pok(2) * poisson_click_sum(mu, model.eta_det, 2,
-                                                     photonics.poisson_cutoff(mu))
+        rhs = usd_optimal_pok(2) * poisson_click_sums(mu, model.eta_det,
+                                                      photonics.poisson_cutoff(mu))[2]
         assert lhs == pytest.approx(rhs, abs=1e-9)
 
     def test_storing_critical_bisection_matches_closed_form(self):
@@ -335,7 +349,7 @@ class TestNbGeneralization:
             delta, _ = nb_storing_critical(n_b, n_s, model)
 
             mu = nb_mu(n_b)
-            target = poisson_click_sum(mu, model.eta_det, n_s, photonics.poisson_cutoff(mu))
+            target = poisson_click_sums(mu, model.eta_det, photonics.poisson_cutoff(mu))[n_s]
             # log1p: at ~1e-14 the target is lost to rounding in 1 - target
             expected = -10 * math.log10(-math.log1p(-target) / (model.eta_det * mu))
             assert delta == pytest.approx(expected, abs=1e-5)
@@ -349,6 +363,12 @@ class TestNbGeneralization:
         # many copies give full information
         assert nb_storing_critical(2, 40)[1] == pytest.approx(1.0, abs=1e-3)
 
+    def test_storing_rung_domain(self):
+        # no pulse holds more photons than the Poisson cutoff (36 at n_b = 2)
+        assert math.isinf(nb_storing_critical(2, 40)[0])
+        with pytest.raises(ValueError):
+            nb_storing_critical(2, 0)
+
     def test_two_bases_single_copy_matches_storing_value(self):
         _, info = nb_storing_critical(2, 1)
         assert info == pytest.approx(0.399, abs=1e-3)
@@ -360,6 +380,18 @@ class TestNbGeneralization:
         assert all(b > a for a, b in zip(deltas, deltas[1:]))
         assert all(b > a for a, b in zip(infos, infos[1:]))
 
+    @pytest.mark.parametrize("n_bases", range(2, 9))
+    def test_rung_lookup_matches_linear_scan(self, n_bases):
+        ladder = nb_storing_ladder(n_bases)
+        deltas = [d for d, _ in ladder]
+        probes = [0.0, deltas[0] / 2, deltas[-1] + 1.0, 1e6]
+        for d0, d1 in zip(deltas, deltas[1:]):
+            probes.append((d0 + d1) / 2)
+        for d in deltas:
+            probes += [d, math.nextafter(d, -math.inf), math.nextafter(d, math.inf)]
+        for delta in probes:
+            assert nb_storing_info_at(ladder, delta) == _scan_storing_info(ladder, delta), delta
+
     def test_exact_sums_no_weak_pulse_approximation(self):
         # at n_b = 8 the mean photon number is ~10.5; the click solver must
         # still satisfy its defining equation exactly
@@ -369,8 +401,8 @@ class TestNbGeneralization:
 
         mu = nb_mu(8)
         lhs = 1 - math.exp(-model.eta_det * mu * 10 ** (-delta1 / 10))
-        rhs = usd_optimal_pok(8) * poisson_click_sum(mu, model.eta_det, 14,
-                                                     photonics.poisson_cutoff(mu))
+        rhs = usd_optimal_pok(8) * poisson_click_sums(mu, model.eta_det,
+                                                      photonics.poisson_cutoff(mu))[14]
         assert lhs == pytest.approx(rhs, rel=1e-6)
 
 

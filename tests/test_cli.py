@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from pnsqkd import cli
 
@@ -213,6 +215,24 @@ def _emitted(header, rows, fmt):
     with contextlib.redirect_stdout(buf):
         cli._emit(header, rows, types.SimpleNamespace(format=fmt, out=None))
     return buf.getvalue()
+
+
+@given(st.floats() | st.integers())
+@example(5e-324)
+@example(0.0)
+@example(-0.0)
+@example(1e-4)
+@example(9.99999999999e-05)
+@example(1e12)
+@example(999999999999.5)
+@example(math.nan)
+@example(math.inf)
+@example(-math.inf)
+def test_json_column_writes_each_number_as_json_dumps(x):
+    # _json_literal parses every _fmt text back to a float; _json_column
+    # keeps a fixed-notation text as it is
+    assert cli._json_column([x]) == [cli._json_literal(x)]
+    assert cli._json_literal(x) == json.dumps(float(cli._fmt(x)))
 
 
 # One argument set per curve, shaped like the benchmark's invocations of it.

@@ -1,13 +1,15 @@
 """Source statistics, channel and error-model tests."""
+import decimal
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pnsqkd.attacks import nb_mu
 from pnsqkd.photonics import (
     SourceChannelModel,
-    poisson_click_sum,
+    poisson_click_sums,
     poisson_cutoff,
     poisson_distribution,
     poisson_pmf,
@@ -66,33 +68,61 @@ class TestRawRate:
         assert 0.1 * transmission(13.15) == pytest.approx(0.004842, abs=1e-6)
 
 
+def _click_sums_oracle(mu, eta, nmax):
+    """Every click sum S(k) = sum_{k<n<=nmax} p(n) (1 - (1 - eta)^(n - k)),
+    each summed directly from exact Poisson weights at 50 digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        mu, loss = decimal.Decimal(mu), 1 - decimal.Decimal(eta)
+        pmf = [(-mu).exp()]
+        for n in range(1, nmax + 1):
+            pmf.append(pmf[-1] * mu / n)
+        return [sum(pmf[n] * (1 - loss ** (n - k)) for n in range(k + 1, nmax + 1))
+                for k in range(nmax + 1)]
+
+
 class TestDetection:
     def test_perfect_detector(self):
         # eta = 1 clicks on every pulse with more than offset photons
+        sums = poisson_click_sums(0.5, 1.0, poisson_cutoff(0.5))
         for offset in range(3):
-            got = poisson_click_sum(0.5, 1.0, offset, poisson_cutoff(0.5))
+            got = sums[offset]
             assert got == pytest.approx(1 - sum(poisson_pmf(n, 0.5) for n in range(offset + 1)),
                                         abs=1e-15)
 
     def test_single_photon(self):
         # with nmax = 1 only the one-photon term p(1, mu) eta is left
-        got = poisson_click_sum(0.5, 0.1, 0, 1)
+        got = poisson_click_sums(0.5, 0.1, 1)[0]
         assert got == pytest.approx(poisson_pmf(1, 0.5) * 0.1, abs=1e-15)
 
     def test_poisson_click_rate(self):
         # eta=0.1, mu=0.2, offset 0: truncated series oracle
         oracle = sum(poisson_pmf(n, 0.2) * (1 - 0.9**n) for n in range(1, 51))
-        got = poisson_click_sum(0.2, 0.1, 0, poisson_cutoff(0.2))
+        got = poisson_click_sums(0.2, 0.1, poisson_cutoff(0.2))[0]
         assert got == pytest.approx(oracle, abs=1e-13)
         assert got == pytest.approx(0.019801, abs=1e-6)
 
     def test_monotone_in_offset(self):
-        vals = [poisson_click_sum(1.4, 0.1, off, poisson_cutoff(1.4)) for off in range(5)]
+        vals = poisson_click_sums(1.4, 0.1, poisson_cutoff(1.4))[:5]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     def test_offset_validation(self):
+        # the offsets run over 0..nmax, so a negative nmax leaves none
         with pytest.raises(ValueError):
-            poisson_click_sum(0.2, 0.1, -1, poisson_cutoff(0.2))
+            poisson_click_sums(0.2, 0.1, -1)
+        with pytest.raises(ValueError):
+            poisson_click_sums(-0.2, 0.1, 3)
+
+    @pytest.mark.parametrize("eta", [0.05, 0.1636, 0.3, 1.0])
+    @pytest.mark.parametrize("n_bases", range(2, 9))
+    def test_one_pass_matches_decimal_oracle(self, n_bases, eta):
+        mu = nb_mu(n_bases)
+        nmax = poisson_cutoff(mu)
+        got = poisson_click_sums(mu, eta, nmax)
+        exact = _click_sums_oracle(mu, eta, nmax)
+        assert len(got) == nmax + 1
+        for k, (g, e) in enumerate(zip(got, exact)):
+            assert abs(decimal.Decimal(g) - e) <= decimal.Decimal("1e-14") * e, k
 
 
 class TestQber:
@@ -123,5 +153,5 @@ def test_transmission():
 def test_poisson_click_sum_closed_form():
     # with offset 0 the sum telescopes to 1 - exp(-eta mu)
     for mu in (0.05, 0.2, 1.37, 10.5):
-        got = poisson_click_sum(mu, 0.1, 0, 200)
+        got = poisson_click_sums(mu, 0.1, 200)[0]
         assert got == pytest.approx(1.0 - math.exp(-0.1 * mu), abs=1e-13)

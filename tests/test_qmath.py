@@ -32,6 +32,14 @@ class TestState:
     def test_norm_tolerance(self):
         state([1.0 + 4e-13, 0.0])  # within 1e-12 on the squared sum
 
+    @pytest.mark.parametrize("amplitudes", [np.eye(2) / math.sqrt(2), [[1.0, 0.0]], 1.0],
+                             ids=["density-operator", "row", "scalar"])
+    def test_only_a_vector_is_a_state(self, amplitudes):
+        # the squared entries of eye(2)/sqrt(2) sum to 1, so flattening it
+        # would pass the norm check as a 4-vector
+        with pytest.raises(ValueError, match="1-D"):
+            state(amplitudes)
+
 
 def _power(psi, n):
     """|psi>^(x n) as a plain amplitude vector."""
