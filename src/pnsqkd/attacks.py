@@ -47,8 +47,8 @@ def _rate_balanced_point(mu, delta_db, r_att, s_att):
     When the attack alone supplies the rate, q = 0 and the surplus
     conclusive pulses are discarded, so I = 1.
     """
-    if not math.isfinite(delta_db):
-        raise ValueError("attenuation must be finite")
+    if not 0.0 <= delta_db < math.inf:
+        raise ValueError("attenuation must be non-negative and finite")
     required = mu * transmission(delta_db)
     if r_att >= required:
         return AttackPoint(0.0, 1.0)
@@ -284,6 +284,10 @@ def fourstate_storing_info():
     return qmath.binary_information(qmath.pure_state_error(STORING_OVERLAP))
 
 
+_FOURSTATE_STORING_INFO = fourstate_storing_info()
+_F_GRID = [k / 100.0 for k in range(101)]  # coarse scan of the split f
+
+
 def fourstate_combined_info(mu, delta_db):
     """Best undetectable mix of storing and multicopy-discrimination attacks.
 
@@ -293,19 +297,20 @@ def fourstate_combined_info(mu, delta_db):
     untouched fraction q balances the expected rate.  When the attack
     oversupplies photons the surplus successful pulses are discarded
     uniformly, which leaves the per-bit information unchanged.  f is
-    optimized by a coarse grid scan plus golden-section refinement.
-    Returns (i_eve, q_passed, f_irud).
+    optimized by a 101-point scan (the first maximum wins) plus 90
+    golden-section steps between its neighbours, each distinct f evaluated
+    once.  Returns (i_eve, q_passed, f_irud).
     """
     if not 0.0 < mu < math.inf:
         raise ValueError("mu must be positive and finite")
-    if not math.isfinite(delta_db):
-        raise ValueError("attenuation must be finite")
+    if not 0.0 <= delta_db < math.inf:
+        raise ValueError("attenuation must be non-negative and finite")
     required = mu * transmission(delta_db)
     r_store = bb84_split_rate(mu)
     r_irud = fourstate_irud_rate(mu)
     s_store = bb84_multiphoton_fraction(mu)
     s_irud = fourstate_irud_fraction(mu)
-    i_store = fourstate_storing_info()
+    i_store = _FOURSTATE_STORING_INFO
 
     def q_of(f):
         a = f * r_irud + (1.0 - f) * r_store
@@ -313,23 +318,25 @@ def fourstate_combined_info(mu, delta_db):
             return 0.0
         return (required - a) / (mu - a)
 
-    def info(f):
-        q = q_of(f)
-        wi = (1.0 - q) * f * s_irud
-        ws = (1.0 - q) * (1.0 - f) * s_store
+    def info(f):  # q_of inlined, in the same order of operations
+        g = 1.0 - f
+        a = f * r_irud + g * r_store
+        q = 0.0 if a >= required else (required - a) / (mu - a)
+        p = 1.0 - q
+        wi = p * f * s_irud
+        ws = p * g * s_store
         denom = q + wi + ws
         if denom <= 0.0:
             return 0.0
         return (wi + ws * i_store) / denom
 
-    grid = [k / 100.0 for k in range(101)]
-    vals = [info(f) for f in grid]
-    k_best = max(range(101), key=lambda k: vals[k])
-    lo = grid[max(0, k_best - 1)]
-    hi = grid[min(100, k_best + 1)]
+    vals = [info(f) for f in _F_GRID]
+    k_best = vals.index(max(vals))
+    lo = _F_GRID[max(0, k_best - 1)]
+    hi = _F_GRID[min(100, k_best + 1)]
     f_best, i_best = solvers.golden_max(info, lo, hi, 90)
     if vals[k_best] > i_best:
-        f_best, i_best = grid[k_best], vals[k_best]
+        f_best, i_best = _F_GRID[k_best], vals[k_best]
     return i_best, q_of(f_best), f_best
 
 

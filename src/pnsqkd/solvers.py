@@ -31,19 +31,32 @@ def bisect_decreasing(f, lo, hi, tol):
 
 def golden_max(f, lo, hi, iters):
     """Maximum of a unimodal function on [lo, hi] by ``iters`` golden-section
-    steps.  Returns (x, f(x)) at the midpoint of the final bracket."""
+    steps.  Returns (x, f(x)) at the midpoint of the final bracket.
+
+    ``f`` must be a pure function of x: each distinct point is evaluated
+    once.  Once the bracket is narrower than an ulp of x, further steps
+    revisit the same floats, and their values are looked up, not computed
+    again, so the result equals that of evaluating f at every step.
+    """
+    values = {}
+
+    def at(x):
+        if x not in values:
+            values[x] = f(x)
+        return values[x]
+
     a, b = lo, hi
     c1 = b - _GOLDEN * (b - a)
     c2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(c1), f(c2)
+    f1, f2 = at(c1), at(c2)
     for _ in range(iters):
         if f1 < f2:
             a, c1, f1 = c1, c2, f2
             c2 = a + _GOLDEN * (b - a)
-            f2 = f(c2)
+            f2 = at(c2)
         else:
             b, c2, f2 = c2, c1, f1
             c1 = b - _GOLDEN * (b - a)
-            f1 = f(c1)
+            f1 = at(c1)
     x = 0.5 * (a + b)
-    return x, f(x)
+    return x, at(x)

@@ -1,6 +1,7 @@
 """Attack-model tests: rates, critical attenuations, information curves."""
 import decimal
 import math
+import random
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from pnsqkd.attacks import (
     strongpulse_b92,
 )
 from pnsqkd.photonics import SourceChannelModel, poisson_click_sums, poisson_pmf
+from test_solvers import golden_max_loop
 
 
 class TestBB84:
@@ -311,6 +313,73 @@ class TestCombinedCurve:
         assert all(b >= a - 1e-9 for a, b in zip(i_eve, i_eve[1:]))
 
 
+def _combined_info_scan(mu, delta_db):
+    """Reference attack optimum: the interpolated attack's information at
+    every point of the 101-point f grid, then golden-section steps that
+    call it at every step."""
+    required = mu * photonics.transmission(delta_db)
+    r_store = attacks.bb84_split_rate(mu)
+    r_irud = attacks.fourstate_irud_rate(mu)
+    s_store = attacks.bb84_multiphoton_fraction(mu)
+    s_irud = attacks.fourstate_irud_fraction(mu)
+    i_store = attacks.fourstate_storing_info()
+
+    def q_of(f):
+        a = f * r_irud + (1.0 - f) * r_store
+        if a >= required:
+            return 0.0
+        return (required - a) / (mu - a)
+
+    def info(f):
+        q = q_of(f)
+        wi = (1.0 - q) * f * s_irud
+        ws = (1.0 - q) * (1.0 - f) * s_store
+        denom = q + wi + ws
+        if denom <= 0.0:
+            return 0.0
+        return (wi + ws * i_store) / denom
+
+    grid = [k / 100.0 for k in range(101)]
+    vals = [info(f) for f in grid]
+    k_best = max(range(101), key=lambda k: vals[k])
+    lo = grid[max(0, k_best - 1)]
+    hi = grid[min(100, k_best + 1)]
+    f_best, i_best = golden_max_loop(info, lo, hi, 90)
+    if vals[k_best] > i_best:
+        f_best, i_best = grid[k_best], vals[k_best]
+    return i_best, q_of(f_best), f_best
+
+
+class TestCombinedOptimumMatchesScan:
+    def test_random_points(self):
+        rng = random.Random(20261018)
+        kinds = set()
+        for _ in range(400):
+            mu = math.exp(rng.uniform(math.log(1e-3), math.log(2.0)))
+            delta = rng.uniform(0.0, 45.0)
+            result = fourstate_combined_info(mu, delta)
+            assert result == _combined_info_scan(mu, delta), (mu, delta)
+            _, q, f = result
+            kinds.add("full" if f == 1.0 else "kink" if q == 0.0 else
+                      "storing" if f < 1e-15 else "interior")
+        # the sample reaches every branch of the optimum
+        assert kinds == {"full", "kink", "storing", "interior"}
+
+    @pytest.mark.parametrize("mu", [1e-3, 0.05, 0.2, 1.0, 2.0])
+    def test_grid_points(self, mu):
+        for delta in [0.0, 1e-12, 1.0, 3.0, 6.0, 10.0, 15.0, 20.0, 30.0, 45.0,
+                      fourstate_irud_critical(mu), bb84_critical_attenuation(mu)]:
+            assert fourstate_combined_info(mu, delta) == _combined_info_scan(mu, delta), delta
+
+    def test_optimal_mu_at_default_distances(self):
+        for distance in range(4, 161, 4):
+            delta = distance * photonics.DEFAULT_ALPHA_DB_PER_KM
+            expected = golden_max_loop(
+                lambda mu: keyrate.key_rate(mu, delta, _combined_info_scan(mu, delta)[0]),
+                1e-3, keyrate.MU_SEARCH_MAX, 120)
+            assert keyrate.optimal_mu(delta) == expected, distance
+
+
 def _scan_storing_info(ladder, delta_db):
     """Reference rung lookup: the first rung pair d0 <= delta_db <= d1 by a
     linear scan, interpolated linearly in attenuation."""
@@ -431,3 +500,17 @@ class TestNbGeneralization:
 def test_non_finite_input_is_rejected(call, bad):
     with pytest.raises(ValueError):
         call(bad)
+
+
+@pytest.mark.parametrize("call", [
+    lambda x: bb84_pns(0.2, x),
+    lambda x: fourstate_irud_pns(0.2, x),
+    lambda x: fourtwo_pns(1.0, x),
+    lambda x: fourstate_combined_info(0.2, x),
+    lambda x: keyrate.optimal_mu(x),
+], ids=["bb84_pns", "fourstate_irud_pns", "fourtwo_pns", "fourstate_combined_info",
+        "optimal_mu"])
+@pytest.mark.parametrize("delta", [-40.0, -3.0, -1e-300])
+def test_negative_attenuation_is_rejected(call, delta):
+    with pytest.raises(ValueError, match="attenuation must be non-negative and finite"):
+        call(delta)

@@ -3,7 +3,29 @@ import math
 
 import pytest
 
-from pnsqkd.solvers import bisect_decreasing, golden_max
+from pnsqkd import photonics
+from pnsqkd.keyrate import fourstate_key_rate
+from pnsqkd.solvers import _GOLDEN, bisect_decreasing, golden_max
+
+
+def golden_max_loop(f, lo, hi, iters):
+    """Reference golden-section search that calls f at every step,
+    revisited points included."""
+    a, b = lo, hi
+    c1 = b - _GOLDEN * (b - a)
+    c2 = a + _GOLDEN * (b - a)
+    f1, f2 = f(c1), f(c2)
+    for _ in range(iters):
+        if f1 < f2:
+            a, c1, f1 = c1, c2, f2
+            c2 = a + _GOLDEN * (b - a)
+            f2 = f(c2)
+        else:
+            b, c2, f2 = c2, c1, f1
+            c1 = b - _GOLDEN * (b - a)
+            f1 = f(c1)
+    x = 0.5 * (a + b)
+    return x, f(x)
 
 
 def test_bisect_returns_lo_when_already_nonpositive():
@@ -27,3 +49,40 @@ def test_golden_max_finds_parabola_vertex():
     x, fx = golden_max(lambda x: -(x - 0.3) ** 2, 0.0, 1.0, 90)
     assert x == pytest.approx(0.3, abs=1e-8)
     assert fx == pytest.approx(0.0, abs=1e-15)
+
+
+def _recorded(f, calls):
+    def g(x):
+        calls.append(x)
+        return f(x)
+    return g
+
+
+def _parabola(x):
+    return -(x - 0.3) ** 2
+
+
+@pytest.mark.parametrize("iters", [0, 1, 30, 90, 120])
+def test_golden_max_evaluates_each_point_once(iters):
+    calls, loop_calls = [], []
+    golden_max(_recorded(_parabola, calls), 0.0, 1.0, iters)
+    golden_max_loop(_recorded(_parabola, loop_calls), 0.0, 1.0, iters)
+    assert len(calls) == len(set(calls))
+    assert set(calls) == set(loop_calls)
+    if iters == 120:  # the bracket is narrower than an ulp long before
+        assert len(loop_calls) == 123 > len(calls)
+
+
+# at 0 dB the key-rate optimum sits at the cap of [1e-3, 2], at 20 and 25 dB inside it
+@pytest.mark.parametrize("f, lo, hi, iters", [
+    (_parabola, 0.0, 1.0, 90),
+    (_parabola, 0.0, 1.0, 120),
+    (lambda x: min(x, 0.4), 0.0, 1.0, 90),  # plateau: f1 == f2 on most steps
+    (lambda mu: fourstate_key_rate(mu, 0.0), 1e-3, 2.0, 120),
+    (lambda mu: fourstate_key_rate(mu, 20.0), 1e-3, 2.0, 120),
+    (lambda mu: fourstate_key_rate(mu, 100 * photonics.DEFAULT_ALPHA_DB_PER_KM),
+     1e-3, 2.0, 120),
+], ids=["parabola-90", "parabola-120", "plateau", "key-rate-0dB", "key-rate-20dB",
+        "key-rate-100km"])
+def test_golden_max_matches_the_unmemoized_loop(f, lo, hi, iters):
+    assert golden_max(f, lo, hi, iters) == golden_max_loop(f, lo, hi, iters)
