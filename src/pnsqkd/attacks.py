@@ -17,8 +17,10 @@ from dataclasses import dataclass
 from . import discrimination, photonics, qmath, solvers
 from .photonics import (
     SourceChannelModel,
+    nonnegative_finite,
     poisson_click_sums,
     poisson_cutoff,
+    positive_finite,
     transmission,
 )
 
@@ -47,9 +49,7 @@ def _rate_balanced_point(mu, delta_db, r_att, s_att):
     When the attack alone supplies the rate, q = 0 and the surplus
     conclusive pulses are discarded, so I = 1.
     """
-    if not 0.0 <= delta_db < math.inf:
-        raise ValueError("attenuation must be non-negative and finite")
-    required = mu * transmission(delta_db)
+    required = mu * transmission(nonnegative_finite(delta_db, "attenuation"))
     if r_att >= required:
         return AttackPoint(0.0, 1.0)
     q = (required - r_att) / (mu - r_att)
@@ -62,21 +62,32 @@ def _rate_balanced_point(mu, delta_db, r_att, s_att):
 
 def bb84_split_rate(mu):
     """Photons per pulse the eavesdropper can forward when she keeps one
-    photon of every multiphoton pulse: sum_{n>=2} p_n (n-1) = mu - 1 + e^-mu."""
+    photon of every multiphoton pulse: sum_{n>=2} p_n (n-1) = mu - 1 + e^-mu.
+    Below mu = 1e-3 that form cancels (to 0 at mu = 1e-10), so the series of
+    e^-mu - 1 + mu is summed there instead."""
+    if mu < 1e-3:
+        return _expm1_minus_x(-mu)
     return mu - 1.0 + math.exp(-mu)
 
 
 def bb84_multiphoton_fraction(mu):
-    """Probability of two or more photons: 1 - e^-mu (1 + mu)."""
+    """Probability of two or more photons: 1 - e^-mu (1 + mu), which cancels
+    below mu = 1e-3, where e^-mu (e^mu - 1 - mu) is taken instead."""
+    if mu < 1e-3:
+        return math.exp(-mu) * _expm1_minus_x(mu)
     return 1.0 - math.exp(-mu) * (1.0 + mu)
 
 
 def bb84_critical_attenuation(mu):
     """Attenuation where splitting alone reproduces the expected raw rate:
-    10 log10(mu / (mu - 1 + e^-mu))."""
-    if not 0.0 < mu < math.inf:
-        raise ValueError("mu must be positive and finite")
-    return 10.0 * math.log10(mu / bb84_split_rate(mu))
+    10 log10(mu / (mu - 1 + e^-mu)).  Below mu = 1e-3 it is summed in logs
+    as 10 log10(2 / (mu g)) with g = 2 (mu - 1 + e^-mu) / mu^2 -> 1, so that
+    mu^2 cannot underflow."""
+    positive_finite(mu, "mu")
+    if mu >= 1e-3:
+        return 10.0 * math.log10(mu / bb84_split_rate(mu))
+    g = 2.0 * (bb84_split_rate(mu) / mu) / mu if mu > 1e-150 else 1.0
+    return 10.0 * (math.log10(2.0) - math.log10(mu) - math.log10(g))
 
 
 def bb84_pns(mu, delta_db):
@@ -86,8 +97,7 @@ def bb84_pns(mu, delta_db):
     and weighs full information on split pulses against silence on passed
     ones: I = (1-q) S / (q + (1-q) S) with S the multiphoton fraction.
     """
-    if not 0.0 < mu < math.inf:
-        raise ValueError("mu must be positive and finite")
+    positive_finite(mu, "mu")
     return _rate_balanced_point(mu, delta_db, bb84_split_rate(mu),
                                 bb84_multiphoton_fraction(mu))
 
@@ -116,6 +126,7 @@ def _expm1_minus_x(x):
 def fourtwo_mu(eta, reference_mu=0.1):
     """Mean photon number keeping the sifted rate equal to the two-basis
     reference: mu = reference / (1 - cos eta)."""
+    positive_finite(reference_mu, "reference_mu")
     s, _ = _fourtwo_s_c(eta)
     mu = reference_mu / s if s > 0.0 else math.inf
     if not math.isfinite(mu):
@@ -186,8 +197,7 @@ class StrongPulseModel:
     def __post_init__(self):
         if not 0 < self.mu < 1:
             raise ValueError("mu must be in (0, 1)")
-        if not 0.0 <= self.delta_db < math.inf:
-            raise ValueError("attenuation must be non-negative and finite")
+        nonnegative_finite(self.delta_db, "attenuation")
         try:
             finite = math.isfinite(self.mu_prime)
         except OverflowError:
@@ -250,8 +260,7 @@ def fourstate_irud_fraction(mu):
 def fourstate_irud_critical(mu):
     """Attenuation where unambiguous discrimination of three-photon pulses
     reproduces the expected rate: 10 log10(mu / (sum p_n (n-2) / 2))."""
-    if not 0.0 < mu < math.inf:
-        raise ValueError("mu must be positive and finite")
+    positive_finite(mu, "mu")
     target = fourstate_irud_rate(mu)
     if target <= 0:
         return float("inf")
@@ -261,8 +270,7 @@ def fourstate_irud_critical(mu):
 def fourstate_irud_pns(mu, delta_db):
     """Block-below-three attack point for the four-state protocol: pulses
     with >= 3 photons are discriminated unambiguously, the rest blocked."""
-    if not 0.0 < mu < math.inf:
-        raise ValueError("mu must be positive and finite")
+    positive_finite(mu, "mu")
     return _rate_balanced_point(mu, delta_db, fourstate_irud_rate(mu),
                                 fourstate_irud_fraction(mu))
 
@@ -301,11 +309,8 @@ def fourstate_combined_info(mu, delta_db):
     golden-section steps between its neighbours, each distinct f evaluated
     once.  Returns (i_eve, q_passed, f_irud).
     """
-    if not 0.0 < mu < math.inf:
-        raise ValueError("mu must be positive and finite")
-    if not 0.0 <= delta_db < math.inf:
-        raise ValueError("attenuation must be non-negative and finite")
-    required = mu * transmission(delta_db)
+    positive_finite(mu, "mu")
+    required = mu * transmission(nonnegative_finite(delta_db, "attenuation"))
     r_store = bb84_split_rate(mu)
     r_irud = fourstate_irud_rate(mu)
     s_store = bb84_multiphoton_fraction(mu)
@@ -450,9 +455,7 @@ def nb_storing_info_at(ladder, delta_db):
     Between rungs she mixes the two adjacent storing attacks; the mix is
     modeled as linear in attenuation between the rung endpoints.
     """
-    if not 0 <= delta_db < math.inf:
-        raise ValueError("attenuation must be non-negative and finite")
-    if delta_db <= ladder[0][0]:
+    if nonnegative_finite(delta_db, "attenuation") <= ladder[0][0]:
         return 0.0
     if delta_db >= ladder[-1][0]:
         return ladder[-1][1]

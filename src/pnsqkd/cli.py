@@ -18,7 +18,7 @@ import numpy as np
 
 from . import attacks, cloning, keyrate, photonics, qmath, validation
 from .attacks import InfeasibleModelError
-from .photonics import SourceChannelModel
+from .photonics import SourceChannelModel, nonnegative_finite, positive_finite
 
 CURVE_IDS = ("pns-bb84", "pns-42", "figiepr", "muopt", "ieclon12", "ieclon23",
              "dcrit", "stattnb", "clonfid", "strongpulse")
@@ -87,28 +87,15 @@ def _json_records(header, rows):
     return "[\n" + ",\n".join(map(record.__mod__, zip(*literals))) + "\n]"
 
 
-def finite(text):
-    """argparse type: a finite number."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
-    return value
-
-
-def positive_finite(text):
-    """argparse type: a finite number greater than zero."""
-    value = finite(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
-    return value
-
-
-def nonnegative_finite(text):
-    """argparse type: a finite number of at least zero."""
-    value = finite(text)
-    if not value >= 0:
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
-    return value
+def _number(check, name):
+    """argparse type: a number that passes the library's ``check(value, name)``;
+    the check's ValueError becomes a usage error."""
+    def parse(text):
+        try:
+            return check(float(text), name)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
 
 
 def _check_grid_size(n):
@@ -132,13 +119,6 @@ def _parse_grid(text, default):
     grid = [lo + k * step for k in range(n)]
     # lo + (n - 1) step can round past max, for example one ulp above pi/2
     grid[-1] = min(grid[-1], hi)
-    return grid
-
-
-def _parse_distances(text, default):
-    grid = _parse_grid(text, default)
-    if grid[0] < 0:
-        raise ValueError("distance grid min must be >= 0")
     return grid
 
 
@@ -166,7 +146,7 @@ def _model_from_args(args, mu):
 
 def _curve_pns_bb84(args):
     mu = args.mu if args.mu is not None else 0.1
-    dists = _parse_distances(args.d, [float(k) for k in range(0, 121)])
+    dists = _parse_grid(args.d, [float(k) for k in range(0, 121)])
     header = ["distance_km", "delta_db", "q", "i_eve"]
     rows = []
     for d in dists:
@@ -178,7 +158,7 @@ def _curve_pns_bb84(args):
 def _curve_pns_42(args):
     mu_ref = args.mu if args.mu is not None else 0.1
     eta = args.eta if args.eta is not None else math.pi / 3
-    dists = _parse_distances(args.d, [float(k) for k in range(0, 121)])
+    dists = _parse_grid(args.d, [float(k) for k in range(0, 121)])
     header = ["distance_km", "delta_db", "q", "i_eve"]
     rows = []
     for d in dists:
@@ -189,7 +169,7 @@ def _curve_pns_42(args):
 
 def _curve_figiepr(args):
     mu = args.mu if args.mu is not None else 0.2
-    dists = _parse_distances(args.d, [float(k) for k in range(0, 121)])
+    dists = _parse_grid(args.d, [float(k) for k in range(0, 121)])
     header = ["distance_km", "delta_db", "i_eve_block_lt3", "i_eve_combined"]
     rows = []
     for d in dists:
@@ -201,7 +181,7 @@ def _curve_figiepr(args):
 
 
 def _curve_muopt(args):
-    dists = _parse_distances(args.d, [float(k) for k in range(4, 161, 4)])
+    dists = _parse_grid(args.d, [float(k) for k in range(4, 161, 4)])
     header = ["distance_km", "delta_db", "mu_opt", "key_rate"]
     rows = []
     for d in dists:
@@ -252,7 +232,7 @@ def _curve_dcrit(args):
 
 def _curve_stattnb(args):
     nbs = _parse_int_range(args.nb, list(range(2, 6)))
-    dists = _parse_distances(args.d, [float(k) for k in range(10, 241, 2)])
+    dists = _parse_grid(args.d, [float(k) for k in range(10, 241, 2)])
     header = ["n_b", "distance_km", "delta_db", "i_ab", "i_eve"]
     rows = []
     for nb in nbs:
@@ -282,7 +262,7 @@ def _curve_clonfid(args):
 
 def _curve_strongpulse(args):
     mu = args.mu if args.mu is not None else 0.025
-    dists = _parse_distances(args.d, [float(k) for k in range(0, 241, 2)])
+    dists = _parse_grid(args.d, [float(k) for k in range(0, 241, 2)])
     header = ["distance_km", "delta_db", "mu_prime", "intensity_ratio",
               "overlap", "p_e", "i_eve"]
     rows = []
@@ -370,9 +350,10 @@ def build_parser():
 
     curve = sub.add_parser("curve", help="emit a security curve as CSV or JSON")
     curve.add_argument("curve_id", choices=CURVE_IDS)
-    curve.add_argument("--mu", type=positive_finite, default=None,
+    curve.add_argument("--mu", type=_number(positive_finite, "mu"), default=None,
                        help="mean photon number (default depends on the curve)")
-    curve.add_argument("--alpha", type=positive_finite, default=0.25, help="fiber loss, dB/km")
+    curve.add_argument("--alpha", type=_number(positive_finite, "alpha"), default=0.25,
+                       help="fiber loss, dB/km")
     curve.add_argument("--eta-det", dest="eta_det", type=float, default=0.1)
     curve.add_argument("--pd", type=float, default=1e-5, help="dark-count probability")
     curve.add_argument("--qber-opt", dest="qber_opt", type=float, default=0.01)
@@ -382,7 +363,7 @@ def build_parser():
     curve.add_argument("--gamma", type=str, default=None,
                        help="machine parameter grid min:max:step")
     curve.add_argument("--d", type=str, default=None, help="distance grid min:max:step, km")
-    curve.add_argument("--delta", type=nonnegative_finite, default=None,
+    curve.add_argument("--delta", type=_number(nonnegative_finite, "delta"), default=None,
                        help="channel attenuation in dB where one is required")
     curve.add_argument("--out", type=str, default=None, help="output path (default stdout)")
     curve.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -390,7 +371,7 @@ def build_parser():
 
     report = sub.add_parser("report", help="emit a case-study record")
     report.add_argument("report_id", choices=("geneva-lausanne",))
-    report.add_argument("--alpha", type=positive_finite, default=0.25)
+    report.add_argument("--alpha", type=_number(positive_finite, "alpha"), default=0.25)
     report.add_argument("--out", type=str, default=None)
     report.set_defaults(func=_cmd_report)
 

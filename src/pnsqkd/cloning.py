@@ -22,6 +22,7 @@ import numpy as np
 
 from . import attacks, qmath, solvers
 from .attacks import InfeasibleModelError
+from .photonics import nonnegative_finite, positive_finite, transmission
 from .qmath import partial_trace
 
 ISOMETRY_TOL = 1e-12
@@ -349,11 +350,8 @@ def pns_cloning_attack(machine_factory, mu, delta_db, param_grid):
     two output qubits plus ancillas; the information accounting is the same
     sifted machinery with her enlarged system.
     """
-    if not 0.0 < mu < math.inf:
-        raise ValueError("mu must be positive and finite")
-    if not math.isfinite(delta_db):
-        raise ValueError("attenuation must be finite")
-    required = mu * 10.0 ** (-delta_db / 10.0)
+    positive_finite(mu, "mu")
+    required = mu * transmission(nonnegative_finite(delta_db, "attenuation"))
     if required > attacks.bb84_split_rate(mu) + 1e-15:
         raise InfeasibleModelError(
             f"attenuation {delta_db:g} dB too small: single-photon pulses cannot all be blocked")

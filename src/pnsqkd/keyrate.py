@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 
 from . import attacks, cloning, photonics, qmath, solvers
-from .photonics import SourceChannelModel
+from .photonics import SourceChannelModel, nonnegative_finite, positive_finite
 
 MU_SEARCH_MAX = 2.0
 BISECTION_TOL_DB = 1e-6
@@ -31,10 +31,8 @@ def key_rate(mu, delta_db, i_eve):
     mu 10^(-delta/10) (1 - I_Eve) / 4: the four-state protocol has sifting
     factor 1/4 (right measurement and right outcome).
     """
-    if not 0.0 < mu < math.inf:
-        raise ValueError("mu must be positive and finite")
-    if not math.isfinite(delta_db):
-        raise ValueError("attenuation must be finite")
+    positive_finite(mu, "mu")
+    nonnegative_finite(delta_db, "attenuation")
     if not 0.0 <= i_eve <= 1.0:
         raise ValueError("i_eve must be in [0, 1]")
     return 0.25 * mu * photonics.transmission(delta_db) * (1.0 - i_eve)

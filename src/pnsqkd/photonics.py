@@ -14,6 +14,22 @@ from dataclasses import dataclass
 DEFAULT_ALPHA_DB_PER_KM = 0.25
 
 
+def positive_finite(value, name):
+    """``value`` if it is a finite number > 0 (a mean photon number, a fiber
+    loss); otherwise ValueError naming it."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite")
+    return value
+
+
+def nonnegative_finite(value, name):
+    """``value`` if it is a finite number >= 0 (an attenuation); otherwise
+    ValueError naming it."""
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be non-negative and finite")
+    return value
+
+
 @dataclass(frozen=True)
 class SourceChannelModel:
     """Source and channel parameters.
@@ -32,10 +48,8 @@ class SourceChannelModel:
     qber_opt: float = 0.01
 
     def __post_init__(self):
-        if not 0 < self.mu < math.inf:
-            raise ValueError("mu must be positive and finite")
-        if not 0 <= self.alpha < math.inf:
-            raise ValueError("alpha must be non-negative and finite")
+        positive_finite(self.mu, "mu")
+        positive_finite(self.alpha, "alpha")
         if not 0 < self.eta_det <= 1:
             raise ValueError("eta_det must be in (0, 1]")
         if not 0 <= self.p_d < 1:
@@ -97,10 +111,11 @@ def qber_total(model, delta_db):
     """Total QBER: dark-count term plus the optical error.
 
     (p_d / 2) / (p_d + mu eta_det 10^(-delta/10)) + qber_opt, clamped to
-    [0, 0.5] (information is symmetric beyond one half).
+    [0, 0.5] (information is symmetric beyond one half).  Without dark
+    counts the first term is 0 at every attenuation, also where the
+    transmission underflows to 0.
     """
-    if not 0 <= delta_db < math.inf:
-        raise ValueError("attenuation must be non-negative and finite")
+    nonnegative_finite(delta_db, "attenuation")
     signal = model.mu * model.eta_det * transmission(delta_db)
-    q = (model.p_d / 2.0) / (model.p_d + signal) + model.qber_opt
-    return min(q, 0.5)
+    dark = (model.p_d / 2.0) / (model.p_d + signal) if model.p_d else 0.0
+    return min(dark + model.qber_opt, 0.5)

@@ -45,6 +45,17 @@ class TestBB84:
             expected = 10 * math.log10(mu / (mu - 1 + math.exp(-mu)))
             assert bb84_critical_attenuation(mu) == pytest.approx(expected, abs=1e-9)
 
+    @pytest.mark.parametrize("mu", [5e-324, 1e-300, 1e-151, 1e-149, 1e-10, 1e-8, 1e-4,
+                                    9.99e-4])
+    def test_small_mu_matches_oracle(self, mu):
+        # mu - 1 + e^-mu cancels to 0 at mu = 1e-10 (a ZeroDivisionError) and
+        # mu^2 underflows below 1e-154
+        with decimal.localcontext() as ctx:
+            ctx.prec = 800  # e^-mu - 1 + mu ~ mu^2 / 2 needs 2 x 324 digits
+            m = decimal.Decimal(mu)
+            want = float(10 * (m / (m - 1 + (-m).exp())).log10())
+        assert bb84_critical_attenuation(mu) == pytest.approx(want, rel=1e-15)
+
     def test_beyond_critical_full_information(self):
         delta_c = bb84_critical_attenuation(0.1)
         assert bb84_pns(0.1, delta_c + 0.01).i_eve == 1.0
@@ -481,6 +492,7 @@ class TestNbGeneralization:
     lambda x: bb84_pns(0.1, x),
     lambda x: fourstate_irud_pns(x, 3.0),
     lambda x: fourtwo_pns(1.0, x),
+    lambda x: fourtwo_pns(math.pi / 3, 10.0, x),
     lambda x: fourstate_irud_critical(x),
     lambda x: fourstate_combined_info(0.2, x),
     lambda x: strongpulse_b92(x, 0.1),
@@ -493,8 +505,8 @@ class TestNbGeneralization:
     lambda x: cloning.pns_cloning_attack(cloning.make_ngs23, x, 12.0, [0.3]),
     lambda x: cloning.pns_cloning_attack(cloning.make_ngs23, 0.2, x, [0.3]),
 ], ids=["bb84_pns-mu", "bb84_pns-delta", "fourstate_irud_pns-mu", "fourtwo_pns-delta",
-        "fourstate_irud_critical-mu", "fourstate_combined_info-delta", "strongpulse_b92-delta",
-        "SourceChannelModel-mu", "qber_total-delta", "nb_storing_info_at-delta",
+        "fourtwo_pns-mu", "fourstate_irud_critical-mu", "fourstate_combined_info-delta",
+        "strongpulse_b92-delta", "SourceChannelModel-mu", "qber_total-delta", "nb_storing_info_at-delta",
         "bb84_critical_attenuation-mu", "key_rate-mu", "key_rate-delta",
         "pns_cloning_attack-mu", "pns_cloning_attack-delta"])
 def test_non_finite_input_is_rejected(call, bad):
@@ -508,9 +520,22 @@ def test_non_finite_input_is_rejected(call, bad):
     lambda x: fourtwo_pns(1.0, x),
     lambda x: fourstate_combined_info(0.2, x),
     lambda x: keyrate.optimal_mu(x),
+    lambda x: keyrate.key_rate(0.2, x, 0.1),
+    lambda x: cloning.pns_cloning_attack(cloning.make_ngs23, 0.2, x, [0.3]),
+    lambda x: photonics.qber_total(SourceChannelModel(mu=0.1), x),
+    lambda x: nb_storing_info_at(nb_storing_ladder(2), x),
+    lambda x: strongpulse_b92(x, 0.1),
 ], ids=["bb84_pns", "fourstate_irud_pns", "fourtwo_pns", "fourstate_combined_info",
-        "optimal_mu"])
+        "optimal_mu", "key_rate", "pns_cloning_attack", "qber_total", "nb_storing_info_at",
+        "strongpulse_b92"])
 @pytest.mark.parametrize("delta", [-40.0, -3.0, -1e-300])
 def test_negative_attenuation_is_rejected(call, delta):
     with pytest.raises(ValueError, match="attenuation must be non-negative and finite"):
         call(delta)
+
+
+@pytest.mark.parametrize("reference_mu", [-0.1, 0.0, math.nan])
+def test_nonpositive_reference_mu_is_rejected(reference_mu):
+    # without the check, -0.1 and 0 gave I_Eve = 1 and NaN blamed eta
+    with pytest.raises(ValueError, match="reference_mu must be positive and finite"):
+        fourtwo_pns(math.pi / 3, 10.0, reference_mu)

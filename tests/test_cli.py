@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pnsqkd import cli
@@ -150,6 +150,11 @@ class TestExitCodes:
         (["curve", "figiepr", "--d=-10:-8:1"], 2),
         (["curve", "pns-bb84", "--d=-20000:-19000:500"], 2),
         (["curve", "strongpulse", "--d=-1:2:1"], 2),
+        (["curve", "muopt", "--d=-4:4:4"], 2),
+        (["curve", "stattnb", "--d=-4:4:4"], 2),
+        # above about 3,240 dB the transmission underflows to 0; without
+        # dark counts the QBER is still the optical error alone
+        (["curve", "stattnb", "--pd", "0", "--nb", "2", "--d", "0:20000:10000"], 0),
         # gamma outside the machines' [0, pi/2]
         (["curve", "clonfid", "--gamma=-1:0.5:0.5"], 2),
         (["curve", "clonfid", "--gamma=0:5:1"], 2),
@@ -287,3 +292,38 @@ class TestEmit:
         assert out(other) != first
         assert out(default) == first
         assert cli.build_parser() is parser
+
+
+# In-process CLI fuzz: odd option values on small grids.  Every call ends in
+# exit 0, 2 or 3 (argparse's own errors as SystemExit(2)) and prints no NaN.
+_FUZZ_VALUES = ["nan", "inf", "-inf", "0", "-0", "-1", "1e-300", "1e300", "1e308", "abc",
+                "0.01", "0.1", "0.25", "2", "3", "8", "12"]
+_FUZZ_OPTIONS = ["--mu", "--alpha", "--eta-det", "--pd", "--qber-opt", "--eta", "--nb",
+                 "--delta"]
+# at most 8 points, so that muopt stays quick
+_FUZZ_DISTANCES = ["0:2:1", "0:140:20", "0:20000:10000", "1e300:1e301:5e300", "-4:4:4",
+                   "nan:1:1", "0:inf:1", "1:0:1", "0:1:0", "abc"]
+_FUZZ_GAMMAS = ["0.2:1.4:0.2", "0:1.5707963267948966:0.1", "1e-300:1e-299:1e-300",
+                "-1:0.5:0.5", "1e300:1e301:5e300", "nan:1:1"]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(cli.CURVE_IDS),
+       st.lists(st.tuples(st.sampled_from(_FUZZ_OPTIONS), st.sampled_from(_FUZZ_VALUES)),
+                max_size=4),
+       st.sampled_from(_FUZZ_DISTANCES),
+       st.sampled_from(_FUZZ_GAMMAS),
+       st.sampled_from(["csv", "json"]))
+@example("stattnb", [("--pd", "0"), ("--nb", "2")], "0:20000:10000", "0.2:1.4:0.2", "csv")
+def test_fuzzed_curve_exits_cleanly(curve_id, options, distances, gammas, fmt):
+    argv = ["curve", curve_id, "--d", distances, "--gamma", gammas, "--format", fmt]
+    argv += [f"{name}={value}" for name, value in options]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+            assert code == 2, argv
+    assert code in (0, 2, 3), argv
+    assert "nan" not in out.getvalue().lower(), argv

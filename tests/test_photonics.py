@@ -48,6 +48,9 @@ class TestModel:
             SourceChannelModel(mu=0.1, eta_det=0.0)
         with pytest.raises(ValueError):
             SourceChannelModel(mu=0.1, qber_opt=0.6)
+        # alpha = 0 made nb_security_summary divide by zero
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            SourceChannelModel(mu=0.1, alpha=0.0)
 
 
 class TestRawRate:
@@ -129,6 +132,11 @@ class TestQber:
     def test_no_dark_counts(self):
         m = SourceChannelModel(mu=0.2, p_d=0.0, qber_opt=0.013)
         assert qber_total(m, 30.0) == pytest.approx(0.013)
+
+    def test_no_dark_counts_where_transmission_underflows(self):
+        # 10^(-330) underflows to 0; the dark-count share is still 0, not 0/0
+        m = SourceChannelModel(mu=0.2, p_d=0.0)
+        assert qber_total(m, 3300.0) == m.qber_opt
 
     def test_dark_count_dominated(self):
         m = SourceChannelModel(mu=0.2, eta_det=0.1, p_d=1e-5, qber_opt=0.01)
