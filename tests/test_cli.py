@@ -150,11 +150,6 @@ class TestExitCodes:
         (["curve", "figiepr", "--d=-10:-8:1"], 2),
         (["curve", "pns-bb84", "--d=-20000:-19000:500"], 2),
         (["curve", "strongpulse", "--d=-1:2:1"], 2),
-        (["curve", "muopt", "--d=-4:4:4"], 2),
-        (["curve", "stattnb", "--d=-4:4:4"], 2),
-        # above about 3,240 dB the transmission underflows to 0; without
-        # dark counts the QBER is still the optical error alone
-        (["curve", "stattnb", "--pd", "0", "--nb", "2", "--d", "0:20000:10000"], 0),
         # gamma outside the machines' [0, pi/2]
         (["curve", "clonfid", "--gamma=-1:0.5:0.5"], 2),
         (["curve", "clonfid", "--gamma=0:5:1"], 2),
@@ -165,6 +160,12 @@ class TestExitCodes:
         (["curve", "strongpulse", "--d", "0:20000:10000"], 2),
         # argparse choices hold the only report id
         (["report", "nope"], 2),
+        # distances below 0 km reach the attenuation check through d * alpha
+        (["curve", "muopt", "--d=-4:4:4"], 2),
+        (["curve", "stattnb", "--d=-4:4:4"], 2),
+        # above about 3,240 dB the transmission underflows to 0; without
+        # dark counts the QBER is still the optical error alone
+        (["curve", "stattnb", "--pd", "0", "--nb", "2", "--d", "0:20000:10000"], 0),
     ])
     def test_domain_and_ladder_exit_codes(self, args, code):
         proc = run_cli(args)
