@@ -128,9 +128,12 @@ def fourtwo_mu(eta, reference_mu=0.1):
     reference: mu = reference / (1 - cos eta)."""
     positive_finite(reference_mu, "reference_mu")
     s, _ = _fourtwo_s_c(eta)
-    mu = reference_mu / s if s > 0.0 else math.inf
+    if s == 0.0:
+        raise ValueError("eta too small: 1 - cos(eta) underflows to 0")
+    mu = reference_mu / s
     if not math.isfinite(mu):
-        raise ValueError("eta too small: the mean photon number overflows")
+        raise ValueError(f"the mean photon number reference_mu / (1 - cos eta) = "
+                         f"{reference_mu:g} / {s:g} overflows")
     return mu
 
 
@@ -243,15 +246,35 @@ def strongpulse_asymptotic_info(mu):
 # ---------------------------------------------------------------------------
 # four-state protocol (two bases, alternative sifting)
 
+def _above_two_series(mu):
+    """(P, R): e^mu P(n >= 3) and e^mu sum_{n>=3} p_n (n-2), each divided by
+    its leading term mu^3/3!, summed as positive series (for mu < 1e-3)."""
+    term, p, r, n = 1.0, 0.0, 0.0, 3
+    while r + (n - 2) * term != r:
+        p += term
+        r += (n - 2) * term
+        n += 1
+        term *= mu / n
+    return p, r
+
+
 def fourstate_irud_rate(mu):
     """Deliverable photons per pulse for the block-below-three attack, whose
     discrimination of three copies concludes with probability 1/2:
-    sum_{n>=3} p_n (n-2) / 2 = (mu - 2 + e^-mu (2 + mu)) / 2."""
+    sum_{n>=3} p_n (n-2) / 2 = (mu - 2 + e^-mu (2 + mu)) / 2.  Below
+    mu = 1e-3 that form cancels (to 0 or below from mu = 5e-6), so the series
+    e^-mu (mu^3/12) R of ``_above_two_series`` is taken instead."""
+    if mu < 1e-3:
+        return math.exp(-mu) * (mu * mu * mu / 12.0) * _above_two_series(mu)[1]
     return 0.5 * (mu - 2.0 + math.exp(-mu) * (2.0 + mu))
 
 
 def fourstate_irud_fraction(mu):
-    """Probability a pulse has >= 3 photons and the discrimination concludes."""
+    """Probability a pulse has >= 3 photons and the discrimination concludes:
+    (1 - e^-mu (1 + mu + mu^2/2)) / 2, which cancels below mu = 1e-3, where
+    e^-mu (mu^3/12) P of ``_above_two_series`` is taken instead."""
+    if mu < 1e-3:
+        return math.exp(-mu) * (mu * mu * mu / 12.0) * _above_two_series(mu)[0]
     head = math.exp(-mu)
     # mu * mu overflows above about 1.3e154, where exp(-mu) is already 0
     return 0.5 * (1.0 - (head * (1.0 + mu + 0.5 * mu * mu) if head else 0.0))
@@ -259,8 +282,14 @@ def fourstate_irud_fraction(mu):
 
 def fourstate_irud_critical(mu):
     """Attenuation where unambiguous discrimination of three-photon pulses
-    reproduces the expected rate: 10 log10(mu / (sum p_n (n-2) / 2))."""
+    reproduces the expected rate: 10 log10(mu / (sum p_n (n-2) / 2)).  Below
+    mu = 1e-3 it is summed in logs as 10 log10(12 e^mu / (mu^2 R)), so that
+    mu^3 cannot underflow."""
     positive_finite(mu, "mu")
+    if mu < 1e-3:
+        r = _above_two_series(mu)[1]
+        return 10.0 * (math.log10(12.0) - 2.0 * math.log10(mu) - math.log10(r)
+                       + mu / math.log(10.0))
     target = fourstate_irud_rate(mu)
     if target <= 0:
         return float("inf")
@@ -307,7 +336,9 @@ def fourstate_combined_info(mu, delta_db):
     uniformly, which leaves the per-bit information unchanged.  f is
     optimized by a 101-point scan (the first maximum wins) plus 90
     golden-section steps between its neighbours, each distinct f evaluated
-    once.  Returns (i_eve, q_passed, f_irud).
+    once.  Where the attack alone meets the rate (q = 0), the information
+    is evaluated without the q terms, which gives the same floats.
+    Returns (i_eve, q_passed, f_irud).
     """
     positive_finite(mu, "mu")
     required = mu * transmission(nonnegative_finite(delta_db, "attenuation"))
@@ -326,16 +357,24 @@ def fourstate_combined_info(mu, delta_db):
     def info(f):  # q_of inlined, in the same order of operations
         g = 1.0 - f
         a = f * r_irud + g * r_store
-        q = 0.0 if a >= required else (required - a) / (mu - a)
-        p = 1.0 - q
-        wi = p * f * s_irud
-        ws = p * g * s_store
-        denom = q + wi + ws
+        if a >= required:
+            # q = 0, written out: 1.0 - 0.0 == 1.0 and 1.0 * f == f, and
+            # 0.0 + wi == wi since wi >= 0; a denominator of +0 or -0
+            # returns 0 either way, so each value is the q > 0 form's
+            wi = f * s_irud
+            ws = g * s_store
+            denom = wi + ws
+        else:
+            q = (required - a) / (mu - a)
+            p = 1.0 - q
+            wi = p * f * s_irud
+            ws = p * g * s_store
+            denom = q + wi + ws
         if denom <= 0.0:
             return 0.0
         return (wi + ws * i_store) / denom
 
-    vals = [info(f) for f in _F_GRID]
+    vals = list(map(info, _F_GRID))
     k_best = vals.index(max(vals))
     lo = _F_GRID[max(0, k_best - 1)]
     hi = _F_GRID[min(100, k_best + 1)]

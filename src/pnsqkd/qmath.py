@@ -232,9 +232,11 @@ def binary_information(p):
     if not 0.0 <= p <= 1.0:
         raise ValueError("probability out of range")
     out = 1.0
-    for x in (p, 1.0 - p):
-        if x > 0.0:
-            out += x * math.log2(x)
+    if p > 0.0:
+        out += p * math.log2(p)
+    q = 1.0 - p
+    if q > 0.0:
+        out += q * math.log2(q)
     return out if out > 0.0 else 0.0
 
 

@@ -35,28 +35,35 @@ def golden_max(f, lo, hi, iters):
 
     ``f`` must be a pure function of x: each distinct point is evaluated
     once.  Once the bracket is narrower than an ulp of x, further steps
-    revisit the same floats, and their values are looked up, not computed
-    again, so the result equals that of evaluating f at every step.
+    revisit the same floats, and their values are looked up in a dict kept
+    for this call only, so the result equals that of evaluating f at every
+    step.  The lookups are written inline and ``f`` is called only on a
+    miss, because a helper call per step would cost more than the
+    arithmetic of a cheap ``f``.
     """
     values = {}
-
-    def at(x):
-        if x not in values:
-            values[x] = f(x)
-        return values[x]
-
     a, b = lo, hi
     c1 = b - _GOLDEN * (b - a)
     c2 = a + _GOLDEN * (b - a)
-    f1, f2 = at(c1), at(c2)
+    f1 = values[c1] = f(c1)
+    f2 = values.get(c2)
+    if f2 is None:
+        f2 = values[c2] = f(c2)
     for _ in range(iters):
         if f1 < f2:
             a, c1, f1 = c1, c2, f2
             c2 = a + _GOLDEN * (b - a)
-            f2 = at(c2)
+            f2 = values.get(c2)
+            if f2 is None:
+                f2 = values[c2] = f(c2)
         else:
             b, c2, f2 = c2, c1, f1
             c1 = b - _GOLDEN * (b - a)
-            f1 = at(c1)
+            f1 = values.get(c1)
+            if f1 is None:
+                f1 = values[c1] = f(c1)
     x = 0.5 * (a + b)
-    return x, at(x)
+    fx = values.get(x)
+    if fx is None:
+        fx = f(x)
+    return x, fx

@@ -169,6 +169,12 @@ class TestFourTwoSums:
         with pytest.raises(ValueError, match="eta too small"):
             attacks.fourtwo_mu(1e-170)
 
+    @pytest.mark.parametrize("eta, reference_mu", [(math.pi / 3, 1e308), (1e-160, 0.1)])
+    def test_overflow_names_the_ratio(self, eta, reference_mu):
+        # 1 - cos(eta) is still positive, so the ratio overflows, not eta
+        with pytest.raises(ValueError, match=r"reference_mu / \(1 - cos eta\).* overflows"):
+            attacks.fourtwo_mu(eta, reference_mu)
+
 
 class TestStrongPulse:
     def test_model_construction(self):
@@ -256,6 +262,30 @@ class TestFourStateIrud:
         d1 = fourstate_irud_critical(1e-3)
         d2 = fourstate_irud_critical(1e-4)
         assert d2 - d1 == pytest.approx(20.0, abs=0.2)
+
+    @pytest.mark.parametrize("mu", [1e-12, 1e-10, 1e-8, 1e-6, 1e-5, 3e-5, 1e-4, 5e-4,
+                                    9.99e-4])
+    def test_small_mu_matches_oracle(self, mu):
+        # both closed forms cancel below mu = 1e-3: the critical attenuation
+        # read +inf at mu = 1e-6 and 109.55 dB (for 110.79) at 1e-5
+        with decimal.localcontext() as ctx:
+            ctx.prec = 100  # the closed forms cancel by about mu^3 ~ 1e-36
+            m = decimal.Decimal(mu)
+            head = (-m).exp()
+            rate = (m - 2 + head * (2 + m)) / 2
+            fraction = (1 - head * (1 + m + m * m / 2)) / 2
+            critical = 10 * (m / rate).log10()
+        for got, want in [(attacks.fourstate_irud_rate(mu), rate),
+                          (attacks.fourstate_irud_fraction(mu), fraction),
+                          (fourstate_irud_critical(mu), critical)]:
+            assert abs(decimal.Decimal(got) / want - 1) < 1e-14
+
+    def test_tiny_mu_stays_finite(self):
+        # mu^3 underflows below about 1.7e-108; the critical attenuation is
+        # summed in logs, 10 log10(12 / mu^2) to leading order
+        for mu in (1e-110, 1e-300, 5e-324):
+            want = 10 * (math.log10(12.0) - 2 * math.log10(mu))
+            assert fourstate_irud_critical(mu) == pytest.approx(want, rel=1e-15)
 
     def test_huge_mu_stays_finite(self):
         # mu * mu overflows to inf where exp(-mu) is 0; 0 * inf gave nan

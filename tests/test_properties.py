@@ -51,7 +51,13 @@ def test_fourtwo_pns_is_physical(eta, delta, reference_mu):
     try:
         pt = attacks.fourtwo_pns(eta, delta, reference_mu)
     except ValueError as exc:  # the mean photon number reference/(1 - cos eta) overflows
-        assert "eta too small" in str(exc)
+        s = 2.0 * math.sin(eta / 2.0) ** 2  # 1 - cos eta without cancellation
+        if s == 0.0:
+            assert "eta too small" in str(exc)
+        else:
+            assert reference_mu / s == math.inf
+            assert "eta too small" not in str(exc)
+            assert "reference_mu / (1 - cos eta)" in str(exc) and "overflows" in str(exc)
         return
     assert _unit(pt.q_passed, pt.i_eve)
 
