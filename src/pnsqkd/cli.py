@@ -22,9 +22,10 @@ from .photonics import SourceChannelModel, nonnegative_finite, positive_finite
 
 CURVE_IDS = ("pns-bb84", "pns-42", "figiepr", "muopt", "ieclon12", "ieclon23",
              "dcrit", "stattnb", "clonfid", "strongpulse")
-# Cloning sweeps evaluate a whole grid as one stack, about 9 kB per point
-# for ieclon23, so grids are capped at about 90 MB of working memory.  Every
-# default grid has at most a few hundred points.
+# Cloning sweeps evaluate a whole grid as one stack, about 3 kB per point
+# for ieclon23 (tracemalloc peak of its curve builder over 1,000 points), so
+# grids are capped at about 30 MB of working memory.  Every default grid has
+# at most a few hundred points.
 MAX_GRID_POINTS = 10_000
 
 
@@ -98,9 +99,10 @@ def _number(check, name):
     return parse
 
 
-def _check_grid_size(n):
-    if n > MAX_GRID_POINTS:
-        raise ValueError(f"{n} grid points requested, more than the limit of {MAX_GRID_POINTS}")
+def _check_grid_size(last):
+    """Reject a grid whose last index (a float or inf) reaches MAX_GRID_POINTS."""
+    if not last < MAX_GRID_POINTS:
+        raise ValueError(f"more than the limit of {MAX_GRID_POINTS} grid points requested")
 
 
 def _parse_grid(text, default):
@@ -114,10 +116,11 @@ def _parse_grid(text, default):
         raise ValueError("grid min, max and step must be finite")
     if not (lo < hi and step > 0):
         raise ValueError("grid must satisfy min < max and step > 0")
-    n = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    _check_grid_size(n)
-    grid = [lo + k * step for k in range(n)]
-    # lo + (n - 1) step can round past max, for example one ulp above pi/2
+    last = (hi - lo) / step + 1e-9
+    # checked before int(), which raises on an infinite quotient
+    _check_grid_size(last)
+    grid = [lo + k * step for k in range(int(last) + 1)]
+    # the last point can round past max, for example one ulp above pi/2
     grid[-1] = min(grid[-1], hi)
     return grid
 
@@ -132,7 +135,7 @@ def _parse_int_range(text, default):
         lo, hi = int(parts[0]), int(parts[1])
         if lo > hi:
             raise ValueError("range must satisfy min <= max")
-        _check_grid_size(hi - lo + 1)
+        _check_grid_size(hi - lo)
         return list(range(lo, hi + 1))
     raise ValueError("range must be n or min:max")
 

@@ -166,6 +166,10 @@ class TestExitCodes:
         # above about 3,240 dB the transmission underflows to 0; without
         # dark counts the QBER is still the optical error alone
         (["curve", "stattnb", "--pd", "0", "--nb", "2", "--d", "0:20000:10000"], 0),
+        # finite bounds whose point count is inf as a float
+        (["curve", "pns-bb84", "--d", "0:1e300:1e-10"], 2),
+        (["curve", "pns-bb84", "--d=-1e308:1e308:1"], 2),
+        (["curve", "ieclon12", "--gamma=0:1e300:1e-10"], 2),
     ])
     def test_domain_and_ladder_exit_codes(self, args, code):
         proc = run_cli(args)
@@ -303,9 +307,9 @@ _FUZZ_OPTIONS = ["--mu", "--alpha", "--eta-det", "--pd", "--qber-opt", "--eta", 
                  "--delta"]
 # at most 8 points, so that muopt stays quick
 _FUZZ_DISTANCES = ["0:2:1", "0:140:20", "0:20000:10000", "1e300:1e301:5e300", "-4:4:4",
-                   "nan:1:1", "0:inf:1", "1:0:1", "0:1:0", "abc"]
+                   "nan:1:1", "0:inf:1", "1:0:1", "0:1:0", "abc", "0:1e300:1e-10"]
 _FUZZ_GAMMAS = ["0.2:1.4:0.2", "0:1.5707963267948966:0.1", "1e-300:1e-299:1e-300",
-                "-1:0.5:0.5", "1e300:1e301:5e300", "nan:1:1"]
+                "-1:0.5:0.5", "1e300:1e301:5e300", "nan:1:1", "0:1e300:1e-10"]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
