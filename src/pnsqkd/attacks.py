@@ -404,6 +404,17 @@ def nb_mu(n_bases):
     return 0.05 / nb_sifting_probability(n_bases)
 
 
+def _nb_model(n_bases, model):
+    """The model of an n_b-bases attack: the default one at nb_mu(n_bases)
+    when ``model`` is None, else ``model``, whose mu must be that value."""
+    mu = nb_mu(n_bases)
+    if model is None:
+        return SourceChannelModel(mu=mu)
+    if model.mu != mu:
+        raise ValueError(f"model.mu must be nb_mu({n_bases}) = {mu!r}, got {model.mu!r}")
+    return model
+
+
 def nb_neighbor_overlap(n_bases):
     """Overlap of the two announced neighboring states: cos(pi / (2 n_b))."""
     return math.cos(math.pi / (2.0 * n_bases))
@@ -428,11 +439,10 @@ def nb_critical_usd(n_bases, model=None):
       1 - e^(-eta mu 10^(-d/10))
         = p_ok sum_{m>=n_e} p(m, mu) (1 - (1 - eta)^(m - n_e + 1)).
     """
-    mu = nb_mu(n_bases)
+    model = _nb_model(n_bases, model)
+    mu = model.mu
     n_e = 2 * n_bases - 1
     p_ok = discrimination.usd_optimal_pok(n_bases)
-    if model is None:
-        model = SourceChannelModel(mu=mu)
     target = p_ok * poisson_click_sums(mu, model.eta_det, poisson_cutoff(mu))[n_e - 1]
     return _solve_click_attenuation(model, mu, target)
 
@@ -446,7 +456,7 @@ def _storing_rungs(n_bases, model):
     overlap is cos(pi/(2 n_b))^n_s.  Past the Poisson cutoff the sum is 0
     and the attenuation infinite.
     """
-    mu = nb_mu(n_bases)
+    mu = model.mu
     sums = poisson_click_sums(mu, model.eta_det, poisson_cutoff(mu))
     overlap = nb_neighbor_overlap(n_bases)
     for n_s in itertools.count(1):
@@ -461,8 +471,7 @@ def nb_storing_critical(n_bases, n_stored, model=None):
     it yields, as (delta_db, i_eve)."""
     if n_stored < 1:
         raise ValueError("n_stored must be at least 1")
-    if model is None:
-        model = SourceChannelModel(mu=nb_mu(n_bases))
+    model = _nb_model(n_bases, model)
     return next(itertools.islice(_storing_rungs(n_bases, model), n_stored - 1, None))
 
 
@@ -474,8 +483,7 @@ def nb_storing_ladder(n_bases, model=None):
     pulse holds n_s photons, so the rung is unreachable (infinite
     attenuation); reaching it first raises InfeasibleModelError.
     """
-    if model is None:
-        model = SourceChannelModel(mu=nb_mu(n_bases))
+    model = _nb_model(n_bases, model)
     ladder = []
     for n_s, (delta, i_eve) in enumerate(_storing_rungs(n_bases, model), 1):
         if math.isinf(delta):

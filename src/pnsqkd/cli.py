@@ -8,6 +8,7 @@ separator, '\\n' line endings).  Exit codes: 0 success, 1 failed self check,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -320,18 +321,8 @@ def _cmd_curve(args):
 
 def _cmd_report(args):
     gl = keyrate.geneva_lausanne_report(alpha=args.alpha)
-    payload = {
-        "mu": float(_fmt(gl.mu)),
-        "distance_km": float(_fmt(gl.distance_km)),
-        "delta_db": float(_fmt(gl.delta_db)),
-        "qber": float(_fmt(gl.qber)),
-        "i_ab": float(_fmt(gl.i_ab)),
-        "i_eve_pns": float(_fmt(gl.i_eve_pns)),
-        "i_eve_cloning_optical": float(_fmt(gl.i_eve_cloning_optical)),
-        "i_eve_cloning_full": float(_fmt(gl.i_eve_cloning_full)),
-        "secure_optical_attribution": gl.secure_optical_attribution,
-        "secure_full_error": gl.secure_full_error,
-    }
+    payload = {k: v if isinstance(v, bool) else float(_fmt(v))
+               for k, v in dataclasses.asdict(gl).items()}
     _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     return 0
 

@@ -380,9 +380,9 @@ def bb84_reference_information(disturbance):
 
 def ngs23_gamma_for_disturbance(d):
     """Parameter of the symmetrized 2 -> 3 cloner giving disturbance d on
-    the clone pair (bisection on the monotone fidelity)."""
+    the clone pair (a root of the monotone fidelity, to the last bit)."""
     lo, hi = 0.0, math.pi / 2
     target = 1.0 - d
     if not ng23_fidelities(hi)[0] - 1e-12 <= target <= ng23_fidelities(lo)[0] + 1e-12:
         raise ValueError("disturbance out of range for this machine")
-    return solvers.bisect_decreasing(lambda g: ng23_fidelities(g)[0] - target, lo, hi, 1e-12)
+    return solvers.root_decreasing(lambda g: ng23_fidelities(g)[0] - target, lo, hi)

@@ -7,10 +7,9 @@ import math
 from dataclasses import dataclass
 
 from . import attacks, cloning, photonics, qmath, solvers
-from .photonics import SourceChannelModel, nonnegative_finite, positive_finite
+from .photonics import nonnegative_finite, positive_finite
 
 MU_SEARCH_MAX = 2.0
-BISECTION_TOL_DB = 1e-6
 
 
 def secure(i_ab, i_ae):
@@ -70,13 +69,14 @@ def nb_security_summary(n_bases, model=None):
 
     delta1 comes from the multicopy unambiguous-discrimination rate
     equation; delta2 is where the storing-attack information crosses I_AB
-    computed from the dark-count and optical error model.  min(delta1,
-    delta2) estimates the critical attenuation of the unknown optimal
-    attack.
+    computed from the dark-count and optical error model.  The ladder stops
+    at its first rung with I_Eve >= I_AB, and the margin I_AB - I_Eve does
+    not increase, so the crossing lies between the last two rungs (at the
+    rung of a one-rung ladder); delta2 is found there to the last bit.
+    min(delta1, delta2) estimates the critical attenuation of the unknown
+    optimal attack.  ``model.mu`` must be ``nb_mu(n_bases)``.
     """
-    mu = attacks.nb_mu(n_bases)
-    if model is None:
-        model = SourceChannelModel(mu=mu)
+    model = attacks._nb_model(n_bases, model)
     delta1 = attacks.nb_critical_usd(n_bases, model)
     ladder = attacks.nb_storing_ladder(n_bases, model)
 
@@ -85,10 +85,9 @@ def nb_security_summary(n_bases, model=None):
         i_ab = qmath.binary_information(photonics.qber_total(model, delta))
         return i_ab - i_eve
 
-    delta2 = solvers.bisect_decreasing(margin, ladder[0][0], ladder[-1][0],
-                                       BISECTION_TOL_DB)
+    delta2 = solvers.root_decreasing(margin, ladder[max(0, len(ladder) - 2)][0], ladder[-1][0])
     critical = min(delta1, delta2)
-    return NbSecuritySummary(n_bases, mu, delta1, delta2, critical, critical / model.alpha)
+    return NbSecuritySummary(n_bases, model.mu, delta1, delta2, critical, critical / model.alpha)
 
 
 @dataclass

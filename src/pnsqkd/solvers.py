@@ -1,8 +1,9 @@
 """One-dimensional searches shared by the attack, key-rate and cloning layers.
 
-Both are plain, fixed-schedule loops: their results depend only on the
-function, the bracket and the tolerance or iteration count, so a caller's
-output is reproducible to the last digit.
+Neither takes a tolerance: the root search runs until the bracket holds
+two neighbouring floats, and the maximum search for a fixed number of
+steps.  Their results depend only on the function, the bracket and the
+step count, so a caller's output is reproducible to the last digit.
 """
 from __future__ import annotations
 
@@ -11,22 +12,44 @@ import math
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def bisect_decreasing(f, lo, hi, tol):
-    """Root of a decreasing function on [lo, hi] by bisection.
+def root_decreasing(f, lo, hi):
+    """Root of a decreasing function on [lo, hi], to the last bit.
 
-    Returns ``lo`` when f(lo) <= 0.  Otherwise the caller guarantees
-    f(hi) <= 0; the bracket is halved until it is narrower than ``tol`` and
-    its midpoint is returned.
+    Returns ``lo`` when f(lo) <= 0, without evaluating f(hi), and ``hi``
+    when f(hi) > 0.  Otherwise the bracket [a, b] with f(a) > 0 >= f(b) is
+    closed by regula falsi in its Illinois form (Dowell & Jarratt, BIT 11,
+    1971): an end kept twice in a row has its f value halved in the secant,
+    and a secant point not strictly inside the bracket is replaced by the
+    midpoint.  Every step moves an end strictly inward, so the loop ends
+    when no float lies strictly between a and b; of those two neighbours it
+    returns the one with the smaller |f|.
     """
-    if f(lo) <= 0.0:
+    fa = f(lo)
+    if fa <= 0.0:
         return lo
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            lo = mid
+    fb = f(hi)
+    if fb > 0.0:
+        return hi
+    a, b = lo, hi
+    wa, wb = fa, fb  # secant weights: the true values, halved by the Illinois rule
+    kept = 0  # +1 after a step that kept b, -1 after one that kept a
+    while True:
+        x = (a * wb - b * wa) / (wb - wa)
+        if not a < x < b:
+            x = a + 0.5 * (b - a)
+            if not a < x < b:
+                return a if abs(fa) < abs(fb) else b
+        fx = f(x)
+        if fx > 0.0:
+            a, fa, wa = x, fx, fx
+            if kept == 1:
+                wb *= 0.5
+            kept = 1
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            b, fb, wb = x, fx, fx
+            if kept == -1:
+                wa *= 0.5
+            kept = -1
 
 
 def golden_max(f, lo, hi, iters):

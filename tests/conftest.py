@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+
+from pnsqkd import attacks, photonics, qmath
 
 
 @pytest.fixture
@@ -23,3 +27,25 @@ def random_density(rng, dim, rank=None):
     a = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
+
+
+def is_last_bit_crossing(n_bases, model, delta):
+    """True when the storing margin I_AB - I_Eve of the n_b-bases ladder
+    lies on opposite sides of zero (> 0 against <= 0) at ``delta`` and at
+    one of its float neighbours.
+
+    A margin that is not positive at the first rung (I_AB = 0 there: a QBER
+    of 1/2, as p_d = 0.5 gives at every loss) has no sign change on the
+    searched rungs, and the crossing search returns that rung.
+    """
+    ladder = attacks.nb_storing_ladder(n_bases, model)
+
+    def margin(d):
+        return (qmath.binary_information(photonics.qber_total(model, d))
+                - attacks.nb_storing_info_at(ladder, d))
+
+    if margin(ladder[0][0]) <= 0.0:
+        return delta == ladder[0][0]
+    if margin(delta) > 0.0:
+        return margin(math.nextafter(delta, math.inf)) <= 0.0
+    return margin(math.nextafter(delta, -math.inf)) > 0.0

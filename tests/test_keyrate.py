@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import is_last_bit_crossing
 from pnsqkd import attacks, cloning, keyrate, photonics, qmath
 from pnsqkd.keyrate import (
     fourstate_key_rate,
@@ -89,17 +90,21 @@ class TestNbSummary:
         assert s.delta2_db < s.delta1_db
         assert s.critical_delta_db == s.delta2_db
 
-    def test_bisection_converged(self):
-        s = nb_security_summary(3)
-        # at the reported crossing the two informations agree closely
-        from pnsqkd import qmath
-        from pnsqkd.photonics import SourceChannelModel
+    @pytest.mark.parametrize("n_bases", range(2, 9))
+    def test_crossing_is_a_last_bit_root(self, n_bases):
+        s = nb_security_summary(n_bases)
+        model = photonics.SourceChannelModel(mu=attacks.nb_mu(n_bases))
+        assert is_last_bit_crossing(n_bases, model, s.delta2_db)
 
-        model = SourceChannelModel(mu=attacks.nb_mu(3))
-        ladder = attacks.nb_storing_ladder(3, model)
-        i_eve = attacks.nb_storing_info_at(ladder, s.delta2_db)
-        i_ab = qmath.binary_information(photonics.qber_total(model, s.delta2_db))
-        assert i_eve == pytest.approx(i_ab, abs=1e-4)
+    def test_model_mu_must_be_the_protocols(self):
+        model = photonics.SourceChannelModel(mu=0.05)
+        with pytest.raises(ValueError, match="nb_mu"):
+            nb_security_summary(3, model)
+        for attack in (attacks.nb_critical_usd, attacks.nb_storing_ladder):
+            with pytest.raises(ValueError, match="nb_mu"):
+                attack(3, model)
+        with pytest.raises(ValueError, match="nb_mu"):
+            attacks.nb_storing_critical(3, 1, model)
 
     def test_storing_beats_discrimination_up_to_five_bases(self):
         for nb in range(2, 6):

@@ -11,6 +11,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import is_last_bit_crossing
 from pnsqkd import attacks, keyrate
 from pnsqkd.attacks import InfeasibleModelError
 from pnsqkd.photonics import SourceChannelModel
@@ -115,4 +116,5 @@ def test_nb_critical_attenuations_are_attenuations(n_bases, params):
                   summary.critical_distance_km):
         assert _attenuation(value)
     assert summary.critical_delta_db == min(summary.delta1_db, summary.delta2_db)
+    assert is_last_bit_crossing(n_bases, model, summary.delta2_db)
 

@@ -1,11 +1,11 @@
-"""Shared one-dimensional searches: bisection and golden-section maximum."""
+"""Shared one-dimensional searches: bracketed root and golden-section maximum."""
 import math
 
 import pytest
 
 from pnsqkd import photonics
 from pnsqkd.keyrate import fourstate_key_rate
-from pnsqkd.solvers import _GOLDEN, bisect_decreasing, golden_max
+from pnsqkd.solvers import _GOLDEN, golden_max, root_decreasing
 
 
 def golden_max_loop(f, lo, hi, iters):
@@ -28,34 +28,43 @@ def golden_max_loop(f, lo, hi, iters):
     return x, f(x)
 
 
-def test_bisect_returns_lo_when_already_nonpositive():
-    calls = []
-
-    def f(x):
+def _recorded(f, calls):
+    def g(x):
         calls.append(x)
-        return -1.0 - x
+        return f(x)
+    return g
 
-    assert bisect_decreasing(f, 0.5, 3.0, 1e-9) == 0.5
+
+def test_root_returns_lo_when_already_nonpositive():
+    calls = []
+    assert root_decreasing(_recorded(lambda x: -1.0 - x, calls), 0.5, 3.0) == 0.5
     assert calls == [0.5]  # the hi end is never evaluated
 
 
-def test_bisect_finds_sqrt2():
-    tol = 1e-10
-    root = bisect_decreasing(lambda x: 2.0 - x * x, 0.0, 2.0, tol)
-    assert abs(root - math.sqrt(2.0)) <= tol
+def test_root_returns_hi_when_still_positive():
+    # a one-rung ladder brackets its crossing with lo == hi
+    assert root_decreasing(lambda x: 1.0, 2.5, 2.5) == 2.5
+    assert root_decreasing(lambda x: 1.0 - x, 0.0, 0.5) == 0.5
+
+
+def test_root_finds_sqrt2():
+    root = root_decreasing(lambda x: 2.0 - x * x, 0.0, 2.0)
+    assert abs(root - math.sqrt(2.0)) <= math.ulp(math.sqrt(2.0))
+
+
+def test_root_does_not_stall_where_plain_regula_falsi_does():
+    # plain regula falsi keeps the end at 2 for ever and creeps up from 0
+    # (after 100,000 steps it is still below 0.2); bisection to the ulp
+    # takes 56 calls
+    calls = []
+    assert root_decreasing(_recorded(lambda x: 1.0 - x ** 20, calls), 0.0, 2.0) == 1.0
+    assert len(calls) < 56
 
 
 def test_golden_max_finds_parabola_vertex():
     x, fx = golden_max(lambda x: -(x - 0.3) ** 2, 0.0, 1.0, 90)
     assert x == pytest.approx(0.3, abs=1e-8)
     assert fx == pytest.approx(0.0, abs=1e-15)
-
-
-def _recorded(f, calls):
-    def g(x):
-        calls.append(x)
-        return f(x)
-    return g
 
 
 def _parabola(x):
