@@ -7,12 +7,13 @@ qmath           few-qubit linear algebra and quantum-information primitives;
                 states are 1-D and operators 2-D complex128 arrays, built
                 with their checks by ``qmath.state`` and ``qmath.measurement``
 photonics       Poisson source and click sums, channel attenuation, QBER model
+                (channel and detector; mu is the protocol's own)
 discrimination  two-state POVM and filter, overlap penalty, multicopy
                 unambiguous-discrimination success probability
 attacks         photon-number-splitting attack evaluations per protocol
 cloning         asymmetric cloning machines and sifted cloning attacks
 keyrate         security criterion, key rate, optimal mu, protocol comparison
-solvers         the shared bisection and golden-section searches
+solvers         the one root finder and the one golden-section search
 validation      the anchor self-check suite behind ``validate``
 cli             curve sweeps, reports and self checks
 """

@@ -228,12 +228,8 @@ def strongpulse_b92(delta_db, mu):
     overlap tends to e^(-2 mu), so the information saturates and the
     protocol stays secure at any loss.
     """
-    model = StrongPulseModel(mu, delta_db)
-    t = model.intensity_ratio
-    kept = model.mu_prime - BOB_FLOOR
-    # log space: rounding (1-t)/(1+t) and raising it to kept ~ 1/t would
-    # amplify one ulp to ~1e-9 in the overlap at large loss
-    overlap = math.exp(kept * (math.log1p(-t) - math.log1p(t))) if kept > 0 else 1.0
+    pulse = StrongPulseModel(mu, delta_db)
+    overlap = qmath.two_mode_overlap(pulse.mu_prime - BOB_FLOOR, pulse.intensity_ratio)
     p_e = qmath.pure_state_error(overlap)
     return overlap, p_e, qmath.binary_information(p_e)
 
@@ -404,17 +400,6 @@ def nb_mu(n_bases):
     return 0.05 / nb_sifting_probability(n_bases)
 
 
-def _nb_model(n_bases, model):
-    """The model of an n_b-bases attack: the default one at nb_mu(n_bases)
-    when ``model`` is None, else ``model``, whose mu must be that value."""
-    mu = nb_mu(n_bases)
-    if model is None:
-        return SourceChannelModel(mu=mu)
-    if model.mu != mu:
-        raise ValueError(f"model.mu must be nb_mu({n_bases}) = {mu!r}, got {model.mu!r}")
-    return model
-
-
 def nb_neighbor_overlap(n_bases):
     """Overlap of the two announced neighboring states: cos(pi / (2 n_b))."""
     return math.cos(math.pi / (2.0 * n_bases))
@@ -433,14 +418,13 @@ def _solve_click_attenuation(model, mu, target):
     return 0.0 if x >= 1.0 else -10.0 * math.log10(x)
 
 
-def nb_critical_usd(n_bases, model=None):
+def nb_critical_usd(n_bases, model=SourceChannelModel()):
     """Critical attenuation against unambiguous discrimination of
     n_e = 2 n_b - 1 copies, where both sides count detector clicks:
       1 - e^(-eta mu 10^(-d/10))
         = p_ok sum_{m>=n_e} p(m, mu) (1 - (1 - eta)^(m - n_e + 1)).
     """
-    model = _nb_model(n_bases, model)
-    mu = model.mu
+    mu = nb_mu(n_bases)
     n_e = 2 * n_bases - 1
     p_ok = discrimination.usd_optimal_pok(n_bases)
     target = p_ok * poisson_click_sums(mu, model.eta_det, poisson_cutoff(mu))[n_e - 1]
@@ -456,7 +440,7 @@ def _storing_rungs(n_bases, model):
     overlap is cos(pi/(2 n_b))^n_s.  Past the Poisson cutoff the sum is 0
     and the attenuation infinite.
     """
-    mu = model.mu
+    mu = nb_mu(n_bases)
     sums = poisson_click_sums(mu, model.eta_det, poisson_cutoff(mu))
     overlap = nb_neighbor_overlap(n_bases)
     for n_s in itertools.count(1):
@@ -465,17 +449,16 @@ def _storing_rungs(n_bases, model):
         yield _solve_click_attenuation(model, mu, target), i_eve
 
 
-def nb_storing_critical(n_bases, n_stored, model=None):
+def nb_storing_critical(n_bases, n_stored, model=SourceChannelModel()):
     """Rung ``n_stored`` of ``_storing_rungs``: the attenuation at which storing
     that many photons per pulse becomes rate invisible, and the information
     it yields, as (delta_db, i_eve)."""
     if n_stored < 1:
         raise ValueError("n_stored must be at least 1")
-    model = _nb_model(n_bases, model)
     return next(itertools.islice(_storing_rungs(n_bases, model), n_stored - 1, None))
 
 
-def nb_storing_ladder(n_bases, model=None):
+def nb_storing_ladder(n_bases, model=SourceChannelModel()):
     """Storing-attack ladder [(delta(n_s), I(n_s))] until it overtakes I_AB.
 
     Stops at the first rung whose information meets or exceeds the honest
@@ -483,7 +466,7 @@ def nb_storing_ladder(n_bases, model=None):
     pulse holds n_s photons, so the rung is unreachable (infinite
     attenuation); reaching it first raises InfeasibleModelError.
     """
-    model = _nb_model(n_bases, model)
+    mu = nb_mu(n_bases)
     ladder = []
     for n_s, (delta, i_eve) in enumerate(_storing_rungs(n_bases, model), 1):
         if math.isinf(delta):
@@ -491,7 +474,7 @@ def nb_storing_ladder(n_bases, model=None):
                 f"storing ladder for {n_bases} bases: no reachable rung with {n_s} stored "
                 f"photons, and no earlier rung gives the eavesdropper I_AB")
         ladder.append((delta, i_eve))
-        i_ab = qmath.binary_information(photonics.qber_total(model, delta))
+        i_ab = qmath.binary_information(photonics.qber_total(model, mu, delta))
         if i_eve >= i_ab:
             return ladder
 

@@ -141,8 +141,8 @@ def _parse_int_range(text, default):
     raise ValueError("range must be n or min:max")
 
 
-def _model_from_args(args, mu):
-    return SourceChannelModel(mu=mu, alpha=args.alpha, eta_det=args.eta_det,
+def _model_from_args(args):
+    return SourceChannelModel(alpha=args.alpha, eta_det=args.eta_det,
                               p_d=args.pd, qber_opt=args.qber_opt)
 
 
@@ -224,10 +224,9 @@ def _curve_ieclon23(args):
 def _curve_dcrit(args):
     nbs = _parse_int_range(args.nb, list(range(2, 9)))
     header = ["n_b", "mu", "delta1_db", "delta2_db", "dist1_km", "dist2_km"]
+    model = _model_from_args(args)
     rows = []
     for nb in nbs:
-        mu = attacks.nb_mu(nb)
-        model = _model_from_args(args, mu)
         s = keyrate.nb_security_summary(nb, model)
         rows.append([nb, s.mu, s.delta1_db, s.delta2_db,
                      s.delta1_db / args.alpha, s.delta2_db / args.alpha])
@@ -238,15 +237,15 @@ def _curve_stattnb(args):
     nbs = _parse_int_range(args.nb, list(range(2, 6)))
     dists = _parse_grid(args.d, [float(k) for k in range(10, 241, 2)])
     header = ["n_b", "distance_km", "delta_db", "i_ab", "i_eve"]
+    model = _model_from_args(args)
     rows = []
     for nb in nbs:
         mu = attacks.nb_mu(nb)
-        model = _model_from_args(args, mu)
         ladder = attacks.nb_storing_ladder(nb, model)
         for d in dists:
             delta = d * args.alpha
             i_eve = attacks.nb_storing_info_at(ladder, delta)
-            i_ab = qmath.binary_information(photonics.qber_total(model, delta))
+            i_ab = qmath.binary_information(photonics.qber_total(model, mu, delta))
             rows.append([nb, d, delta, i_ab, i_eve])
     return header, rows
 
@@ -272,9 +271,9 @@ def _curve_strongpulse(args):
     rows = []
     for d in dists:
         delta = d * args.alpha
-        model = attacks.StrongPulseModel(mu, delta)
+        pulse = attacks.StrongPulseModel(mu, delta)
         ov, p_e, i_eve = attacks.strongpulse_b92(delta, mu)
-        rows.append([d, delta, model.mu_prime, model.intensity_ratio, ov, p_e, i_eve])
+        rows.append([d, delta, pulse.mu_prime, pulse.intensity_ratio, ov, p_e, i_eve])
     return header, rows
 
 

@@ -64,30 +64,33 @@ class NbSecuritySummary:
     critical_distance_km: float
 
 
-def nb_security_summary(n_bases, model=None):
-    """Critical attenuations of the n_b-bases protocol under both attacks.
+def nb_security_summary(n_bases, model=photonics.SourceChannelModel()):
+    """Critical attenuations of the n_b-bases protocol under both attacks,
+    at the protocol's own mean photon number nb_mu(n_bases).
 
     delta1 comes from the multicopy unambiguous-discrimination rate
     equation; delta2 is where the storing-attack information crosses I_AB
     computed from the dark-count and optical error model.  The ladder stops
     at its first rung with I_Eve >= I_AB, and the margin I_AB - I_Eve does
-    not increase, so the crossing lies between the last two rungs (at the
-    rung of a one-rung ladder); delta2 is found there to the last bit.
-    min(delta1, delta2) estimates the critical attenuation of the unknown
-    optimal attack.  ``model.mu`` must be ``nb_mu(n_bases)``.
+    not increase, so the crossing lies between the last two rungs, or
+    between 0 dB and the rung of a one-rung ladder; delta2 is found there to
+    the last bit.  A link with I_AB = 0 at 0 dB is never secure, and its
+    delta2 is 0.  min(delta1, delta2) estimates the critical attenuation of
+    the unknown optimal attack.
     """
-    model = attacks._nb_model(n_bases, model)
+    mu = attacks.nb_mu(n_bases)
     delta1 = attacks.nb_critical_usd(n_bases, model)
     ladder = attacks.nb_storing_ladder(n_bases, model)
 
     def margin(delta):  # I_AB - I_Eve, decreasing across the ladder
         i_eve = attacks.nb_storing_info_at(ladder, delta)
-        i_ab = qmath.binary_information(photonics.qber_total(model, delta))
+        i_ab = qmath.binary_information(photonics.qber_total(model, mu, delta))
         return i_ab - i_eve
 
-    delta2 = solvers.root_decreasing(margin, ladder[max(0, len(ladder) - 2)][0], ladder[-1][0])
+    lo = ladder[-2][0] if len(ladder) > 1 else 0.0
+    delta2 = solvers.root_decreasing(margin, lo, ladder[-1][0])
     critical = min(delta1, delta2)
-    return NbSecuritySummary(n_bases, model.mu, delta1, delta2, critical, critical / model.alpha)
+    return NbSecuritySummary(n_bases, mu, delta1, delta2, critical, critical / model.alpha)
 
 
 @dataclass

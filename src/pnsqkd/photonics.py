@@ -5,6 +5,10 @@ Poisson mixture of photon-number states with mean mu.  The channel is
 described by its attenuation in dB; detection by an efficiency and a
 dark-count probability per gate.  The detector click sums for every
 photon-number offset come from one backward pass.
+
+mu belongs to the protocol, not to ``SourceChannelModel``: the n_b-bases
+attacks take it from ``attacks.nb_mu(n_b)``, and ``qber_total`` takes it as
+an argument.
 """
 from __future__ import annotations
 
@@ -32,23 +36,20 @@ def nonnegative_finite(value, name):
 
 @dataclass(frozen=True)
 class SourceChannelModel:
-    """Source and channel parameters.
+    """Channel and detector parameters.
 
-    mu        mean photon number per pulse
     alpha     fiber attenuation in dB/km
     eta_det   detector efficiency
     p_d       dark-count probability per gate
     qber_opt  optical error fraction
     """
 
-    mu: float
     alpha: float = DEFAULT_ALPHA_DB_PER_KM
     eta_det: float = 0.1
     p_d: float = 1e-5
     qber_opt: float = 0.01
 
     def __post_init__(self):
-        positive_finite(self.mu, "mu")
         positive_finite(self.alpha, "alpha")
         if not 0 < self.eta_det <= 1:
             raise ValueError("eta_det must be in (0, 1]")
@@ -107,15 +108,19 @@ def poisson_click_sums(mu, eta, nmax):
     return sums
 
 
-def qber_total(model, delta_db):
-    """Total QBER: dark-count term plus the optical error.
+def qber_total(model, mu, delta_db):
+    """Total QBER at mean photon number ``mu``: dark-count term plus the
+    optical error.
 
     (p_d / 2) / (p_d + mu eta_det 10^(-delta/10)) + qber_opt, clamped to
     [0, 0.5] (information is symmetric beyond one half).  Without dark
     counts the first term is 0 at every attenuation, also where the
     transmission underflows to 0.
     """
-    nonnegative_finite(delta_db, "attenuation")
-    signal = model.mu * model.eta_det * transmission(delta_db)
+    # one chained test on the hot path; the helpers only word the error
+    if not (0.0 < mu < math.inf and 0.0 <= delta_db < math.inf):
+        positive_finite(mu, "mu")
+        nonnegative_finite(delta_db, "attenuation")
+    signal = mu * model.eta_det * transmission(delta_db)
     dark = (model.p_d / 2.0) / (model.p_d + signal) if model.p_d else 0.0
     return min(dark + model.qber_opt, 0.5)

@@ -264,5 +264,13 @@ def two_mode_number_state(n, phase, ratio):
 
 
 def two_mode_overlap(n, ratio):
-    """Closed form |<phi_n(pi)|phi_n(0)>| = ((1-t)/(1+t))^n for t = ratio."""
-    return ((1.0 - ratio) / (1.0 + ratio)) ** n
+    """Closed form |<phi_n(pi)|phi_n(0)>| = ((1-t)/(1+t))^n for t = ratio
+    in [0, 1) and any real n >= 0.
+
+    Taken in log space, exp(n (log1p(-t) - log1p(t))): rounding (1-t)/(1+t)
+    and raising it to a large n (n ~ 1/t in the strong-pulse scheme) would
+    amplify one ulp to ~1e-9 in the overlap.
+    """
+    if not 0.0 <= ratio < 1.0:
+        raise ValueError("intensity ratio must be in [0, 1)")
+    return math.exp(n * (math.log1p(-ratio) - math.log1p(ratio)))

@@ -34,18 +34,19 @@ def is_last_bit_crossing(n_bases, model, delta):
     lies on opposite sides of zero (> 0 against <= 0) at ``delta`` and at
     one of its float neighbours.
 
-    A margin that is not positive at the first rung (I_AB = 0 there: a QBER
-    of 1/2, as p_d = 0.5 gives at every loss) has no sign change on the
-    searched rungs, and the crossing search returns that rung.
+    A margin that is not positive at 0 dB (I_AB = 0 there: a QBER of 1/2,
+    as p_d = 0.5 gives at every loss) belongs to a link that is never
+    secure, and the crossing is 0 dB.
     """
+    mu = attacks.nb_mu(n_bases)
     ladder = attacks.nb_storing_ladder(n_bases, model)
 
     def margin(d):
-        return (qmath.binary_information(photonics.qber_total(model, d))
+        return (qmath.binary_information(photonics.qber_total(model, mu, d))
                 - attacks.nb_storing_info_at(ladder, d))
 
-    if margin(ladder[0][0]) <= 0.0:
-        return delta == ladder[0][0]
+    if margin(0.0) <= 0.0:
+        return delta == 0.0
     if margin(delta) > 0.0:
         return margin(math.nextafter(delta, math.inf)) <= 0.0
     return margin(math.nextafter(delta, -math.inf)) > 0.0

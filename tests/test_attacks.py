@@ -441,7 +441,7 @@ class TestNbGeneralization:
         assert nb_mu(8) == pytest.approx(10.5097, abs=1e-3)
 
     def test_usd_critical_click_form(self):
-        model = SourceChannelModel(mu=nb_mu(2))
+        model = SourceChannelModel()
         delta1 = nb_critical_usd(2, model)
         # independent check: equality of the two click rates at the root
         from pnsqkd.discrimination import usd_optimal_pok
@@ -455,7 +455,7 @@ class TestNbGeneralization:
     def test_storing_critical_bisection_matches_closed_form(self):
         # (3, 12) lies at ~126.8 dB, beyond any fixed 120 dB search bracket
         for n_b, n_s in [(3, 2), (3, 12)]:
-            model = SourceChannelModel(mu=nb_mu(n_b))
+            model = SourceChannelModel()
             delta, _ = nb_storing_critical(n_b, n_s, model)
 
             mu = nb_mu(n_b)
@@ -505,7 +505,7 @@ class TestNbGeneralization:
     def test_exact_sums_no_weak_pulse_approximation(self):
         # at n_b = 8 the mean photon number is ~10.5; the click solver must
         # still satisfy its defining equation exactly
-        model = SourceChannelModel(mu=nb_mu(8))
+        model = SourceChannelModel()
         delta1 = nb_critical_usd(8, model)
         from pnsqkd.discrimination import usd_optimal_pok
 
@@ -526,8 +526,8 @@ class TestNbGeneralization:
     lambda x: fourstate_irud_critical(x),
     lambda x: fourstate_combined_info(0.2, x),
     lambda x: strongpulse_b92(x, 0.1),
-    lambda x: SourceChannelModel(mu=x),
-    lambda x: photonics.qber_total(SourceChannelModel(mu=0.1), x),
+    lambda x: photonics.qber_total(SourceChannelModel(), x, 10.0),
+    lambda x: photonics.qber_total(SourceChannelModel(), 0.1, x),
     lambda x: nb_storing_info_at(nb_storing_ladder(2), x),
     lambda x: bb84_critical_attenuation(x),
     lambda x: keyrate.key_rate(x, 10.0, 0.1),
@@ -536,7 +536,7 @@ class TestNbGeneralization:
     lambda x: cloning.pns_cloning_attack(cloning.make_ngs23, 0.2, x, [0.3]),
 ], ids=["bb84_pns-mu", "bb84_pns-delta", "fourstate_irud_pns-mu", "fourtwo_pns-delta",
         "fourtwo_pns-mu", "fourstate_irud_critical-mu", "fourstate_combined_info-delta",
-        "strongpulse_b92-delta", "SourceChannelModel-mu", "qber_total-delta", "nb_storing_info_at-delta",
+        "strongpulse_b92-delta", "qber_total-mu", "qber_total-delta", "nb_storing_info_at-delta",
         "bb84_critical_attenuation-mu", "key_rate-mu", "key_rate-delta",
         "pns_cloning_attack-mu", "pns_cloning_attack-delta"])
 def test_non_finite_input_is_rejected(call, bad):
@@ -552,7 +552,7 @@ def test_non_finite_input_is_rejected(call, bad):
     lambda x: keyrate.optimal_mu(x),
     lambda x: keyrate.key_rate(0.2, x, 0.1),
     lambda x: cloning.pns_cloning_attack(cloning.make_ngs23, 0.2, x, [0.3]),
-    lambda x: photonics.qber_total(SourceChannelModel(mu=0.1), x),
+    lambda x: photonics.qber_total(SourceChannelModel(), 0.1, x),
     lambda x: nb_storing_info_at(nb_storing_ladder(2), x),
     lambda x: strongpulse_b92(x, 0.1),
 ], ids=["bb84_pns", "fourstate_irud_pns", "fourtwo_pns", "fourstate_combined_info",

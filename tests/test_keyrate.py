@@ -93,18 +93,14 @@ class TestNbSummary:
     @pytest.mark.parametrize("n_bases", range(2, 9))
     def test_crossing_is_a_last_bit_root(self, n_bases):
         s = nb_security_summary(n_bases)
-        model = photonics.SourceChannelModel(mu=attacks.nb_mu(n_bases))
-        assert is_last_bit_crossing(n_bases, model, s.delta2_db)
+        assert is_last_bit_crossing(n_bases, photonics.SourceChannelModel(), s.delta2_db)
 
-    def test_model_mu_must_be_the_protocols(self):
-        model = photonics.SourceChannelModel(mu=0.05)
-        with pytest.raises(ValueError, match="nb_mu"):
-            nb_security_summary(3, model)
-        for attack in (attacks.nb_critical_usd, attacks.nb_storing_ladder):
-            with pytest.raises(ValueError, match="nb_mu"):
-                attack(3, model)
-        with pytest.raises(ValueError, match="nb_mu"):
-            attacks.nb_storing_critical(3, 1, model)
+    def test_never_secure_link_crosses_at_zero(self):
+        # a QBER of 1/2 at every loss: I_AB = 0 on the whole one-rung ladder
+        model = photonics.SourceChannelModel(p_d=0.5, eta_det=5.7e-85)
+        s = nb_security_summary(2, model)
+        assert s.delta2_db == s.critical_delta_db == 0.0
+        assert is_last_bit_crossing(2, model, s.delta2_db)
 
     def test_storing_beats_discrimination_up_to_five_bases(self):
         for nb in range(2, 6):

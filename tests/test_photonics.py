@@ -43,14 +43,12 @@ class TestPoisson:
 class TestModel:
     def test_validation(self):
         with pytest.raises(ValueError):
-            SourceChannelModel(mu=-1.0)
+            SourceChannelModel(eta_det=0.0)
         with pytest.raises(ValueError):
-            SourceChannelModel(mu=0.1, eta_det=0.0)
-        with pytest.raises(ValueError):
-            SourceChannelModel(mu=0.1, qber_opt=0.6)
+            SourceChannelModel(qber_opt=0.6)
         # alpha = 0 made nb_security_summary divide by zero
         with pytest.raises(ValueError, match="alpha must be positive and finite"):
-            SourceChannelModel(mu=0.1, alpha=0.0)
+            SourceChannelModel(alpha=0.0)
 
 
 class TestRawRate:
@@ -129,26 +127,31 @@ class TestDetection:
 
 
 class TestQber:
+    @pytest.mark.parametrize("mu", [-1.0, 0.0, -0.0])
+    def test_nonpositive_mu_rejected(self, mu):
+        with pytest.raises(ValueError, match="mu must be positive and finite"):
+            qber_total(SourceChannelModel(), mu, 10.0)
+
     def test_no_dark_counts(self):
-        m = SourceChannelModel(mu=0.2, p_d=0.0, qber_opt=0.013)
-        assert qber_total(m, 30.0) == pytest.approx(0.013)
+        m = SourceChannelModel(p_d=0.0, qber_opt=0.013)
+        assert qber_total(m, 0.2, 30.0) == pytest.approx(0.013)
 
     def test_no_dark_counts_where_transmission_underflows(self):
         # 10^(-330) underflows to 0; the dark-count share is still 0, not 0/0
-        m = SourceChannelModel(mu=0.2, p_d=0.0)
-        assert qber_total(m, 3300.0) == m.qber_opt
+        m = SourceChannelModel(p_d=0.0)
+        assert qber_total(m, 0.2, 3300.0) == m.qber_opt
 
     def test_dark_count_dominated(self):
-        m = SourceChannelModel(mu=0.2, eta_det=0.1, p_d=1e-5, qber_opt=0.01)
-        assert qber_total(m, 200.0) == pytest.approx(0.5)  # clamped
+        m = SourceChannelModel(eta_det=0.1, p_d=1e-5, qber_opt=0.01)
+        assert qber_total(m, 0.2, 200.0) == pytest.approx(0.5)  # clamped
 
     def test_reference_point(self):
-        m = SourceChannelModel(mu=0.2, eta_det=0.1, p_d=1e-5, qber_opt=0.01)
-        assert qber_total(m, 16.75) == pytest.approx(0.0216, abs=1e-4)
+        m = SourceChannelModel(eta_det=0.1, p_d=1e-5, qber_opt=0.01)
+        assert qber_total(m, 0.2, 16.75) == pytest.approx(0.0216, abs=1e-4)
 
     def test_monotone_and_bounded(self):
-        m = SourceChannelModel(mu=0.2, eta_det=0.1, p_d=1e-5, qber_opt=0.01)
-        vals = [qber_total(m, d) for d in range(0, 120, 2)]
+        m = SourceChannelModel(eta_det=0.1, p_d=1e-5, qber_opt=0.01)
+        vals = [qber_total(m, 0.2, d) for d in range(0, 120, 2)]
         assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
         assert all(v <= 0.5 for v in vals)
 

@@ -95,18 +95,18 @@ def test_critical_attenuations_are_attenuations(mu):
     assert _attenuation(attacks.fourstate_irud_critical(mu))
 
 
-models = st.fixed_dictionaries({
-    "alpha": st.floats(min_value=5e-324, max_value=1.7e308),
-    "eta_det": st.floats(min_value=5e-324, max_value=1.0),
-    "p_d": st.floats(min_value=0.0, max_value=0.999),
-    "qber_opt": st.floats(min_value=0.0, max_value=0.499),
-})
+models = st.builds(
+    SourceChannelModel,
+    alpha=st.floats(min_value=5e-324, max_value=1.7e308),
+    eta_det=st.floats(min_value=5e-324, max_value=1.0),
+    p_d=st.floats(min_value=0.0, max_value=0.999),
+    qber_opt=st.floats(min_value=0.0, max_value=0.499),
+)
 
 
 @SETTINGS
 @given(st.integers(min_value=2, max_value=8), models)
-def test_nb_critical_attenuations_are_attenuations(n_bases, params):
-    model = SourceChannelModel(mu=attacks.nb_mu(n_bases), **params)
+def test_nb_critical_attenuations_are_attenuations(n_bases, model):
     assert _attenuation(attacks.nb_critical_usd(n_bases, model))
     try:
         summary = keyrate.nb_security_summary(n_bases, model)

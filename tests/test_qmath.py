@@ -1,4 +1,5 @@
 """Core linear-algebra and quantum-primitive tests."""
+import decimal
 import functools
 import math
 
@@ -283,6 +284,22 @@ class TestTwoModeNumberState:
                 b = two_mode_number_state(n, math.pi, t)
                 assert abs(np.vdot(a, b)) == pytest.approx(
                     abs(two_mode_overlap(n, t)), abs=1e-12)
+
+    @pytest.mark.parametrize("n,t", [(3, 0.9), (100, 0.01), (1e4, 1e-4), (1e6, 1e-6)])
+    def test_overlap_within_a_few_ulps_of_a_decimal_oracle(self, n, t):
+        # the plain power ((1-t)/(1+t))^n carries the rounding of its base
+        # n-fold: 8 ulps off at (100, 0.01), about 5e4 at (1e6, 1e-6)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            one, dt = decimal.Decimal(1), decimal.Decimal(t)
+            exact = ((one - dt) / (one + dt)) ** decimal.Decimal(n)
+        got = two_mode_overlap(n, t)
+        assert abs(decimal.Decimal(got) - exact) <= 4 * decimal.Decimal(math.ulp(got))
+
+    @pytest.mark.parametrize("ratio", [math.nan, -0.1, 1.0, 2.0])
+    def test_overlap_ratio_outside_its_domain_rejected(self, ratio):
+        with pytest.raises(ValueError, match="intensity ratio must be in"):
+            two_mode_overlap(5, ratio)
 
     @pytest.mark.parametrize("phase,ratio", [(0.0, math.nan), (0.0, math.inf),
                                              (math.nan, 0.5), (math.inf, 0.5)])
