@@ -6,8 +6,9 @@ Submodules:
 qmath           few-qubit linear algebra and quantum-information primitives;
                 states are 1-D and operators 2-D complex128 arrays, built
                 with their checks by ``qmath.state`` and ``qmath.measurement``
-photonics       Poisson source and click sums, channel attenuation, QBER model
-                (channel and detector; mu is the protocol's own)
+photonics       Poisson source, click sums and attack moments, channel
+                attenuation, QBER model (channel and detector; mu is the
+                protocol's own)
 discrimination  two-state POVM and filter, overlap penalty, multicopy
                 unambiguous-discrimination success probability
 attacks         photon-number-splitting attack evaluations per protocol

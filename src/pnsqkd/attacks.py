@@ -20,6 +20,8 @@ from .photonics import (
     nonnegative_finite,
     poisson_click_sums,
     poisson_cutoff,
+    poisson_moments,
+    poisson_tails,
     positive_finite,
     transmission,
 )
@@ -60,34 +62,16 @@ def _rate_balanced_point(mu, delta_db, r_att, s_att):
 # ---------------------------------------------------------------------------
 # standard two-basis protocol (split one photon off every multiphoton pulse)
 
-def bb84_split_rate(mu):
-    """Photons per pulse the eavesdropper can forward when she keeps one
-    photon of every multiphoton pulse: sum_{n>=2} p_n (n-1) = mu - 1 + e^-mu.
-    Below mu = 1e-3 that form cancels (to 0 at mu = 1e-10), so the series of
-    e^-mu - 1 + mu is summed there instead."""
-    if mu < 1e-3:
-        return _expm1_minus_x(-mu)
-    return mu - 1.0 + math.exp(-mu)
-
-
-def bb84_multiphoton_fraction(mu):
-    """Probability of two or more photons: 1 - e^-mu (1 + mu), which cancels
-    below mu = 1e-3, where e^-mu (e^mu - 1 - mu) is taken instead."""
-    if mu < 1e-3:
-        return math.exp(-mu) * _expm1_minus_x(mu)
-    return 1.0 - math.exp(-mu) * (1.0 + mu)
-
-
 def bb84_critical_attenuation(mu):
     """Attenuation where splitting alone reproduces the expected raw rate:
     10 log10(mu / (mu - 1 + e^-mu)).  Below mu = 1e-3 it is summed in logs
-    as 10 log10(2 / (mu g)) with g = 2 (mu - 1 + e^-mu) / mu^2 -> 1, so that
-    mu^2 cannot underflow."""
+    as 10 log10(2 e^mu / (mu A)) with A of ``poisson_tails``, so that mu^2
+    cannot underflow."""
     positive_finite(mu, "mu")
     if mu >= 1e-3:
-        return 10.0 * math.log10(mu / bb84_split_rate(mu))
-    g = 2.0 * (bb84_split_rate(mu) / mu) / mu if mu > 1e-150 else 1.0
-    return 10.0 * (math.log10(2.0) - math.log10(mu) - math.log10(g))
+        return 10.0 * math.log10(mu / poisson_moments(mu)[0])
+    a = poisson_tails(mu)[0]
+    return 10.0 * (math.log10(2.0) - math.log10(mu) - math.log10(a) + mu / math.log(10.0))
 
 
 def bb84_pns(mu, delta_db):
@@ -98,8 +82,8 @@ def bb84_pns(mu, delta_db):
     ones: I = (1-q) S / (q + (1-q) S) with S the multiphoton fraction.
     """
     positive_finite(mu, "mu")
-    return _rate_balanced_point(mu, delta_db, bb84_split_rate(mu),
-                                bb84_multiphoton_fraction(mu))
+    r_split, s_multi, _, _ = poisson_moments(mu)
+    return _rate_balanced_point(mu, delta_db, r_split, s_multi)
 
 
 # ---------------------------------------------------------------------------
@@ -242,62 +226,25 @@ def strongpulse_asymptotic_info(mu):
 # ---------------------------------------------------------------------------
 # four-state protocol (two bases, alternative sifting)
 
-def _above_two_series(mu):
-    """(P, R): e^mu P(n >= 3) and e^mu sum_{n>=3} p_n (n-2), each divided by
-    its leading term mu^3/3!, summed as positive series (for mu < 1e-3)."""
-    term, p, r, n = 1.0, 0.0, 0.0, 3
-    while r + (n - 2) * term != r:
-        p += term
-        r += (n - 2) * term
-        n += 1
-        term *= mu / n
-    return p, r
-
-
-def fourstate_irud_rate(mu):
-    """Deliverable photons per pulse for the block-below-three attack, whose
-    discrimination of three copies concludes with probability 1/2:
-    sum_{n>=3} p_n (n-2) / 2 = (mu - 2 + e^-mu (2 + mu)) / 2.  Below
-    mu = 1e-3 that form cancels (to 0 or below from mu = 5e-6), so the series
-    e^-mu (mu^3/12) R of ``_above_two_series`` is taken instead."""
-    if mu < 1e-3:
-        return math.exp(-mu) * (mu * mu * mu / 12.0) * _above_two_series(mu)[1]
-    return 0.5 * (mu - 2.0 + math.exp(-mu) * (2.0 + mu))
-
-
-def fourstate_irud_fraction(mu):
-    """Probability a pulse has >= 3 photons and the discrimination concludes:
-    (1 - e^-mu (1 + mu + mu^2/2)) / 2, which cancels below mu = 1e-3, where
-    e^-mu (mu^3/12) P of ``_above_two_series`` is taken instead."""
-    if mu < 1e-3:
-        return math.exp(-mu) * (mu * mu * mu / 12.0) * _above_two_series(mu)[0]
-    head = math.exp(-mu)
-    # mu * mu overflows above about 1.3e154, where exp(-mu) is already 0
-    return 0.5 * (1.0 - (head * (1.0 + mu + 0.5 * mu * mu) if head else 0.0))
-
-
 def fourstate_irud_critical(mu):
     """Attenuation where unambiguous discrimination of three-photon pulses
     reproduces the expected rate: 10 log10(mu / (sum p_n (n-2) / 2)).  Below
-    mu = 1e-3 it is summed in logs as 10 log10(12 e^mu / (mu^2 R)), so that
-    mu^3 cannot underflow."""
+    mu = 1e-3 it is summed in logs as 10 log10(12 e^mu / (mu^2 C)) with C of
+    ``poisson_tails``, so that mu^3 cannot underflow."""
     positive_finite(mu, "mu")
-    if mu < 1e-3:
-        r = _above_two_series(mu)[1]
-        return 10.0 * (math.log10(12.0) - 2.0 * math.log10(mu) - math.log10(r)
-                       + mu / math.log(10.0))
-    target = fourstate_irud_rate(mu)
-    if target <= 0:
-        return float("inf")
-    return 10.0 * math.log10(mu / target)
+    if mu >= 1e-3:
+        return 10.0 * math.log10(mu / poisson_moments(mu)[2])
+    c = poisson_tails(mu)[2]
+    return 10.0 * (math.log10(12.0) - 2.0 * math.log10(mu) - math.log10(c)
+                   + mu / math.log(10.0))
 
 
 def fourstate_irud_pns(mu, delta_db):
     """Block-below-three attack point for the four-state protocol: pulses
     with >= 3 photons are discriminated unambiguously, the rest blocked."""
     positive_finite(mu, "mu")
-    return _rate_balanced_point(mu, delta_db, fourstate_irud_rate(mu),
-                                fourstate_irud_fraction(mu))
+    _, _, r_irud, s_irud = poisson_moments(mu)
+    return _rate_balanced_point(mu, delta_db, r_irud, s_irud)
 
 
 def storing_attack_info(pair):
@@ -338,10 +285,7 @@ def fourstate_combined_info(mu, delta_db):
     """
     positive_finite(mu, "mu")
     required = mu * transmission(nonnegative_finite(delta_db, "attenuation"))
-    r_store = bb84_split_rate(mu)
-    r_irud = fourstate_irud_rate(mu)
-    s_store = bb84_multiphoton_fraction(mu)
-    s_irud = fourstate_irud_fraction(mu)
+    r_store, s_store, r_irud, s_irud = poisson_moments(mu)
     i_store = _FOURSTATE_STORING_INFO
 
     def q_of(f):

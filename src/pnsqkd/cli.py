@@ -347,10 +347,13 @@ def build_parser():
                        help="mean photon number (default depends on the curve)")
     curve.add_argument("--alpha", type=_number(positive_finite, "alpha"), default=0.25,
                        help="fiber loss, dB/km")
-    curve.add_argument("--eta-det", dest="eta_det", type=float, default=0.1)
-    curve.add_argument("--pd", type=float, default=1e-5, help="dark-count probability")
-    curve.add_argument("--qber-opt", dest="qber_opt", type=float, default=0.01)
-    curve.add_argument("--eta", type=float, default=None,
+    curve.add_argument("--eta-det", dest="eta_det",
+                       type=_number(positive_finite, "eta_det"), default=0.1)
+    curve.add_argument("--pd", type=_number(nonnegative_finite, "p_d"), default=1e-5,
+                       help="dark-count probability")
+    curve.add_argument("--qber-opt", dest="qber_opt",
+                       type=_number(nonnegative_finite, "qber_opt"), default=0.01)
+    curve.add_argument("--eta", type=_number(positive_finite, "eta"), default=None,
                        help="state half-angle for the four-plus-two curve")
     curve.add_argument("--nb", type=str, default=None, help="bases count or range min:max")
     curve.add_argument("--gamma", type=str, default=None,

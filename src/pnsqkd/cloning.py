@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import attacks, qmath, solvers
+from . import qmath, solvers
 from .attacks import InfeasibleModelError
-from .photonics import nonnegative_finite, positive_finite, transmission
+from .photonics import nonnegative_finite, poisson_moments, positive_finite, transmission
 from .qmath import partial_trace
 
 ISOMETRY_TOL = 1e-12
@@ -347,7 +347,7 @@ def pns_cloning_attack(machine_factory, mu, delta_db, param_grid):
     """
     positive_finite(mu, "mu")
     required = mu * transmission(nonnegative_finite(delta_db, "attenuation"))
-    if required > attacks.bb84_split_rate(mu) + 1e-15:
+    if required > poisson_moments(mu)[0] + 1e-15:
         raise InfeasibleModelError(
             f"attenuation {delta_db:g} dB too small: single-photon pulses cannot all be blocked")
     return sifted_points(machine_factory(param_grid))

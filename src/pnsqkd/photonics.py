@@ -4,7 +4,9 @@ An attenuated laser pulse with no external phase reference behaves as a
 Poisson mixture of photon-number states with mean mu.  The channel is
 described by its attenuation in dB; detection by an efficiency and a
 dark-count probability per gate.  The detector click sums for every
-photon-number offset come from one backward pass.
+photon-number offset come from one backward pass, and the four Poisson
+moments the splitting and block-below-three attacks read come from one
+function, ``poisson_moments``.
 
 mu belongs to the protocol, not to ``SourceChannelModel``: the n_b-bases
 attacks take it from ``attacks.nb_mu(n_b)``, and ``qber_total`` takes it as
@@ -106,6 +108,46 @@ def poisson_click_sums(mu, eta, nmax):
         tail += pmf[k + 1]
         sums[k] = eta * tail + loss * sums[k + 1]
     return sums
+
+
+def poisson_tails(mu):
+    """(A, B, C, D): the Poisson sums over t_n = mu^n / n! that the splitting
+    and block-below-three attacks read, each divided by its leading term,
+      A = sum_{n>=2} (n-1) t_n / (mu^2/2)    B = sum_{n>=2} t_n / (mu^2/2)
+      C = sum_{n>=3} (n-2) t_n / (mu^3/6)    D = sum_{n>=3} t_n / (mu^3/6),
+    summed as positive series (for mu < 1e-3).  All four tend to 1 as mu -> 0,
+    so callers can take logs where mu^2 or mu^3 underflows."""
+    term, c, d, n = 1.0, 0.0, 0.0, 3
+    while c + (n - 2) * term != c:
+        d += term
+        c += (n - 2) * term
+        n += 1
+        term *= mu / n
+    # over mu^2/2 the n >= 3 terms are mu/3 times their values over mu^3/6
+    third = mu / 3.0
+    return 1.0 + third * (c + d), 1.0 + third * d, c, d
+
+
+def poisson_moments(mu):
+    """(R_split, S_multi, R_irud, S_irud) of the Poisson source:
+      R_split = sum_{n>=2} (n-1) p_n = mu - 1 + e^-mu
+      S_multi = P(n >= 2)            = 1 - e^-mu (1 + mu)
+      R_irud  = sum_{n>=3} (n-2) p_n / 2 = (mu - 2 + e^-mu (2 + mu)) / 2
+      S_irud  = P(n >= 3) / 2            = (1 - e^-mu (1 + mu + mu^2/2)) / 2,
+    the photons per pulse and the share of pulses that splitting one photon
+    off (two-basis) and unambiguous three-copy discrimination concluding with
+    probability 1/2 (four-state) give the eavesdropper.  The closed forms
+    cancel below mu = 1e-3, where the ``poisson_tails`` series are taken."""
+    head = math.exp(-mu)
+    if mu < 1e-3:
+        a, b, c, d = poisson_tails(mu)
+        two = head * (mu * mu / 2.0)
+        three = head * (mu * mu * mu / 12.0)
+        return two * a, two * b, three * c, three * d
+    # mu * mu overflows above about 1.3e154, where exp(-mu) is already 0
+    return (mu - 1.0 + head, 1.0 - head * (1.0 + mu),
+            0.5 * (mu - 2.0 + head * (2.0 + mu)),
+            0.5 * (1.0 - (head * (1.0 + mu + 0.5 * mu * mu) if head else 0.0)))
 
 
 def qber_total(model, mu, delta_db):

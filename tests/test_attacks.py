@@ -11,7 +11,6 @@ from pnsqkd.attacks import (
     StrongPulseModel,
     bb84_critical_attenuation,
     bb84_pns,
-    bb84_split_rate,
     fourstate_combined_info,
     fourstate_irud_critical,
     fourstate_irud_pns,
@@ -63,7 +62,7 @@ class TestBB84:
 
     def test_rate_residuals(self):
         # the untouched fraction balances the rate: q mu + (1-q) R = mu T
-        mu, split = 0.1, bb84_split_rate(0.1)
+        mu, split = 0.1, photonics.poisson_moments(0.1)[0]
         for d in np.linspace(0.0, 12.0, 40):
             q = bb84_pns(mu, d).q_passed
             assert abs(q * mu + (1 - q) * split - mu * photonics.transmission(d)) < 1e-10
@@ -71,11 +70,6 @@ class TestBB84:
     def test_monotone_information(self):
         i_eve = [bb84_pns(0.1, d).i_eve for d in np.linspace(0.0, 20.0, 80)]
         assert all(b >= a - 1e-12 for a, b in zip(i_eve, i_eve[1:]))
-
-    def test_split_rate_oracle(self):
-        # direct truncated sum of p_n (n - 1)
-        oracle = sum(poisson_pmf(n, 0.1) * (n - 1) for n in range(2, 60))
-        assert bb84_split_rate(0.1) == pytest.approx(oracle, abs=1e-14)
 
 
 def _fourtwo_critical_attenuation(eta):
@@ -266,19 +260,14 @@ class TestFourStateIrud:
     @pytest.mark.parametrize("mu", [1e-12, 1e-10, 1e-8, 1e-6, 1e-5, 3e-5, 1e-4, 5e-4,
                                     9.99e-4])
     def test_small_mu_matches_oracle(self, mu):
-        # both closed forms cancel below mu = 1e-3: the critical attenuation
+        # the closed form cancels below mu = 1e-3: the critical attenuation
         # read +inf at mu = 1e-6 and 109.55 dB (for 110.79) at 1e-5
         with decimal.localcontext() as ctx:
-            ctx.prec = 100  # the closed forms cancel by about mu^3 ~ 1e-36
+            ctx.prec = 100  # the closed form cancels by about mu^3 ~ 1e-36
             m = decimal.Decimal(mu)
-            head = (-m).exp()
-            rate = (m - 2 + head * (2 + m)) / 2
-            fraction = (1 - head * (1 + m + m * m / 2)) / 2
+            rate = (m - 2 + (-m).exp() * (2 + m)) / 2
             critical = 10 * (m / rate).log10()
-        for got, want in [(attacks.fourstate_irud_rate(mu), rate),
-                          (attacks.fourstate_irud_fraction(mu), fraction),
-                          (fourstate_irud_critical(mu), critical)]:
-            assert abs(decimal.Decimal(got) / want - 1) < 1e-14
+        assert abs(decimal.Decimal(fourstate_irud_critical(mu)) / critical - 1) < 1e-14
 
     def test_tiny_mu_stays_finite(self):
         # mu^3 underflows below about 1.7e-108; the critical attenuation is
@@ -289,7 +278,7 @@ class TestFourStateIrud:
 
     def test_huge_mu_stays_finite(self):
         # mu * mu overflows to inf where exp(-mu) is 0; 0 * inf gave nan
-        assert attacks.fourstate_irud_fraction(1e200) == 0.5
+        assert photonics.poisson_moments(1e200)[3] == 0.5
         for delta in (0.0, 1.25, 2.5, 30.0):
             values = fourstate_combined_info(1e200, delta)
             assert all(0.0 <= v <= 1.0 for v in values)
@@ -331,16 +320,13 @@ class TestCombinedCurve:
         for delta in (8.0, 12.0, 16.0, 20.0):
             i_comb, _, _ = fourstate_combined_info(mu, delta)
             required = mu * 10 ** (-delta / 10)
-            r_store = attacks.bb84_split_rate(mu)
-            s_store = attacks.bb84_multiphoton_fraction(mu)
+            r_store, s_store, r_irud, s_irud = photonics.poisson_moments(mu)
             i_store = attacks.fourstate_storing_info()
             if r_store >= required:
                 pure_storing = i_store
             else:
                 q = (required - r_store) / (mu - r_store)
                 pure_storing = (1 - q) * s_store * i_store / (q + (1 - q) * s_store)
-            r_irud = attacks.fourstate_irud_rate(mu)
-            s_irud = attacks.fourstate_irud_fraction(mu)
             if r_irud >= required:
                 pure_irud = 1.0
             else:
@@ -359,10 +345,7 @@ def _combined_info_scan(mu, delta_db):
     every point of the 101-point f grid, then golden-section steps that
     call it at every step."""
     required = mu * photonics.transmission(delta_db)
-    r_store = attacks.bb84_split_rate(mu)
-    r_irud = attacks.fourstate_irud_rate(mu)
-    s_store = attacks.bb84_multiphoton_fraction(mu)
-    s_irud = attacks.fourstate_irud_fraction(mu)
+    r_store, s_store, r_irud, s_irud = photonics.poisson_moments(mu)
     i_store = attacks.fourstate_storing_info()
 
     def q_of(f):

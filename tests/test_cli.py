@@ -170,6 +170,12 @@ class TestExitCodes:
         (["curve", "pns-bb84", "--d", "0:1e300:1e-10"], 2),
         (["curve", "pns-bb84", "--d=-1e308:1e308:1"], 2),
         (["curve", "ieclon12", "--gamma=0:1e300:1e-10"], 2),
+        # non-finite model options are usage errors on every curve, also
+        # where the curve does not read them
+        (["curve", "pns-bb84", "--pd", "nan"], 2),
+        (["curve", "pns-bb84", "--eta", "inf"], 2),
+        (["curve", "muopt", "--eta-det", "nan"], 2),
+        (["curve", "ieclon12", "--qber-opt", "nan"], 2),
     ])
     def test_domain_and_ladder_exit_codes(self, args, code):
         # in-process: an escaping exception (a traceback) fails the test

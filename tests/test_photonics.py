@@ -12,7 +12,9 @@ from pnsqkd.photonics import (
     poisson_click_sums,
     poisson_cutoff,
     poisson_distribution,
+    poisson_moments,
     poisson_pmf,
+    poisson_tails,
     qber_total,
     transmission,
 )
@@ -40,6 +42,70 @@ class TestPoisson:
             assert sum(poisson_distribution(mu)) == pytest.approx(1.0, abs=1e-12)
 
 
+def _tails_oracle(mu):
+    """(A, B, C, D) of ``poisson_tails`` from the closed forms at 1200 digits:
+    e^mu times each moment, over mu^2/2 or mu^3/6.  At mu = 5e-324 the forms
+    cancel by mu^3 ~ 1e-971."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 1200
+        m = decimal.Decimal(mu)
+        e = m.exp()
+        two, three = m * m / 2, m * m * m / 6
+        return ((m * e - e + 1) / two, (e - 1 - m) / two,
+                (m * e - 2 * e + 2 + m) / three, (e - 1 - m - m * m / 2) / three)
+
+
+class TestPoissonMoments:
+    @pytest.mark.parametrize("mu", [1e-3, 0.05, 0.2, 1.0, 2.0, 700.0, 1e154, 1e200, 1e300])
+    def test_closed_forms_bit_for_bit(self, mu):
+        # from mu = 1e-3 up the moments are the closed forms, in this order of
+        # operations; where exp(-mu) is 0, mu * mu can overflow, and
+        # 0 * inf would be nan, so P(n >= 3) / 2 is 1/2 there
+        head = math.exp(-mu)
+        s_irud = 0.5 * (1.0 - head * (1.0 + mu + 0.5 * mu * mu)) if head else 0.5
+        assert poisson_moments(mu) == (mu - 1.0 + math.exp(-mu),
+                                       1.0 - math.exp(-mu) * (1.0 + mu),
+                                       0.5 * (mu - 2.0 + math.exp(-mu) * (2.0 + mu)),
+                                       s_irud)
+
+    @pytest.mark.parametrize("mu", [5e-324, 1e-300, 1e-151, 1e-100, 1e-10, 1e-5, 5e-4,
+                                    9.99e-4])
+    def test_tails_match_oracle(self, mu):
+        for got, want in zip(poisson_tails(mu), _tails_oracle(mu)):
+            assert abs(decimal.Decimal(got) / want - 1) < 1e-15
+
+    @pytest.mark.parametrize("mu", [1e-100, 1e-10, 1e-5, 5e-4, 9.99e-4])
+    def test_small_mu_moments_match_oracle(self, mu):
+        # below about 1e-100 mu^3 / 12 is no longer a normal float
+        a, b, c, d = _tails_oracle(mu)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 1200
+            m = decimal.Decimal(mu)
+            two, three = (-m).exp() * m * m / 2, (-m).exp() * m * m * m / 12
+            want = (two * a, two * b, three * c, three * d)
+        for got, w in zip(poisson_moments(mu), want):
+            assert abs(decimal.Decimal(got) / w - 1) < 1e-15
+
+    def test_split_rate_oracle(self):
+        # direct truncated sum of p_n (n - 1)
+        oracle = sum(poisson_pmf(n, 0.1) * (n - 1) for n in range(2, 60))
+        assert poisson_moments(0.1)[0] == pytest.approx(oracle, abs=1e-14)
+
+    @pytest.mark.parametrize("mu", [1e-12, 1e-10, 1e-8, 1e-6, 1e-5, 3e-5, 1e-4, 5e-4,
+                                    9.99e-4])
+    def test_block_below_three_matches_oracle(self, mu):
+        # both closed forms cancel below mu = 1e-3
+        with decimal.localcontext() as ctx:
+            ctx.prec = 100  # the closed forms cancel by about mu^3 ~ 1e-36
+            m = decimal.Decimal(mu)
+            head = (-m).exp()
+            rate = (m - 2 + head * (2 + m)) / 2
+            fraction = (1 - head * (1 + m + m * m / 2)) / 2
+        _, _, r_irud, s_irud = poisson_moments(mu)
+        for got, want in [(r_irud, rate), (s_irud, fraction)]:
+            assert abs(decimal.Decimal(got) / want - 1) < 1e-14
+
+
 class TestModel:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -62,10 +128,10 @@ class TestRawRate:
     def test_matches_split_rate_at_critical(self):
         # at the splitting-attack critical attenuation the raw rate mu T
         # equals the multiphoton forwardable rate
-        from pnsqkd.attacks import bb84_critical_attenuation, bb84_split_rate
+        from pnsqkd.attacks import bb84_critical_attenuation
 
         delta_c = bb84_critical_attenuation(0.1)
-        assert 0.1 * transmission(delta_c) == pytest.approx(bb84_split_rate(0.1), abs=1e-12)
+        assert 0.1 * transmission(delta_c) == pytest.approx(poisson_moments(0.1)[0], abs=1e-12)
         assert 0.1 * transmission(13.15) == pytest.approx(0.004842, abs=1e-6)
 
 
