@@ -158,11 +158,17 @@ def fourtwo_success_fraction(eta, mu):
     return multiphoton - kept
 
 
+def fourtwo_half_angle(value, name):
+    """``value`` if it is a state half-angle of the four-plus-two protocol,
+    in (0, pi/2]; otherwise ValueError naming it."""
+    if not 0 < value <= math.pi / 2:
+        raise ValueError(f"{name} must be in (0, pi/2]")
+    return value
+
+
 def fourtwo_pns(eta, delta_db, reference_mu=0.1):
     """Filter-based splitting attack point for the four-plus-two protocol."""
-    if not 0 < eta <= math.pi / 2:
-        raise ValueError("eta must be in (0, pi/2]")
-    mu = fourtwo_mu(eta, reference_mu)
+    mu = fourtwo_mu(fourtwo_half_angle(eta, "eta"), reference_mu)
     return _rate_balanced_point(mu, delta_db, fourtwo_split_rate(eta, mu),
                                 fourtwo_success_fraction(eta, mu))
 
@@ -265,7 +271,8 @@ def fourstate_storing_info():
 
 
 _FOURSTATE_STORING_INFO = fourstate_storing_info()
-_F_GRID = [k / 100.0 for k in range(101)]  # coarse scan of the split f
+# the coarse scan of the split f: (f, 1 - f) at f = k/100
+_F_PAIRS = [(k / 100.0, 1.0 - k / 100.0) for k in range(101)]
 
 
 def fourstate_combined_info(mu, delta_db):
@@ -279,9 +286,12 @@ def fourstate_combined_info(mu, delta_db):
     uniformly, which leaves the per-bit information unchanged.  f is
     optimized by a 101-point scan (the first maximum wins) plus 90
     golden-section steps between its neighbours, each distinct f evaluated
-    once.  Where the attack alone meets the rate (q = 0), the information
-    is evaluated without the q terms, which gives the same floats.
-    Returns (i_eve, q_passed, f_irud).
+    once.  The scan is one loop over the (f, 1 - f) pairs with the
+    information written out in it, which gives the floats of ``info`` at
+    less cost than a call per point; a NaN at f = 0 would win, and a later
+    NaN never, as with ``max``.  Where the attack alone meets the rate
+    (q = 0), the information is evaluated without the q terms, which gives
+    the same floats.  Returns (i_eve, q_passed, f_irud).
     """
     positive_finite(mu, "mu")
     required = mu * transmission(nonnegative_finite(delta_db, "attenuation"))
@@ -314,13 +324,32 @@ def fourstate_combined_info(mu, delta_db):
             return 0.0
         return (wi + ws * i_store) / denom
 
-    vals = list(map(info, _F_GRID))
-    k_best = vals.index(max(vals))
-    lo = _F_GRID[max(0, k_best - 1)]
-    hi = _F_GRID[min(100, k_best + 1)]
+    # info inlined once more, in the same order of operations; a later
+    # point replaces the best only if strictly greater
+    i_scan, k_scan = info(0.0), 0
+    for k, (f, g) in enumerate(itertools.islice(_F_PAIRS, 1, None), 1):
+        a = f * r_irud + g * r_store
+        if a >= required:
+            wi = f * s_irud
+            ws = g * s_store
+            denom = wi + ws
+        else:
+            q = (required - a) / (mu - a)
+            p = 1.0 - q
+            wi = p * f * s_irud
+            ws = p * g * s_store
+            denom = q + wi + ws
+        if denom <= 0.0:
+            i_k = 0.0
+        else:
+            i_k = (wi + ws * i_store) / denom
+        if i_k > i_scan:
+            i_scan, k_scan = i_k, k
+    lo = _F_PAIRS[max(0, k_scan - 1)][0]
+    hi = _F_PAIRS[min(100, k_scan + 1)][0]
     f_best, i_best = solvers.golden_max(info, lo, hi, 90)
-    if vals[k_best] > i_best:
-        f_best, i_best = _F_GRID[k_best], vals[k_best]
+    if i_scan > i_best:
+        f_best, i_best = _F_PAIRS[k_scan][0], i_scan
     return i_best, q_of(f_best), f_best
 
 

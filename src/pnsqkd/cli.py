@@ -100,6 +100,16 @@ def _number(check, name):
     return parse
 
 
+def _model_option(field):
+    """argparse type: a value of the ``SourceChannelModel`` field ``field``,
+    checked by the model itself, so that every curve rejects it whether or
+    not it builds a model."""
+    def check(value, name):
+        SourceChannelModel(**{name: value})
+        return value
+    return _number(check, field)
+
+
 def _check_grid_size(last):
     """Reject a grid whose last index (a float or inf) reaches MAX_GRID_POINTS."""
     if not last < MAX_GRID_POINTS:
@@ -348,12 +358,12 @@ def build_parser():
     curve.add_argument("--alpha", type=_number(positive_finite, "alpha"), default=0.25,
                        help="fiber loss, dB/km")
     curve.add_argument("--eta-det", dest="eta_det",
-                       type=_number(positive_finite, "eta_det"), default=0.1)
-    curve.add_argument("--pd", type=_number(nonnegative_finite, "p_d"), default=1e-5,
+                       type=_model_option("eta_det"), default=0.1)
+    curve.add_argument("--pd", type=_model_option("p_d"), default=1e-5,
                        help="dark-count probability")
     curve.add_argument("--qber-opt", dest="qber_opt",
-                       type=_number(nonnegative_finite, "qber_opt"), default=0.01)
-    curve.add_argument("--eta", type=_number(positive_finite, "eta"), default=None,
+                       type=_model_option("qber_opt"), default=0.01)
+    curve.add_argument("--eta", type=_number(attacks.fourtwo_half_angle, "eta"), default=None,
                        help="state half-angle for the four-plus-two curve")
     curve.add_argument("--nb", type=str, default=None, help="bases count or range min:max")
     curve.add_argument("--gamma", type=str, default=None,

@@ -176,6 +176,16 @@ class TestExitCodes:
         (["curve", "pns-bb84", "--eta", "inf"], 2),
         (["curve", "muopt", "--eta-det", "nan"], 2),
         (["curve", "ieclon12", "--qber-opt", "nan"], 2),
+        # finite values outside the model's ranges, likewise: eta_det in
+        # (0, 1], p_d in [0, 1), qber_opt in [0, 0.5) and eta in (0, pi/2]
+        (["curve", "pns-bb84", "--eta-det", "5", "--d", "0:1:1"], 2),
+        (["curve", "pns-bb84", "--pd", "2", "--d", "0:1:1"], 2),
+        (["curve", "pns-bb84", "--eta", "7", "--d", "0:1:1"], 2),
+        (["curve", "figiepr", "--eta", "7", "--d", "0:1:1"], 2),
+        (["curve", "muopt", "--qber-opt", "0.7", "--d", "4:8:4"], 2),
+        (["curve", "dcrit", "--eta-det", "5", "--nb", "2"], 2),
+        (["curve", "pns-42", "--eta-det", "1", "--pd", "0", "--qber-opt", "0",
+          "--eta", "1.5707963267948966", "--d", "0:1:1"], 0),
     ])
     def test_domain_and_ladder_exit_codes(self, args, code):
         # in-process: an escaping exception (a traceback) fails the test

@@ -8,10 +8,11 @@ InfeasibleModelError; anything else is a failure.
 """
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import is_last_bit_crossing
+from test_attacks import _combined_info_scan
 from pnsqkd import attacks, keyrate
 from pnsqkd.attacks import InfeasibleModelError
 from pnsqkd.photonics import SourceChannelModel
@@ -71,6 +72,20 @@ def test_combined_info_is_physical_and_grows_with_loss(mu, d1, d2):
     i_hi, _, _ = attacks.fourstate_combined_info(mu, hi)
     assert _unit(i_lo, q, f, i_hi)
     assert i_lo <= i_hi
+
+
+@SETTINGS
+@given(mus, deltas)
+@example(1e-4, 100.0)  # poisson_tails moments, and q = 0 for every f
+@example(5e-324, 0.0)
+@example(0.2, 5.0)  # storing alone is best
+@example(0.2, 12.0)  # the best f is the kink where q reaches 0
+@example(1e300, 1e4)
+@example(1e300, 0.0)
+def test_combined_info_scan_loop_matches_the_reference(mu, delta):
+    # the one-loop f scan and the two-phase golden search give the floats of
+    # a scan by map/max and a search that evaluates f at every step
+    assert attacks.fourstate_combined_info(mu, delta) == _combined_info_scan(mu, delta)
 
 
 @SETTINGS

@@ -82,16 +82,58 @@ def test_golden_max_evaluates_each_point_once(iters):
         assert len(loop_calls) == 123 > len(calls)
 
 
+def _plateau(x):
+    return min(x, 0.4)  # f1 == f2 on most steps
+
+
+def _key_rate_20db(mu):
+    return fourstate_key_rate(mu, 20.0)
+
+
+# step counts far past the 2-cycle, where the search stops early, in both
+# parities; from [0, 1] a constant function never cycles, since its bracket
+# still shrinks towards 0 after 1,001 steps
+_PAST_THE_CYCLE = [pytest.param(f, lo, hi, iters, id=f"{name}-{iters}")
+                   for name, f, lo, hi in [("parabola", _parabola, 0.0, 1.0),
+                                           ("plateau", _plateau, 0.0, 1.0),
+                                           ("constant", lambda x: 1.0, 0.5, 1.0),
+                                           ("constant-from-0", lambda x: 1.0, 0.0, 1.0),
+                                           ("increasing", lambda x: x, 0.0, 1.0),
+                                           ("decreasing", lambda x: -x, 0.3, 0.5),
+                                           ("key-rate-20dB", _key_rate_20db, 1e-3, 2.0)]
+                   for iters in (200, 201, 1000, 1001)]
+
+
 # at 0 dB the key-rate optimum sits at the cap of [1e-3, 2], at 20 and 25 dB inside it
 @pytest.mark.parametrize("f, lo, hi, iters", [
-    (_parabola, 0.0, 1.0, 90),
-    (_parabola, 0.0, 1.0, 120),
-    (lambda x: min(x, 0.4), 0.0, 1.0, 90),  # plateau: f1 == f2 on most steps
-    (lambda mu: fourstate_key_rate(mu, 0.0), 1e-3, 2.0, 120),
-    (lambda mu: fourstate_key_rate(mu, 20.0), 1e-3, 2.0, 120),
-    (lambda mu: fourstate_key_rate(mu, 100 * photonics.DEFAULT_ALPHA_DB_PER_KM),
-     1e-3, 2.0, 120),
-], ids=["parabola-90", "parabola-120", "plateau", "key-rate-0dB", "key-rate-20dB",
-        "key-rate-100km"])
+    pytest.param(_parabola, 0.0, 1.0, 90, id="parabola-90"),
+    pytest.param(_parabola, 0.0, 1.0, 120, id="parabola-120"),
+    pytest.param(_plateau, 0.0, 1.0, 90, id="plateau"),
+    pytest.param(lambda mu: fourstate_key_rate(mu, 0.0), 1e-3, 2.0, 120, id="key-rate-0dB"),
+    pytest.param(_key_rate_20db, 1e-3, 2.0, 120, id="key-rate-20dB"),
+    pytest.param(lambda mu: fourstate_key_rate(mu, 100 * photonics.DEFAULT_ALPHA_DB_PER_KM),
+                 1e-3, 2.0, 120, id="key-rate-100km"),
+] + _PAST_THE_CYCLE)
 def test_golden_max_matches_the_unmemoized_loop(f, lo, hi, iters):
     assert golden_max(f, lo, hi, iters) == golden_max_loop(f, lo, hi, iters)
+
+
+@pytest.mark.parametrize("f, lo, hi", [
+    (lambda x: 1.0, 0.5, 1.0),
+    (lambda x: x, 0.0, 1.0),
+    (lambda x: -abs(x - 1.0), 1.0 - 2e-16, 1.0 + 4e-16),  # a bracket of a few ulps
+    # about 0 the bracket shrinks into the subnormals, and the point that
+    # breaks the order is new: c1 on [-5, 3], c2 on [-3, 5]
+    (lambda x: -abs(x), -5.0, 3.0),
+    (lambda x: -abs(x), -3.0, 5.0),
+    (lambda x: 0.0, 1.0, 1.0),  # no point lies inside: no ordered phase
+    (lambda x: -(x - 0.3) ** 2, 1.0, 0.0),  # reversed ends
+])
+def test_golden_max_evaluates_each_point_once_in_both_phases(f, lo, hi):
+    # the ordered phase calls f without a lookup; the points it evaluated
+    # must not be evaluated again once the order breaks
+    calls, loop_calls = [], []
+    assert golden_max(_recorded(f, calls), lo, hi, 300) == \
+        golden_max_loop(_recorded(f, loop_calls), lo, hi, 300)
+    assert len(calls) == len(set(calls))
+    assert set(calls) == set(loop_calls)
