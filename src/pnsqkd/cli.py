@@ -117,8 +117,9 @@ def _check_grid_size(last):
 
 
 def _parse_grid(text, default):
+    """The min:max:step grid, or default() when the option is absent."""
     if text is None:
-        return default
+        return default()
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError("grid must be min:max:step")
@@ -138,7 +139,7 @@ def _parse_grid(text, default):
 
 def _parse_int_range(text, default):
     if text is None:
-        return default
+        return default()
     parts = text.split(":")
     if len(parts) == 1:
         return [int(parts[0])]
@@ -160,7 +161,7 @@ def _model_from_args(args):
 
 def _curve_pns_bb84(args):
     mu = args.mu if args.mu is not None else 0.1
-    dists = _parse_grid(args.d, [float(k) for k in range(0, 121)])
+    dists = _parse_grid(args.d, lambda: [float(k) for k in range(0, 121)])
     header = ["distance_km", "delta_db", "q", "i_eve"]
     rows = []
     for d in dists:
@@ -172,7 +173,7 @@ def _curve_pns_bb84(args):
 def _curve_pns_42(args):
     mu_ref = args.mu if args.mu is not None else 0.1
     eta = args.eta if args.eta is not None else math.pi / 3
-    dists = _parse_grid(args.d, [float(k) for k in range(0, 121)])
+    dists = _parse_grid(args.d, lambda: [float(k) for k in range(0, 121)])
     header = ["distance_km", "delta_db", "q", "i_eve"]
     rows = []
     for d in dists:
@@ -183,7 +184,7 @@ def _curve_pns_42(args):
 
 def _curve_figiepr(args):
     mu = args.mu if args.mu is not None else 0.2
-    dists = _parse_grid(args.d, [float(k) for k in range(0, 121)])
+    dists = _parse_grid(args.d, lambda: [float(k) for k in range(0, 121)])
     header = ["distance_km", "delta_db", "i_eve_block_lt3", "i_eve_combined"]
     rows = []
     for d in dists:
@@ -195,7 +196,7 @@ def _curve_figiepr(args):
 
 
 def _curve_muopt(args):
-    dists = _parse_grid(args.d, [float(k) for k in range(4, 161, 4)])
+    dists = _parse_grid(args.d, lambda: [float(k) for k in range(4, 161, 4)])
     header = ["distance_km", "delta_db", "mu_opt", "key_rate"]
     rows = []
     for d in dists:
@@ -206,7 +207,7 @@ def _curve_muopt(args):
 
 
 def _curve_ieclon12(args):
-    grid = _parse_grid(args.gamma, list(np.linspace(1e-4, math.pi / 2, 200)))
+    grid = _parse_grid(args.gamma, lambda: list(np.linspace(1e-4, math.pi / 2, 200)))
     header = ["gamma", "disturbance", "qber_sifted", "i_ab", "i_eve_ng", "i_eve_cerf",
               "i_eve_bb84_ref"]
     ng = cloning.sifted_points(cloning.make_ng12(grid))
@@ -219,7 +220,7 @@ def _curve_ieclon12(args):
 
 
 def _curve_ieclon23(args):
-    grid = _parse_grid(args.gamma, list(np.linspace(1e-4, math.pi / 2, 200)))
+    grid = _parse_grid(args.gamma, lambda: list(np.linspace(1e-4, math.pi / 2, 200)))
     mu = args.mu if args.mu is not None else 0.2
     delta = args.delta if args.delta is not None else 12.0
     header = ["gamma", "disturbance", "qber_sifted", "i_ab", "i_eve_ngs", "i_eve_cerf"]
@@ -232,7 +233,7 @@ def _curve_ieclon23(args):
 
 
 def _curve_dcrit(args):
-    nbs = _parse_int_range(args.nb, list(range(2, 9)))
+    nbs = _parse_int_range(args.nb, lambda: list(range(2, 9)))
     header = ["n_b", "mu", "delta1_db", "delta2_db", "dist1_km", "dist2_km"]
     model = _model_from_args(args)
     rows = []
@@ -244,8 +245,8 @@ def _curve_dcrit(args):
 
 
 def _curve_stattnb(args):
-    nbs = _parse_int_range(args.nb, list(range(2, 6)))
-    dists = _parse_grid(args.d, [float(k) for k in range(10, 241, 2)])
+    nbs = _parse_int_range(args.nb, lambda: list(range(2, 6)))
+    dists = _parse_grid(args.d, lambda: [float(k) for k in range(10, 241, 2)])
     header = ["n_b", "distance_km", "delta_db", "i_ab", "i_eve"]
     model = _model_from_args(args)
     rows = []
@@ -261,7 +262,7 @@ def _curve_stattnb(args):
 
 
 def _curve_clonfid(args):
-    grid = _parse_grid(args.gamma, list(np.linspace(0.0, math.pi / 2, 100)))
+    grid = _parse_grid(args.gamma, lambda: list(np.linspace(0.0, math.pi / 2, 100)))
     header = ["machine", "parameter", "f_clone_pair", "f_clone_third"]
     rows = []
     for g in grid:
@@ -275,7 +276,7 @@ def _curve_clonfid(args):
 
 def _curve_strongpulse(args):
     mu = args.mu if args.mu is not None else 0.025
-    dists = _parse_grid(args.d, [float(k) for k in range(0, 241, 2)])
+    dists = _parse_grid(args.d, lambda: [float(k) for k in range(0, 241, 2)])
     header = ["distance_km", "delta_db", "mu_prime", "intensity_ratio",
               "overlap", "p_e", "i_eve"]
     rows = []

@@ -3,6 +3,7 @@ many-bases protocol comparison, plus the 67 km field-experiment case study.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -118,22 +119,40 @@ def _cloning_infos(qbers):
     symmetrized machine) at each target sifted error rate, interpolated
     linearly from the first row of the 241-point gamma grid that reaches it.
 
-    The error rate is scanned over the whole grid; only the rows that
-    bracket a target are built again and eigensolved, in one stack (each
-    slice of a stack equals its one-point machine, so these rows read the
-    same as on the full grid).  A target the first row already reaches
-    reads the first row, and one that no row reaches reads the last.
+    The rows are located by the closed-form root: on every machine the
+    sifted error rate is q = 2D/(1 + 2D), so the gamma of disturbance
+    q/(2(1 - q)) guesses the row, and only the rows around each guess are
+    projected, in one stack (each slice of a stack equals its one-point
+    machine, so they read as on the full grid).  A row is used once the row
+    before it is seen to fall short of the target (the error rate increases
+    along the grid); until then more rows are read.  Only the bracket rows
+    are eigensolved.  A target the first row already reaches reads the
+    first row, and one that no row reaches reads the last.
     """
-    scan = cloning.sifted_qber(cloning.make_ngs23(_CLONING_GRID)).tolist()
-    brackets = []
+    last = len(_CLONING_GRID) - 1
+    windows = []
     for qber in qbers:
-        k = next((k for k, q in enumerate(scan) if q >= qber), None)
-        if k is None:
-            brackets.append((len(scan) - 1,))
-        elif k == 0:
-            brackets.append((0,))
+        if 0.0 < qber < 0.5:  # the disturbance is at most 1/4, where q = 1/3
+            gamma = cloning.ngs23_gamma_for_disturbance(min(qber / (2.0 * (1.0 - qber)), 0.25))
+            k = bisect.bisect_left(_CLONING_GRID, gamma)
         else:
-            brackets.append((k - 1, k))
+            k = 0 if qber <= 0.0 else last
+        windows.append([max(k - 2, 0), min(k + 1, last)])
+    brackets = []
+    while len(brackets) < len(qbers):
+        rows = sorted(set().union(*(range(a, b + 1) for a, b in windows)))
+        scan = dict(zip(rows, cloning.sifted_qber(
+            cloning.make_ngs23([_CLONING_GRID[k] for k in rows])).tolist()))
+        brackets = []
+        for qber, window in zip(qbers, windows):
+            a, b = window
+            k = next((k for k in range(a, b + 1) if scan[k] >= qber), None)
+            if k is None and b < last:
+                window[1] = min(b + 4, last)
+            elif k == a and a > 0:
+                window[0] = max(a - 4, 0)
+            else:
+                brackets.append((last,) if k is None else (k,) if k == 0 else (k - 1, k))
     rows = sorted(set().union(*brackets))
     i_eve = dict(zip(rows, cloning.sifted_points(
         cloning.make_ngs23([_CLONING_GRID[k] for k in rows]))["i_eve"].tolist()))

@@ -401,6 +401,14 @@ class TestSiftedPoints:
         assert np.array_equal(cloning.sifted_qber(machine),
                               sifted_points(machine)["qber_sifted"])
 
+    @pytest.mark.parametrize("factory,grid", FACTORY_GRIDS)
+    def test_qber_is_two_d_over_one_plus_two_d(self, factory, grid):
+        # the right exclusion weighs 1/2 and the wrong one D; the largest
+        # deviation measured on these grids is 2.2e-16
+        points = sifted_points(factory(grid))
+        d = points["disturbance"]
+        assert np.max(np.abs(points["qber_sifted"] - 2 * d / (1 + 2 * d))) <= 4.5e-16
+
     def test_single_point_is_one_slice(self):
         machine = make_cerf23(0.2)
         stack = sifted_points(make_cerf23([0.1, 0.2]))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import is_last_bit_crossing
-from pnsqkd import attacks, cloning, keyrate, photonics, qmath
+from pnsqkd import attacks, cloning, keyrate, photonics, qmath, validation
 from pnsqkd.keyrate import (
     fourstate_key_rate,
     geneva_lausanne_report,
@@ -127,12 +127,15 @@ class TestGenevaLausanne:
         assert gl.i_eve_cloning_optical < gl.i_eve_cloning_full < gl.i_ab
 
 
-def _full_grid_cloning_info(qber):
-    """The report's cloning term read the long way: sifted points on the
-    whole 241-point grid, interpolated from the first row reaching qber."""
+def _full_grid_rows():
+    """(sifted QBER, I_Eve) on every row of the report's 241-point grid."""
     grid = [1e-6 + (math.pi / 2 - 2e-6) * k / 240 for k in range(241)]
     points = cloning.sifted_points(cloning.make_ngs23(grid))
-    rows = list(zip(points["qber_sifted"].tolist(), points["i_eve"].tolist()))
+    return list(zip(points["qber_sifted"].tolist(), points["i_eve"].tolist()))
+
+
+def _read_rows(rows, qber):
+    """Interpolate I_Eve from the first row reaching qber."""
     prev = None
     for q, i_eve in rows:
         if q >= qber:
@@ -142,6 +145,12 @@ def _full_grid_cloning_info(qber):
             return i0 + (qber - q0) / (q - q0) * (i_eve - i0)
         prev = (q, i_eve)
     return rows[-1][1]
+
+
+def _full_grid_cloning_info(qber):
+    """The report's cloning term read the long way: sifted points on the
+    whole 241-point grid, interpolated from the first row reaching qber."""
+    return _read_rows(_full_grid_rows(), qber)
 
 
 class TestCloningInfos:
@@ -172,3 +181,50 @@ class TestCloningInfos:
         geneva_lausanne_report()
         assert len(shapes) == 1
         assert len(shapes[0]) == 3 and shapes[0][0] <= 4
+
+    def test_every_row_value_matches_the_full_grid(self, monkeypatch):
+        rows = _full_grid_rows()
+        scan = [q for q, _ in rows]
+        # the premise of reading the first row reaching a target locally
+        assert all(b > a for a, b in zip(scan, scan[1:]))
+        targets = [0.0, -0.2, 0.5, 1.0, scan[-1] + 0.01, math.nan]
+        for q in scan:
+            up = math.nextafter(q, 1.0)
+            targets += [math.nextafter(q, 0.0), q, up, math.nextafter(up, 1.0)]
+        projections = []
+        project = cloning.sifted_qber
+
+        def recording(machine):
+            projections.append(len(machine.isometry))
+            return project(machine)
+
+        monkeypatch.setattr(cloning, "sifted_qber", recording)
+        for q in targets:
+            projections.clear()
+            assert keyrate._cloning_infos([q]) == [_read_rows(rows, q)], q
+            # the rows around the guessed row always bracket the target
+            assert len(projections) == 1 and projections[0] <= 4, q
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.7, math.pi / 2])
+    def test_any_guessed_row_gives_the_full_grid_reading(self, monkeypatch, gamma):
+        rows = _full_grid_rows()
+        scan = [q for q, _ in rows]
+        targets = [0.01, 0.05, 0.0, scan[0], scan[120], scan[-1], scan[-1] + 0.01]
+        monkeypatch.setattr(cloning, "ngs23_gamma_for_disturbance", lambda d: gamma)
+        assert keyrate._cloning_infos(targets) == [_read_rows(rows, q) for q in targets]
+        for q in targets:
+            assert keyrate._cloning_infos([q]) == [_read_rows(rows, q)]
+
+    def test_report_and_validate_build_small_stacks(self, monkeypatch):
+        sizes = []
+        make = cloning.make_ngs23
+
+        def recording(gamma):
+            sizes.append(len(np.atleast_1d(gamma)))
+            return make(gamma)
+
+        monkeypatch.setattr(cloning, "make_ngs23", recording)
+        geneva_lausanne_report()
+        assert sizes and max(sizes) <= 8
+        validation.run_checks()
+        assert max(sizes) <= 8
