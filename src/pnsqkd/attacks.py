@@ -207,21 +207,24 @@ class StrongPulseModel:
     def intensity_ratio(self):
         return self.mu / self.mu_prime
 
+    def b92(self):
+        """Eavesdropper information against the strong-pulse two-state scheme.
+
+        She measures the total photon number, forwards the floor the receiver
+        expects and keeps the rest, then discriminates two pure states with
+        overlap ((1-t)/(1+t))^(mu' - floor) where t = mu/mu'.  Returns
+        (overlap, error probability, information).  As the distance grows the
+        overlap tends to e^(-2 mu), so the information saturates and the
+        protocol stays secure at any loss.
+        """
+        overlap = qmath.two_mode_overlap(self.mu_prime - BOB_FLOOR, self.intensity_ratio)
+        p_e = qmath.pure_state_error(overlap)
+        return overlap, p_e, qmath.binary_information(p_e)
+
 
 def strongpulse_b92(delta_db, mu):
-    """Eavesdropper information against the strong-pulse two-state scheme.
-
-    She measures the total photon number, forwards the floor the receiver
-    expects and keeps the rest, then discriminates two pure states with
-    overlap ((1-t)/(1+t))^(mu' - floor) where t = mu/mu'.  Returns
-    (overlap, error probability, information).  As the distance grows the
-    overlap tends to e^(-2 mu), so the information saturates and the
-    protocol stays secure at any loss.
-    """
-    pulse = StrongPulseModel(mu, delta_db)
-    overlap = qmath.two_mode_overlap(pulse.mu_prime - BOB_FLOOR, pulse.intensity_ratio)
-    p_e = qmath.pure_state_error(overlap)
-    return overlap, p_e, qmath.binary_information(p_e)
+    """(overlap, error probability, information) of ``StrongPulseModel.b92``."""
+    return StrongPulseModel(mu, delta_db).b92()
 
 
 def strongpulse_asymptotic_info(mu):
@@ -431,6 +434,11 @@ def nb_storing_critical(n_bases, n_stored, model=SourceChannelModel()):
     return next(itertools.islice(_storing_rungs(n_bases, model), n_stored - 1, None))
 
 
+def honest_information(model, mu, delta_db):
+    """Honest parties' information I_AB = 1 - h(q) at the model's QBER q."""
+    return qmath.binary_information(photonics.qber_total(model, mu, delta_db))
+
+
 def nb_storing_ladder(n_bases, model=SourceChannelModel()):
     """Storing-attack ladder [(delta(n_s), I(n_s))] until it overtakes I_AB.
 
@@ -447,8 +455,7 @@ def nb_storing_ladder(n_bases, model=SourceChannelModel()):
                 f"storing ladder for {n_bases} bases: no reachable rung with {n_s} stored "
                 f"photons, and no earlier rung gives the eavesdropper I_AB")
         ladder.append((delta, i_eve))
-        i_ab = qmath.binary_information(photonics.qber_total(model, mu, delta))
-        if i_eve >= i_ab:
+        if i_eve >= honest_information(model, mu, delta):
             return ladder
 
 

@@ -17,7 +17,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from . import attacks, cloning, keyrate, photonics, qmath, validation
+from . import attacks, cloning, keyrate, validation
 from .attacks import InfeasibleModelError
 from .photonics import SourceChannelModel, nonnegative_finite, positive_finite
 
@@ -159,74 +159,71 @@ def _model_from_args(args):
 
 # --- curve builders: each returns (header, rows) -----------------------------
 
-def _curve_pns_bb84(args):
-    mu = args.mu if args.mu is not None else 0.1
-    dists = _parse_grid(args.d, lambda: [float(k) for k in range(0, 121)])
-    header = ["distance_km", "delta_db", "q", "i_eve"]
+def _bb84_row(args, mu, delta):
+    pt = attacks.bb84_pns(mu, delta)
+    return [pt.q_passed, pt.i_eve]
+
+
+def _fourtwo_row(args, mu, delta):
+    pt = attacks.fourtwo_pns(args.eta if args.eta is not None else math.pi / 3, delta, mu)
+    return [pt.q_passed, pt.i_eve]
+
+
+def _figiepr_row(args, mu, delta):
+    i_block = attacks.fourstate_irud_pns(mu, delta).i_eve
+    return i_block, attacks.fourstate_combined_info(mu, delta)[0]
+
+
+def _strongpulse_row(args, mu, delta):
+    pulse = attacks.StrongPulseModel(mu, delta)
+    return [pulse.mu_prime, pulse.intensity_ratio, *pulse.b92()]
+
+
+# Curves over the --d grid: columns after distance_km and delta_db, default
+# --mu (muopt finds its own), default km and row function (args, mu, delta).
+_DISTANCE_CURVES = {
+    "pns-bb84": (["q", "i_eve"], 0.1, range(0, 121), _bb84_row),
+    "pns-42": (["q", "i_eve"], 0.1, range(0, 121), _fourtwo_row),
+    "figiepr": (["i_eve_block_lt3", "i_eve_combined"], 0.2, range(0, 121), _figiepr_row),
+    "muopt": (["mu_opt", "key_rate"], None, range(4, 161, 4),
+              lambda args, mu, delta: keyrate.optimal_mu(delta)),
+    "strongpulse": (["mu_prime", "intensity_ratio", "overlap", "p_e", "i_eve"], 0.025,
+                    range(0, 241, 2), _strongpulse_row),
+}
+
+
+def _curve_distance(columns, default_mu, default_km, row, args):
+    mu = args.mu if args.mu is not None else default_mu
     rows = []
-    for d in dists:
-        pt = attacks.bb84_pns(mu, d * args.alpha)
-        rows.append([d, d * args.alpha, pt.q_passed, pt.i_eve])
-    return header, rows
-
-
-def _curve_pns_42(args):
-    mu_ref = args.mu if args.mu is not None else 0.1
-    eta = args.eta if args.eta is not None else math.pi / 3
-    dists = _parse_grid(args.d, lambda: [float(k) for k in range(0, 121)])
-    header = ["distance_km", "delta_db", "q", "i_eve"]
-    rows = []
-    for d in dists:
-        pt = attacks.fourtwo_pns(eta, d * args.alpha, mu_ref)
-        rows.append([d, d * args.alpha, pt.q_passed, pt.i_eve])
-    return header, rows
-
-
-def _curve_figiepr(args):
-    mu = args.mu if args.mu is not None else 0.2
-    dists = _parse_grid(args.d, lambda: [float(k) for k in range(0, 121)])
-    header = ["distance_km", "delta_db", "i_eve_block_lt3", "i_eve_combined"]
-    rows = []
-    for d in dists:
+    for d in _parse_grid(args.d, lambda: [float(k) for k in default_km]):
         delta = d * args.alpha
-        i_block = attacks.fourstate_irud_pns(mu, delta).i_eve
-        i_comb, _, _ = attacks.fourstate_combined_info(mu, delta)
-        rows.append([d, delta, i_block, i_comb])
-    return header, rows
+        rows.append([d, delta, *row(args, mu, delta)])
+    return ["distance_km", "delta_db", *columns], rows
 
 
-def _curve_muopt(args):
-    dists = _parse_grid(args.d, lambda: [float(k) for k in range(4, 161, 4)])
-    header = ["distance_km", "delta_db", "mu_opt", "key_rate"]
-    rows = []
-    for d in dists:
-        delta = d * args.alpha
-        mu, rate = keyrate.optimal_mu(delta)
-        rows.append([d, delta, mu, rate])
-    return header, rows
+def _cloning_gammas():
+    return list(np.linspace(1e-4, math.pi / 2, 200))
 
 
 def _curve_ieclon12(args):
-    grid = _parse_grid(args.gamma, lambda: list(np.linspace(1e-4, math.pi / 2, 200)))
+    grid = _parse_grid(args.gamma, _cloning_gammas)
     header = ["gamma", "disturbance", "qber_sifted", "i_ab", "i_eve_ng", "i_eve_cerf",
               "i_eve_bb84_ref"]
     ng = cloning.sifted_points(cloning.make_ng12(grid))
-    disturbance = np.clip(ng["disturbance"], 0.0, 0.5)
-    cf = cloning.sifted_points(cloning.make_cerf12(1.0 - disturbance))
-    ref = [cloning.bb84_reference_information(d) for d in disturbance.tolist()]
+    fidelity, ref = cloning.cerf12_fidelity_for_disturbance(ng)
+    cf = cloning.sifted_points(cloning.make_cerf12(fidelity))
     columns = (grid, ng["disturbance"], ng["qber_sifted"], ng["i_ab"], ng["i_eve"],
                cf["i_eve"], ref)
     return header, [list(row) for row in zip(*columns)]
 
 
 def _curve_ieclon23(args):
-    grid = _parse_grid(args.gamma, lambda: list(np.linspace(1e-4, math.pi / 2, 200)))
+    grid = _parse_grid(args.gamma, _cloning_gammas)
     mu = args.mu if args.mu is not None else 0.2
     delta = args.delta if args.delta is not None else 12.0
     header = ["gamma", "disturbance", "qber_sifted", "i_ab", "i_eve_ngs", "i_eve_cerf"]
     ngs = cloning.pns_cloning_attack(cloning.make_ngs23, mu, delta, grid)
-    xs = [min(math.sqrt(d / 2.0), 1 / math.sqrt(8)) for d in ngs["disturbance"].tolist()]
-    cf = cloning.sifted_points(cloning.make_cerf23(xs))
+    cf = cloning.sifted_points(cloning.make_cerf23(cloning.cerf23_x_for_disturbance(ngs)))
     columns = (grid, ngs["disturbance"], ngs["qber_sifted"], ngs["i_ab"], ngs["i_eve"],
                cf["i_eve"])
     return header, [list(row) for row in zip(*columns)]
@@ -256,57 +253,38 @@ def _curve_stattnb(args):
         for d in dists:
             delta = d * args.alpha
             i_eve = attacks.nb_storing_info_at(ladder, delta)
-            i_ab = qmath.binary_information(photonics.qber_total(model, mu, delta))
-            rows.append([nb, d, delta, i_ab, i_eve])
+            rows.append([nb, d, delta, attacks.honest_information(model, mu, delta), i_eve])
     return header, rows
 
 
 def _curve_clonfid(args):
     grid = _parse_grid(args.gamma, lambda: list(np.linspace(0.0, math.pi / 2, 100)))
     header = ["machine", "parameter", "f_clone_pair", "f_clone_third"]
-    rows = []
-    for g in grid:
-        f12, f3 = cloning.ng23_fidelities(g)
-        rows.append(["ng23", g, f12, f3])
-    for x in np.linspace(0.0, 1 / math.sqrt(8), 100):
-        f12, f3 = cloning.cerf23_fidelities(x)
-        rows.append(["cerf23", x, f12, f3])
-    return header, rows
-
-
-def _curve_strongpulse(args):
-    mu = args.mu if args.mu is not None else 0.025
-    dists = _parse_grid(args.d, lambda: [float(k) for k in range(0, 241, 2)])
-    header = ["distance_km", "delta_db", "mu_prime", "intensity_ratio",
-              "overlap", "p_e", "i_eve"]
-    rows = []
-    for d in dists:
-        delta = d * args.alpha
-        pulse = attacks.StrongPulseModel(mu, delta)
-        ov, p_e, i_eve = attacks.strongpulse_b92(delta, mu)
-        rows.append([d, delta, pulse.mu_prime, pulse.intensity_ratio, ov, p_e, i_eve])
+    rows = [["ng23", g, *cloning.ng23_fidelities(g)] for g in grid]
+    rows += [["cerf23", x, *cloning.cerf23_fidelities(x)]
+             for x in np.linspace(0.0, cloning.CERF23_X_MAX, 100)]
     return header, rows
 
 
 _CURVES = {
-    "pns-bb84": _curve_pns_bb84,
-    "pns-42": _curve_pns_42,
-    "figiepr": _curve_figiepr,
-    "muopt": _curve_muopt,
+    **{curve_id: functools.partial(_curve_distance, *spec)
+       for curve_id, spec in _DISTANCE_CURVES.items()},
     "ieclon12": _curve_ieclon12,
     "ieclon23": _curve_ieclon23,
     "dcrit": _curve_dcrit,
     "stattnb": _curve_stattnb,
     "clonfid": _curve_clonfid,
-    "strongpulse": _curve_strongpulse,
 }
 
 
 def _write(text, out):
-    """Write the output text to the file ``out``, or to stdout when unset."""
+    """Write the text to the file ``out`` (ValueError if it cannot), or to stdout."""
     if out:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -323,8 +301,7 @@ def _emit(header, rows, args):
 
 
 def _cmd_curve(args):
-    builder = _CURVES[args.curve_id]
-    header, rows = builder(args)
+    header, rows = _CURVES[args.curve_id](args)
     _emit(header, rows, args)
     return 0
 

@@ -26,6 +26,7 @@ from .photonics import nonnegative_finite, poisson_moments, positive_finite, tra
 from .qmath import partial_trace
 
 ISOMETRY_TOL = 1e-12
+CERF23_X_MAX = 1 / math.sqrt(8)  # the Bell-ancilla 2 -> 3 cloner's x range is [0, 1/sqrt 8]
 
 
 @dataclass
@@ -199,7 +200,7 @@ def make_cerf23(x):
     third-clone fidelity reaches one at v = 2x.  The third clone sits on
     qubit 2.
     """
-    xs = _grid(x, 0.0, 1 / math.sqrt(8), "x must be in [0, 1/sqrt 8]")[:, None, None]
+    xs = _grid(x, 0.0, CERF23_X_MAX, "x must be in [0, 1/sqrt 8]")[:, None, None]
     v = np.sqrt(np.maximum(0.0, 1.0 - 8.0 * xs * xs))
     v_param = v[:, 0, 0] if np.ndim(x) else float(v[0, 0, 0])
     return _machine("cerf23", v * _CERF23_V + xs * _CERF23_X, (0, 1, 2), x,
@@ -219,7 +220,7 @@ def ng23_fidelities(gamma):
 
 
 def cerf23_fidelities(x):
-    if not 0.0 <= x <= 1 / math.sqrt(8):
+    if not 0.0 <= x <= CERF23_X_MAX:
         raise ValueError("x must be in [0, 1/sqrt 8]")
     v = math.sqrt(max(0.0, 1.0 - 8.0 * x * x))
     return 1.0 - 2.0 * x * x, 1.0 - 0.5 * (v - 2.0 * x) ** 2
@@ -391,3 +392,18 @@ def ngs23_gamma_for_disturbance(d):
     if not ng23_fidelities(hi)[0] - 1e-12 <= target <= ng23_fidelities(lo)[0] + 1e-12:
         raise ValueError("disturbance out of range for this machine")
     return solvers.root_decreasing(lambda g: ng23_fidelities(g)[0] - target, lo, hi)
+
+
+def cerf12_fidelity_for_disturbance(points):
+    """Fidelity F = 1 - D of the Bell-ancilla 1 -> 2 cloner with disturbance D,
+    the ``disturbance`` column of ``sifted_points`` clipped to [0, 1/2], and
+    ``bb84_reference_information`` at each D: (array of F, list)."""
+    d = np.clip(points["disturbance"], 0.0, 0.5)
+    return 1.0 - d, [bb84_reference_information(x) for x in d.tolist()]
+
+
+def cerf23_x_for_disturbance(points):
+    """x of the Bell-ancilla 2 -> 3 cloner whose clone pair has disturbance
+    2 x^2 = D, the ``disturbance`` column of ``sifted_points``, capped at x =
+    CERF23_X_MAX (D = 1/4)."""
+    return [min(math.sqrt(d / 2.0), CERF23_X_MAX) for d in points["disturbance"].tolist()]

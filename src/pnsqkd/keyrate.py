@@ -84,9 +84,8 @@ def nb_security_summary(n_bases, model=photonics.SourceChannelModel()):
     ladder = attacks.nb_storing_ladder(n_bases, model)
 
     def margin(delta):  # I_AB - I_Eve, decreasing across the ladder
-        i_eve = attacks.nb_storing_info_at(ladder, delta)
-        i_ab = qmath.binary_information(photonics.qber_total(model, mu, delta))
-        return i_ab - i_eve
+        i_ab = attacks.honest_information(model, mu, delta)
+        return i_ab - attacks.nb_storing_info_at(ladder, delta)
 
     lo = ladder[-2][0] if len(ladder) > 1 else 0.0
     delta2 = solvers.root_decreasing(margin, lo, ladder[-1][0])

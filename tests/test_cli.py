@@ -186,6 +186,9 @@ class TestExitCodes:
         (["curve", "dcrit", "--eta-det", "5", "--nb", "2"], 2),
         (["curve", "pns-42", "--eta-det", "1", "--pd", "0", "--qber-opt", "0",
           "--eta", "1.5707963267948966", "--d", "0:1:1"], 0),
+        # an --out path that cannot be written: a missing folder, a folder
+        (["curve", "pns-bb84", "--d", "0:2:1", "--out", "/nonexistent/pnsqkd.csv"], 2),
+        (["report", "geneva-lausanne", "--out", "."], 2),
     ])
     def test_domain_and_ladder_exit_codes(self, args, code):
         # in-process: an escaping exception (a traceback) fails the test
