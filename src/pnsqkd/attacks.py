@@ -274,8 +274,20 @@ def fourstate_storing_info():
 
 
 _FOURSTATE_STORING_INFO = fourstate_storing_info()
-# the coarse scan of the split f: (f, 1 - f) at f = k/100
-_F_PAIRS = [(k / 100.0, 1.0 - k / 100.0) for k in range(101)]
+
+
+def _f_scan_indices(mu, required, r_store, s_store, r_irud, s_irud):
+    """The f = k/100 indices holding the grid maximum; see fourstate_combined_info."""
+    if not (s_irud > 1e-10 * s_store and r_store > 1.99 * r_irud):
+        return range(101)
+    k0 = math.floor(100.0 * ((r_store - required) / (r_store - r_irud)))
+    w0, p = s_store * _FOURSTATE_STORING_INFO, mu - required
+    t = ((s_irud - w0) * (required - r_store + p * s_store)
+         - w0 * (r_store - r_irud + p * (s_irud - s_store)))
+    # grid points past the window on the q > 0 side need the slope check
+    if k0 <= 96 and not abs(t) * p > 2.0 ** -52 * mu * (s_store + s_irud) * (32.0 * p + 6e4 * mu):
+        return range(101)
+    return [0, *range(max(k0 - 2, 1), min(k0 + 2, 99) + 1), 100]
 
 
 def fourstate_combined_info(mu, delta_db):
@@ -286,34 +298,42 @@ def fourstate_combined_info(mu, delta_db):
     of every multiphoton pulse (0.399 bits after the announcement); the
     untouched fraction q balances the expected rate.  When the attack
     oversupplies photons the surplus successful pulses are discarded
-    uniformly, which leaves the per-bit information unchanged.  f is
-    optimized by a 101-point scan (the first maximum wins) plus 90
-    golden-section steps between its neighbours, each distinct f evaluated
-    once.  The scan is one loop over the (f, 1 - f) pairs with the
-    information written out in it, which gives the floats of ``info`` at
-    less cost than a call per point; a NaN at f = 0 would win, and a later
-    NaN never, as with ``max``.  Where the attack alone meets the rate
-    (q = 0), the information is evaluated without the q terms, which gives
-    the same floats.  Returns (i_eve, q_passed, f_irud).
+    uniformly, which leaves the per-bit information unchanged.  f is the
+    first maximum over f = k/100 (a NaN at 0 would win, a later one never)
+    refined by 90 golden-section steps between its neighbours, each
+    distinct f evaluated once.  Returns (i_eve, q_passed, f_irud).
+
+    That maximum is read from at most seven points.  The kink
+    f* = (R_split - R)/(R_split - R_irud), where the attack's photon rate
+    a = f R_irud + (1 - f) R_split meets the required rate R, splits [0, 1]
+    into pieces on which I is linear-fractional, so monotone (Charnes &
+    Cooper 1962): I = W/V rises for q = 0, and I = (mu - R) W/d, with
+    d = R - a + (mu - R) V, has slopes of the sign of t = W' d(0) - W(0) d'
+    for q > 0.  With k0 = floor(100 f*) (f* is off by a few ulps), a grid
+    point outside {0, 100} and [k0 - 2, k0 + 2] is below a window point of
+    its piece by a relative margin, which must exceed both rounding errors
+    (u = 2^-53).  For q = 0 these are <= 9u and the margin is >= 0.0099
+    (1 - i_s) x/(1 + x)^2 >= 5.9e-13, x = S_irud/S_multi in (1e-10, 1].  For
+    q > 0 the points lie 0.01 (0.02 outside the window) past the kink, so
+    with R_split > 1.99 R_irud the errors 3u M (1 + a/(R - a)) + 13u,
+    M = mu/(mu - R), are <= 623 u M (320 u M).  The margin is >= 0.0099
+    |t|/(mu (S_irud + S_multi)), and t is known to 27u mu (S_irud + S_multi),
+    so it is >= 1188 u M where |t| (mu - R) > 2^-52 mu (S_irud + S_multi)
+    (32 (mu - R) + 6e4 mu).  Near the kink R - a cancels and the error grows
+    like u R/(mu d), but those points are in the window.  Where a check fails
+    (delta near 0, mu < 6e-10, a flat q > 0 piece) all 101 are read.
     """
     positive_finite(mu, "mu")
     required = mu * transmission(nonnegative_finite(delta_db, "attenuation"))
-    r_store, s_store, r_irud, s_irud = poisson_moments(mu)
+    r_store, s_store, r_irud, s_irud = moments = poisson_moments(mu)
     i_store = _FOURSTATE_STORING_INFO
 
-    def q_of(f):
-        a = f * r_irud + (1.0 - f) * r_store
-        if a >= required:
-            return 0.0
-        return (required - a) / (mu - a)
-
-    def info(f):  # q_of inlined, in the same order of operations
+    def info(f):
         g = 1.0 - f
         a = f * r_irud + g * r_store
         if a >= required:
-            # q = 0, written out: 1.0 - 0.0 == 1.0 and 1.0 * f == f, and
-            # 0.0 + wi == wi since wi >= 0; a denominator of +0 or -0
-            # returns 0 either way, so each value is the q > 0 form's
+            # q = 0 written out gives the q > 0 form's floats: 1.0 - 0.0 == 1.0,
+            # 1.0 * f == f, 0.0 + wi == wi (wi >= 0), and +0 or -0 returns 0
             wi = f * s_irud
             ws = g * s_store
             denom = wi + ws
@@ -327,33 +347,13 @@ def fourstate_combined_info(mu, delta_db):
             return 0.0
         return (wi + ws * i_store) / denom
 
-    # info inlined once more, in the same order of operations; a later
-    # point replaces the best only if strictly greater
-    i_scan, k_scan = info(0.0), 0
-    for k, (f, g) in enumerate(itertools.islice(_F_PAIRS, 1, None), 1):
-        a = f * r_irud + g * r_store
-        if a >= required:
-            wi = f * s_irud
-            ws = g * s_store
-            denom = wi + ws
-        else:
-            q = (required - a) / (mu - a)
-            p = 1.0 - q
-            wi = p * f * s_irud
-            ws = p * g * s_store
-            denom = q + wi + ws
-        if denom <= 0.0:
-            i_k = 0.0
-        else:
-            i_k = (wi + ws * i_store) / denom
-        if i_k > i_scan:
-            i_scan, k_scan = i_k, k
-    lo = _F_PAIRS[max(0, k_scan - 1)][0]
-    hi = _F_PAIRS[min(100, k_scan + 1)][0]
-    f_best, i_best = solvers.golden_max(info, lo, hi, 90)
-    if i_scan > i_best:
-        f_best, i_best = _F_PAIRS[k_scan][0], i_scan
-    return i_best, q_of(f_best), f_best
+    scan = {k: info(k / 100.0) for k in _f_scan_indices(mu, required, *moments)}
+    k = max(scan, key=scan.get)
+    f_best, i_best = solvers.golden_max(info, max(k - 1, 0) / 100.0, min(k + 1, 100) / 100.0, 90)
+    if scan[k] > i_best:
+        f_best, i_best = k / 100.0, scan[k]
+    a = f_best * r_irud + (1.0 - f_best) * r_store
+    return i_best, 0.0 if a >= required else (required - a) / (mu - a), f_best
 
 
 # ---------------------------------------------------------------------------

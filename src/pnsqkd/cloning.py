@@ -346,14 +346,14 @@ def pns_cloning_attack(machine_factory, mu, delta_db, param_grid):
     ``sifted_points`` columns of ``machine_factory(param_grid)``.
 
     Feasible only when the channel loss lets the eavesdropper block every
-    single-photon pulse: mu 10^(-delta/10) <= sum_{n>=2} p_n (n-1).  She
-    clones each two-photon pulse, forwards one clone and keeps the other
-    two output qubits plus ancillas; the information accounting is the same
-    sifted machinery with her enlarged system.
+    single-photon pulse: mu 10^(-delta/10) <= sum_{n>=2} p_n (n-1), to a
+    relative 1e-12 for rounding.  She clones each two-photon pulse, forwards
+    one clone and keeps the other two output qubits plus ancillas; the
+    information accounting is the same sifted machinery with her enlarged system.
     """
     positive_finite(mu, "mu")
     required = mu * transmission(nonnegative_finite(delta_db, "attenuation"))
-    if required > poisson_moments(mu)[0] + 1e-15:
+    if required > poisson_moments(mu)[0] * (1.0 + 1e-12):
         raise InfeasibleModelError(
             f"attenuation {delta_db:g} dB too small: single-photon pulses cannot all be blocked")
     return sifted_points(machine_factory(param_grid))

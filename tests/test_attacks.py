@@ -1,12 +1,14 @@
 """Attack-model tests: rates, critical attenuations, information curves."""
+import contextlib
 import decimal
+import io
 import math
 import random
 
 import numpy as np
 import pytest
 
-from pnsqkd import attacks, cloning, keyrate, photonics, qmath
+from pnsqkd import attacks, cli, cloning, keyrate, photonics, qmath
 from pnsqkd.attacks import (
     StrongPulseModel,
     bb84_critical_attenuation,
@@ -402,6 +404,80 @@ class TestCombinedOptimumMatchesScan:
                 lambda mu: keyrate.key_rate(mu, delta, _combined_info_scan(mu, delta)[0]),
                 1e-3, keyrate.MU_SEARCH_MAX, 120)
             assert keyrate.optimal_mu(delta) == expected, distance
+
+
+def _record_scan_sizes(monkeypatch):
+    """Count the candidate f indices of every ``fourstate_combined_info``
+    call; returns the list that the counts are appended to."""
+    sizes = []
+    choose = attacks._f_scan_indices
+
+    def recorded(*args):
+        indices = choose(*args)
+        sizes.append(len(indices))
+        return indices
+
+    monkeypatch.setattr(attacks, "_f_scan_indices", recorded)
+    return sizes
+
+
+class TestCombinedScanWindow:
+    def test_window_matches_the_full_scan_over_the_domain(self, monkeypatch):
+        sizes = _record_scan_sizes(monkeypatch)
+        rng = random.Random(20261019)
+        kinds = set()
+        for i in range(3000):
+            wide = i % 2 == 1
+            lo, hi = (5e-324, 1.7e308) if wide else (1e-3, 2.0)
+            mu = math.exp(rng.uniform(math.log(lo), math.log(hi)))
+            kind = rng.choice(["zero", "small", "bb84", "irud", "kink", "uniform"])
+            if kind == "zero":
+                delta = 0.0
+            elif kind == "small":  # mu - R cancels, so q's rounding is amplified
+                delta = math.exp(rng.uniform(math.log(1e-17), math.log(0.1)))
+            elif kind in ("bb84", "irud"):
+                critical = (bb84_critical_attenuation if kind == "bb84"
+                            else fourstate_irud_critical)(mu)
+                delta = critical * (1.0 + rng.choice([0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9]))
+            else:
+                delta = None
+                if kind == "kink":  # the kink within 1e-12 of f = k/100
+                    r_store, _, r_irud, _ = photonics.poisson_moments(mu)
+                    k = rng.randrange(101)
+                    kink = k / 100.0 + rng.uniform(-1e-12, 1e-12)
+                    required = r_store - kink * (r_store - r_irud)
+                    if 0.0 < required < mu:
+                        delta = -10.0 * math.log10(required / mu)
+                        required = mu * photonics.transmission(delta)
+                        if abs((r_store - required) / (r_store - r_irud) - k / 100.0) > 1e-12:
+                            kind = "kink off the grid"
+                if delta is None:
+                    kind = "uniform"
+                    delta = rng.uniform(0.0, 60.0)
+            before = len(sizes)
+            result = fourstate_combined_info(mu, delta)
+            assert result == _combined_info_scan(mu, delta), (mu, delta)
+            path = "window" if sizes[before] <= 7 else "all"
+            kinds.add((kind, wide, path))
+        # every kind of draw is taken, on both mu ranges and by both paths
+        for kind in ("small", "bb84", "irud", "kink", "uniform"):
+            for wide in (False, True):
+                assert (kind, wide, "window") in kinds, (kind, wide)
+            assert (kind, True, "all") in kinds, kind
+        assert ("zero", False, "all") in kinds and ("zero", True, "all") in kinds
+
+    def test_default_distance_curves_read_at_most_seven_points(self, monkeypatch):
+        sizes = _record_scan_sizes(monkeypatch)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["curve", "muopt"]) == 0
+            assert cli.main(["curve", "figiepr", "--d", "4:120:1"]) == 0
+        assert len(sizes) > 1000 and max(sizes) <= 7
+
+    @pytest.mark.parametrize("mu,delta", [(0.2, 0.0), (1e-200, 10.0)])
+    def test_zero_loss_and_tiny_mu_scan_every_point(self, monkeypatch, mu, delta):
+        sizes = _record_scan_sizes(monkeypatch)
+        fourstate_combined_info(mu, delta)
+        assert sizes == [101]
 
 
 def _scan_storing_info(ladder, delta_db):

@@ -189,6 +189,8 @@ class TestExitCodes:
         # an --out path that cannot be written: a missing folder, a folder
         (["curve", "pns-bb84", "--d", "0:2:1", "--out", "/nonexistent/pnsqkd.csv"], 2),
         (["report", "geneva-lausanne", "--out", "."], 2),
+        # R = 1e-20 is far above what splitting delivers (R_split = 5e-41)
+        (["curve", "ieclon23", "--mu", "1e-20", "--delta", "0"], 3),
     ])
     def test_domain_and_ladder_exit_codes(self, args, code):
         # in-process: an escaping exception (a traceback) fails the test

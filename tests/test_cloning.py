@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from pnsqkd import cloning, qmath
+from pnsqkd import attacks, cloning, qmath
 from pnsqkd.cloning import (
     InfeasibleModelError,
     bb84_reference_information,
@@ -502,6 +502,14 @@ class TestPnsCloning23:
             pns_cloning_attack(make_ngs23, 0.2, 5.0, [0.3])
         # boundary: just above the blocking attenuation is fine
         pns_cloning_attack(make_ngs23, 0.2, 10.3, [0.3])
+
+    @pytest.mark.parametrize("mu", [1e-150, 1e-20, 1e-5, 1e-3, 0.2, 2.0, 1e6])
+    def test_feasibility_slack_scales_with_mu(self, mu):
+        # at the two-basis critical attenuation splitting just meets the rate
+        pns_cloning_attack(make_ngs23, mu, attacks.bb84_critical_attenuation(mu), [0.3])
+        # without loss it never does, also where mu itself is below 1e-15
+        with pytest.raises(InfeasibleModelError):
+            pns_cloning_attack(make_ngs23, mu, 0.0, [0.3])
 
     def test_crossing_near_8p5pct_qber(self):
         points = pns_cloning_attack(make_ngs23, 0.2, 12.0,
