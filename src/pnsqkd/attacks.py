@@ -304,8 +304,8 @@ def fourstate_combined_info(mu, delta_db):
     oversupplies photons the surplus successful pulses are discarded
     uniformly, which leaves the per-bit information unchanged.  f is the
     first maximum over f = k/100 (a NaN at 0 would win, a later one never)
-    refined by 90 golden-section steps between its neighbours, each
-    distinct f evaluated once.  Returns (i_eve, q_passed, f_irud).
+    refined by 90 golden-section steps between its neighbours.  Returns
+    (i_eve, q_passed, f_irud).
 
     That maximum is read from at most seven points.  The kink
     f* = (R_split - R)/(R_split - R_irud), where the attack's photon rate

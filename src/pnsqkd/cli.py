@@ -344,34 +344,37 @@ def build_parser():
     for curve_id in CURVE_IDS:
         # without abbreviations, --d cannot stand for --delta
         options = curves.add_parser(curve_id, allow_abbrev=False)
+        options.set_defaults(parser=options)
         for flag, default in _CURVES[curve_id][1].items():
             options.add_argument(flag, default=default, **_OPTIONS[flag])
         options.add_argument("--out", type=str, default=None,
                              help="output path (default stdout)")
         options.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    report = sub.add_parser("report", help="emit a case-study record")
+    report = sub.add_parser("report", help="emit a case-study record", allow_abbrev=False)
     report.add_argument("report_id", choices=("geneva-lausanne",))
     report.add_argument("--alpha", type=_number(positive_finite, "alpha"), default=0.25)
     report.add_argument("--out", type=str, default=None)
-    report.set_defaults(func=_cmd_report)
+    report.set_defaults(func=_cmd_report, parser=report)
 
     validate = sub.add_parser("validate", help="run the anchor self-check suite")
-    validate.set_defaults(func=_cmd_validate)
+    validate.set_defaults(func=_cmd_validate, parser=validate)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    # errors print the usage of the command's own parser, which lists its options
+    if extra:
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args)
     except InfeasibleModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
+    except (ValueError, KeyError) as exc:  # worded as argparse's own errors
+        args.parser.print_usage(sys.stderr)
+        print(f"{args.parser.prog}: error: {exc}", file=sys.stderr)
         return 2
 
 

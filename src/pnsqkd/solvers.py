@@ -4,9 +4,8 @@ Neither takes a tolerance: the root search runs until the bracket holds
 two neighbouring floats, and the maximum search for a fixed number of
 steps.  Their results depend only on the function, the bracket and the
 step count, so a caller's output is reproducible to the last digit.  The
-maximum search evaluates each distinct point once, and stops early once
-its state alternates between two values, with the result of the full
-step count.
+maximum search stops early once its state alternates between two values,
+with the result of the full step count.
 """
 from __future__ import annotations
 
@@ -60,21 +59,9 @@ def golden_max(f, lo, hi, iters):
     steps (Press et al., *Numerical Recipes*, section 10.2).  Returns
     (x, f(x)) at the midpoint of the final bracket.
 
-    ``f`` must be a pure function of x: each distinct point is evaluated
-    once, so the result equals that of evaluating f at every step.  The
-    search runs in two phases.
-
-    While a < c1 < c2 < b, every point evaluated before, other than c1 and
-    c2, lies outside (a, b); so a new point strictly between the carried
-    point and the far end is new, and f is called on it with no lookup.
-
-    Once the bracket is a few ulps wide that order breaks, and points start
-    to recur.  From then on values are looked up in a dict kept for this
-    call only, seeded with a, b, c1 and c2 where evaluated.  All four lie in
-    [a, b], and so does every later point, since a rounded a + g (b - a)
-    lies between a and b; no other earlier point does.  The lookups are
-    written inline, because a helper call per step would cost more than
-    the arithmetic of a cheap ``f``.
+    ``f`` must be a pure function of x.  It is called at every step, and
+    points recur once the bracket is a few ulps wide, so a caller whose
+    ``f`` is costly caches it.
 
     A step is a function of the state (a, b, c1, c2), since f(c1) and f(c2)
     follow from it.  Once a state equals the state two steps earlier, the
@@ -84,72 +71,30 @@ def golden_max(f, lo, hi, iters):
     rounds to b, that is if b == a; and a step of each kind returns to its
     state only if neither moved its end.  So the result is that of the
     current state, whatever the parity of the steps left, and the search
-    stops there.  A cycle revisits a point on every step, so only such
-    steps are compared.
+    stops there.  A step from a state with a < c1 < c2 < b moves an end
+    strictly inward, so such a state lies on no cycle: states are compared
+    only while that order is broken, and forgotten once it holds.
     """
     a, b = lo, hi
     c1 = b - _GOLDEN * (b - a)
     c2 = a + _GOLDEN * (b - a)
-    f1 = f(c1)
-    f2 = f1 if c2 == c1 else f(c2)
-    fa = fb = None  # f(a) and f(b), once the ends are evaluated points
-    left = iters  # steps not taken by the ordered phase
-    if a < c1 < c2 < b:
-        for step in range(iters):
-            if f1 < f2:
-                a, fa, c1, f1 = c1, f1, c2, f2
-                c2 = a + _GOLDEN * (b - a)
-                if c1 < c2 < b:
-                    f2 = f(c2)
-                    continue
-                f2 = None
-            else:
-                b, fb, c2, f2 = c2, f2, c1, f1
-                c1 = b - _GOLDEN * (b - a)
-                if a < c1 < c2:
-                    f1 = f(c1)
-                    continue
-                f1 = None
-            left = iters - 1 - step
-            break
-        else:
-            left = 0
-    values = {x: fx for x, fx in ((a, fa), (b, fb), (c1, f1), (c2, f2)) if fx is not None}
-    # the point the step that broke the order computed, not yet evaluated
-    if f1 is None:
-        f1 = values.get(c1)
-        if f1 is None:
-            f1 = values[c1] = f(c1)
-    elif f2 is None:
-        f2 = values.get(c2)
-        if f2 is None:
-            f2 = values[c2] = f(c2)
-    trail = []  # the state after each step that revisited a point
-    fresh = -1  # the last step that evaluated a new point
-    for step in range(left):
+    f1, f2 = f(c1), f(c2)
+    back1 = back2 = None  # the states one and two steps back, while unordered
+    for _ in range(iters):
         if f1 < f2:
             a, c1, f1 = c1, c2, f2
             c2 = a + _GOLDEN * (b - a)
-            f2 = values.get(c2)
-            if f2 is None:
-                f2 = values[c2] = f(c2)
-                fresh = step
-                continue
+            f2 = f(c2)
         else:
             b, c2, f2 = c2, c1, f1
             c1 = b - _GOLDEN * (b - a)
-            f1 = values.get(c1)
-            if f1 is None:
-                f1 = values[c1] = f(c1)
-                fresh = step
-                continue
+            f1 = f(c1)
+        if a < c1 < c2 < b:
+            back1 = back2 = None
+            continue
         state = (a, b, c1, c2)
-        # trail[-2] is the state two steps back when neither step was fresh
-        if step - fresh > 2 and state == trail[-2]:
+        if state == back2:
             break
-        trail.append(state)
+        back1, back2 = state, back1
     x = 0.5 * (a + b)
-    fx = values.get(x)
-    if fx is None:
-        fx = f(x)
-    return x, fx
+    return x, f(x)

@@ -192,6 +192,8 @@ class TestExitCodes:
         # the other ends of the model's and eta's ranges
         (["curve", "stattnb", "--eta-det", "1", "--qber-opt", "0", "--nb", "2", "--d", "0:1:1"], 0),
         (["curve", "pns-42", "--eta", "1.5707963267948966", "--d", "0:1:1"], 0),
+        # no abbreviations: --al is not --alpha
+        (["report", "geneva-lausanne", "--al", "0.15"], 2),
     ])
     def test_domain_and_ladder_exit_codes(self, args, code):
         # in-process: an escaping exception (a traceback) fails the test
@@ -221,6 +223,22 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert option in err.getvalue()
         assert out.getvalue() == ""
+
+    @pytest.mark.parametrize("args", [
+        ["curve", "muopt", "--mu", "0.5"],  # an option muopt does not read
+        ["curve", "muopt", "--d=-4:4:4"],  # a library ValueError
+    ])
+    def test_usage_error_prints_the_usage_of_the_curve(self, args):
+        # the root usage would list no option of the command
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                rc = cli.main(args)
+            except SystemExit as exc:
+                rc = exc.code
+        assert rc == 2
+        assert err.getvalue().startswith("usage: pnsqkd curve muopt")
+        assert "--alpha" in err.getvalue()
 
     def test_validate_exit_0(self):
         proc = run_cli(["validate"])

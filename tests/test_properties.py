@@ -84,8 +84,8 @@ def test_combined_info_is_physical_and_grows_with_loss(mu, d1, d2):
 @example(1e300, 0.0)
 def test_combined_info_scan_loop_matches_the_reference(mu, delta):
     # the grid maximum read from the window around the kink (or from all 101
-    # points) and the two-phase golden search give the floats of a scan by
-    # map/max and a search that evaluates f at every step
+    # points) and the golden search give the floats of a scan by map/max and
+    # the reference search loop
     assert attacks.fourstate_combined_info(mu, delta) == _combined_info_scan(mu, delta)
 
 

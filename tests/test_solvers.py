@@ -1,9 +1,10 @@
 """Shared one-dimensional searches: bracketed root and golden-section maximum."""
 import math
+import random
 
 import pytest
 
-from pnsqkd import photonics
+from pnsqkd import attacks, keyrate, photonics
 from pnsqkd.keyrate import fourstate_key_rate
 from pnsqkd.solvers import _GOLDEN, golden_max, root_decreasing
 
@@ -71,17 +72,6 @@ def _parabola(x):
     return -(x - 0.3) ** 2
 
 
-@pytest.mark.parametrize("iters", [0, 1, 30, 90, 120])
-def test_golden_max_evaluates_each_point_once(iters):
-    calls, loop_calls = [], []
-    golden_max(_recorded(_parabola, calls), 0.0, 1.0, iters)
-    golden_max_loop(_recorded(_parabola, loop_calls), 0.0, 1.0, iters)
-    assert len(calls) == len(set(calls))
-    assert set(calls) == set(loop_calls)
-    if iters == 120:  # the bracket is narrower than an ulp long before
-        assert len(loop_calls) == 123 > len(calls)
-
-
 def _plateau(x):
     return min(x, 0.4)  # f1 == f2 on most steps
 
@@ -103,6 +93,19 @@ _PAST_THE_CYCLE = [pytest.param(f, lo, hi, iters, id=f"{name}-{iters}")
                                            ("key-rate-20dB", _key_rate_20db, 1e-3, 2.0)]
                    for iters in (200, 201, 1000, 1001)]
 
+# brackets run far past the step where their order breaks, 300 steps each
+_ODD_BRACKETS = [
+    pytest.param(lambda x: 1.0, 0.5, 1.0, 300, id="constant-300"),
+    pytest.param(lambda x: x, 0.0, 1.0, 300, id="increasing-300"),
+    pytest.param(lambda x: -abs(x - 1.0), 1.0 - 2e-16, 1.0 + 4e-16, 300, id="few-ulps-300"),
+    # about 0 the bracket shrinks into the subnormals, and the point that
+    # breaks the order is c1 on [-5, 3], c2 on [-3, 5]
+    pytest.param(lambda x: -abs(x), -5.0, 3.0, 300, id="abs-c1-breaks-300"),
+    pytest.param(lambda x: -abs(x), -3.0, 5.0, 300, id="abs-c2-breaks-300"),
+    pytest.param(lambda x: 0.0, 1.0, 1.0, 300, id="equal-ends-300"),  # never ordered
+    pytest.param(_parabola, 1.0, 0.0, 300, id="reversed-300"),
+]
+
 
 # at 0 dB the key-rate optimum sits at the cap of [1e-3, 2], at 20 and 25 dB inside it
 @pytest.mark.parametrize("f, lo, hi, iters", [
@@ -113,27 +116,67 @@ _PAST_THE_CYCLE = [pytest.param(f, lo, hi, iters, id=f"{name}-{iters}")
     pytest.param(_key_rate_20db, 1e-3, 2.0, 120, id="key-rate-20dB"),
     pytest.param(lambda mu: fourstate_key_rate(mu, 100 * photonics.DEFAULT_ALPHA_DB_PER_KM),
                  1e-3, 2.0, 120, id="key-rate-100km"),
-] + _PAST_THE_CYCLE)
+] + _PAST_THE_CYCLE + _ODD_BRACKETS)
 def test_golden_max_matches_the_unmemoized_loop(f, lo, hi, iters):
     assert golden_max(f, lo, hi, iters) == golden_max_loop(f, lo, hi, iters)
 
 
-@pytest.mark.parametrize("f, lo, hi", [
-    (lambda x: 1.0, 0.5, 1.0),
-    (lambda x: x, 0.0, 1.0),
-    (lambda x: -abs(x - 1.0), 1.0 - 2e-16, 1.0 + 4e-16),  # a bracket of a few ulps
-    # about 0 the bracket shrinks into the subnormals, and the point that
-    # breaks the order is new: c1 on [-5, 3], c2 on [-3, 5]
-    (lambda x: -abs(x), -5.0, 3.0),
-    (lambda x: -abs(x), -3.0, 5.0),
-    (lambda x: 0.0, 1.0, 1.0),  # no point lies inside: no ordered phase
-    (lambda x: -(x - 0.3) ** 2, 1.0, 0.0),  # reversed ends
-])
-def test_golden_max_evaluates_each_point_once_in_both_phases(f, lo, hi):
-    # the ordered phase calls f without a lookup; the points it evaluated
-    # must not be evaluated again once the order breaks
-    calls, loop_calls = [], []
-    assert golden_max(_recorded(f, calls), lo, hi, 300) == \
-        golden_max_loop(_recorded(f, loop_calls), lo, hi, 300)
-    assert len(calls) == len(set(calls))
-    assert set(calls) == set(loop_calls)
+def _draw_bracket(kind, rng):
+    if kind == "random":
+        return sorted(rng.uniform(-10.0, 10.0) for _ in range(2))
+    if kind == "few-ulps":
+        lo = hi = rng.uniform(-10.0, 10.0)
+        for _ in range(rng.randint(1, 8)):
+            hi = math.nextafter(hi, math.inf)
+        return lo, hi
+    if kind == "subnormal":
+        return sorted(rng.randint(-1000, 1000) * 5e-324 for _ in range(2))
+    if kind == "reversed":
+        return sorted((rng.uniform(-10.0, 10.0) for _ in range(2)), reverse=True)
+    x = rng.uniform(-10.0, 10.0)  # equal ends
+    return x, x
+
+
+_SHAPES = {
+    "parabola": lambda m: lambda x: -(x - m) ** 2,
+    "plateau": lambda m: lambda x: min(x, m),
+    "constant": lambda m: lambda x: 1.0,
+    "monotone": lambda m: lambda x: -x,
+    "abs": lambda m: lambda x: -abs(x - m),
+    "step": lambda m: lambda x: 1.0 if x < m else 0.0,
+}
+
+
+@pytest.mark.parametrize("kind", ["random", "few-ulps", "subnormal", "reversed", "equal-ends"])
+def test_golden_max_matches_the_loop_on_drawn_brackets(kind):
+    rng = random.Random(f"golden-{kind}")
+    for _ in range(20):
+        lo, hi = _draw_bracket(kind, rng)
+        m = lo + rng.random() * (hi - lo)  # the shape's break point, inside the bracket
+        for shape, make in _SHAPES.items():
+            f = make(m)
+            for iters in (0, 1, 2, 3, 90, 120, 1001):
+                assert golden_max(f, lo, hi, iters) == golden_max_loop(f, lo, hi, iters), \
+                    (shape, lo, hi, iters)
+
+
+def test_golden_max_keeps_the_sign_of_a_zero_midpoint():
+    # f(-0.0) is -0.0, though -0.0 == 0.0 (a lookup keyed by x would mix them)
+    x, fx = golden_max(lambda x: x, -5e-324, 5e-324, 1001)
+    assert math.copysign(1.0, x) == math.copysign(1.0, fx) == -1.0
+
+
+@pytest.mark.parametrize("delta", [0.0, 10.0, 20.0, 25.0, 30.0])
+def test_optimal_mu_runs_the_attack_optimum_once_per_mu(delta, monkeypatch):
+    # the mu search revisits points once its bracket is a few ulps wide, and
+    # its cached rate runs the costly attack optimum once per distinct mu
+    loop_mus = []
+    expected = golden_max_loop(_recorded(lambda mu: fourstate_key_rate(mu, delta), loop_mus),
+                               1e-3, keyrate.MU_SEARCH_MAX, 120)
+    calls = []
+    combined = attacks.fourstate_combined_info
+    monkeypatch.setattr(attacks, "fourstate_combined_info",
+                        lambda mu, d: calls.append(mu) or combined(mu, d))
+    assert keyrate.optimal_mu(delta) == expected
+    assert len(calls) == len(set(calls)) < len(loop_mus)
+    assert set(calls) == set(loop_mus)
