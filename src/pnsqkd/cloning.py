@@ -1,7 +1,8 @@
 """Asymmetric phase-covariant cloning machines and sifted-attack evaluation.
 
-Four machines are provided: two 1 -> 2 cloners (a two-qubit construction
-and a Bell-ancilla construction) and their 2 -> 3 generalizations.  Each is
+Five machines are provided: two 1 -> 2 cloners (a two-qubit construction
+and a Bell-ancilla construction) and their 2 -> 3 generalizations, the
+two-qubit one also symmetrized with its bit-flipped mirror.  Each is
 represented as an isometry from the input space (with the ancilla reference
 fixed) to the full output register; a factory called with a parameter grid
 returns the stack of those isometries.  ``sifted_points`` is the one
@@ -11,7 +12,9 @@ of column arrays over the grid, which ``pns_cloning_attack``,
 mirrors the protocol: the sender emits +x or +y (the announced pair), the
 receiver measures his clone, sifting succeeds when his outcome excludes
 one announced state, and the eavesdropper then discriminates her two
-conditional states with a minimum-error measurement.
+conditional states with a minimum-error measurement, whose error is read
+in closed form from the QR factor of the receiver's four projected
+amplitudes, with no eigensolve.
 """
 from __future__ import annotations
 
@@ -269,63 +272,73 @@ def _squared_norms(e):
 # ---------------------------------------------------------------------------
 # sifted-attack machinery
 
-def _sifting(machine):
-    """The receiver's side of the sifted attack at every grid point: his
-    projected amplitudes e[:, k, o], their weights w = ||e||^2, the
-    acceptance weights per sent state and the sifted error rate.
+def sifted_points(machine):
+    """Sifted-attack evaluation of a cloning machine at every grid point of
+    a stack (or at its one point).
 
     The sender emits +x or +y, the announced pair; the receiver accepts
     when his outcome is orthogonal to one of them (excluding it), inferring
     the other.  In e[:, k, o] the state k was sent and the outcome is
     orthogonal to announced state o, so o = k leads to the wrong inference.
     Every other announced pair of neighboring equatorial states is a
-    rotation or reflection of this one and gives the same numbers.
+    rotation or reflection of this one and gives the same numbers.  On
+    every machine here the right exclusion weighs exactly 1/2 (the clone's
+    Bloch vector has no component along the other announced state) and the
+    wrong one weighs the disturbance D, so the sifted error rate is
+    q = D/(D + 1/2) = 2D/(1 + 2D).
 
-    On every machine here the right exclusion weighs exactly 1/2 (the
-    clone's Bloch vector has no component along the other announced
-    state) and the wrong one weighs the disturbance D, so the sifted error
-    rate is q = D/(D + 1/2) = 2D/(1 + 2D).
-    """
-    states = (qmath.PLUS_X, qmath.PLUS_Y)
-    e = _receiver_amplitudes(machine, states, [qmath.orthogonal_qubit(s) for s in states])
-    w = _squared_norms(e)
-    accepted = w[:, :, 0] + w[:, :, 1]
-    qber = 0.5 * (w[:, 0, 0] / accepted[:, 0] + w[:, 1, 1] / accepted[:, 1])
-    return e, w, accepted, qber
+    The eavesdropper knows the announcement and the acceptance (the
+    receiver projected onto one of the two excluding outcomes, she does not
+    learn which), so her conditional state per hypothesis is the
+    acceptance-weighted mixture over those two projections; she then
+    discriminates the two hypotheses with a minimum-error measurement,
+    p_e = (1 - ||M||_1)/2 with M = (rho_0 - rho_1)/2.  ||M||_1 is read in
+    closed form, with no eigensolve:
+    - M = E C E^H, with the four amplitudes e[:, k, o] as the columns of E
+      and C = diag(c_0, c_0, -c_1, -c_1), c_k = 1 / (2 accepted_k).  With
+      E = QR (Householder), M has the nonzero spectrum of the at most 4x4
+      M' = R C R^H.
+    - The reflection x <-> y of the equator swaps the announced states and
+      the two excluding outcomes.  Every machine here carries it to the
+      eavesdropper's side, where it swaps rho_0 and rho_1 and so takes M
+      to -M.  As the antiunitary diag(1, i) K (K complex conjugation) it
+      is a symmetry of all five machines, since each isometry is real and
+      covariant under the phase gate diag(1, i): the ng machines conserve
+      the number of excitations (ngs23's mirror branch up to a fixed
+      shift), and the Bell-ancilla ones are Pauli cloners, covariant as
+      U (x) U (x) U* under any U that keeps their Pauli weights.  So on
+      her side it acts by conjugation, rho_1 = W rho_0* W^H for a unitary
+      W.  As the unitary pi rotation about (x + y)/sqrt 2 it is also a
+      symmetry of cerf12 and cerf23 (the same Pauli covariance) and of
+      ngs23 (its bit-flip mirror branch), but not of ng12 or ng23, whose
+      outputs are not bit-flip symmetric.
+    - Either way the spectrum of M' is +-a, +-b (b = 0 when E has 2 rows,
+      as for ng12), so ||M||_1 = 2(a + b), ||M'||_F^2 = 2(a^2 + b^2) and
+      ab = sqrt(det M') = c_0 c_1 prod |R_ii|, and
 
+          ||M||_1 = sqrt(2 ||M'||_F^2 + 8 ab).
 
-def sifted_qber(machine):
-    """Sifted error rate at every grid point of a stack (or at its one
-    point): the projection stage of ``sifted_points`` alone, with no
-    eigensolve.  Each value equals that of ``sifted_points`` bit for bit."""
-    return _sifting(machine)[3]
-
-
-def sifted_points(machine):
-    """Sifted-attack evaluation of a cloning machine at every grid point of
-    a stack (or at its one point).
-
-    The receiver's side is ``sifted_qber``'s stage.  The eavesdropper knows
-    the announcement and the acceptance (the receiver projected onto one of
-    the two excluding outcomes, she does not learn which), so her
-    conditional state per hypothesis is the acceptance-weighted mixture
-    over those two projections; she then discriminates the two hypotheses
-    with a minimum-error measurement: one stacked eigensolve of at most 4x4
-    in the span of the four projected amplitudes for the whole grid.
+      Both terms are sums and products of nonnegative numbers, so neither
+      cancels where b -> 0 (rank-deficient points, and all of ng23).
 
     Returns a dict of arrays over the grid: the clone disturbance
     ||<-x|_B V|+x>||^2 = 1 - F (read without the cancellation of 1 - F),
     the sifted error rate, the honest-party and eavesdropper informations
     and her error probability.
     """
-    e, w, accepted, qber = _sifting(machine)
-    # half rho_0 minus half rho_1 is V C V^H, the columns of V the four
-    # amplitudes e[:, k, o] and C = diag(c_0, c_0, -c_1, -c_1) with
-    # c_k = 1 / (2 accepted_k); with V = QR its nonzero eigenvalues are
-    # those of R C R^H
+    states = (qmath.PLUS_X, qmath.PLUS_Y)
+    e = _receiver_amplitudes(machine, states, [qmath.orthogonal_qubit(s) for s in states])
+    w = _squared_norms(e)
+    accepted = w[:, :, 0] + w[:, :, 1]
+    qber = 0.5 * (w[:, 0, 0] / accepted[:, 0] + w[:, 1, 1] / accepted[:, 1])
     r = np.linalg.qr(np.swapaxes(e.reshape(len(e), 4, e.shape[-1]), 1, 2), mode="r")
-    c = np.repeat(0.5 / accepted * [1.0, -1.0], 2, axis=1)
-    p_e = 0.5 * (1.0 - qmath.trace_norm((r * c[:, None, :]) @ np.swapaxes(r.conj(), 1, 2)))
+    c = 0.5 / accepted
+    m = (r * np.repeat(c * [1.0, -1.0], 2, axis=1)[:, None, :]) @ np.swapaxes(r.conj(), 1, 2)
+    frobenius2 = np.sum(m.real ** 2 + m.imag ** 2, axis=(1, 2))
+    ab = 0.0
+    if r.shape[1] == 4:
+        ab = c[:, 0] * c[:, 1] * np.prod(np.abs(np.diagonal(r, axis1=1, axis2=2)), axis=1)
+    p_e = 0.5 * (1.0 - np.sqrt(2.0 * frobenius2 + 8.0 * ab))
     return {
         "disturbance": w[:, 0, 0],
         "qber_sifted": qber,

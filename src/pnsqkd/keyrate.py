@@ -123,11 +123,11 @@ def _cloning_infos(qbers):
     The rows are located by the closed-form root: on every machine the
     sifted error rate is q = 2D/(1 + 2D), so the gamma of disturbance
     q/(2(1 - q)) guesses the row k, and only rows k - 2 .. k + 1 of every
-    target are projected, in one stack (each slice of a stack equals its
-    one-point machine, so they read as on the full grid).  The error rate
-    increases along the grid, so a row reaching the target after one that
-    falls short is the first; where these rows hold no such pair the guess
-    has failed (InfeasibleModelError).  Only the bracket rows are eigensolved.
+    target are evaluated, in one ``sifted_points`` stack (each slice of a
+    stack equals its one-point machine, so they read as on the full grid).
+    The error rate increases along the grid, so a row reaching the target
+    after one that falls short is the first; where these rows hold no such
+    pair the guess has failed (InfeasibleModelError).
     """
     windows = []
     for qber in qbers:
@@ -135,22 +135,17 @@ def _cloning_infos(qbers):
         k = bisect.bisect_left(_CLONING_GRID, gamma)
         windows.append(range(max(k - 2, 0), min(k + 2, len(_CLONING_GRID))))
     rows = sorted(set().union(*windows))
-    scan = dict(zip(rows, cloning.sifted_qber(
-        cloning.make_ngs23([_CLONING_GRID[k] for k in rows])).tolist()))
-    brackets = []
+    points = cloning.sifted_points(cloning.make_ngs23([_CLONING_GRID[k] for k in rows]))
+    scan = dict(zip(rows, points["qber_sifted"].tolist()))
+    i_eve = dict(zip(rows, points["i_eve"].tolist()))
+    infos = []
     for qber, window in zip(qbers, windows):
         hi = next((k for k in window[1:] if scan[k - 1] < qber <= scan[k]), None)
         if hi is None:
             raise attacks.InfeasibleModelError(
                 f"the cloning rows around the guessed gamma do not bracket the error rate {qber:g}")
-        brackets.append((hi - 1, hi))
-    rows = sorted(set().union(*brackets))
-    i_eve = dict(zip(rows, cloning.sifted_points(
-        cloning.make_ngs23([_CLONING_GRID[k] for k in rows]))["i_eve"].tolist()))
-    infos = []
-    for qber, (lo, hi) in zip(qbers, brackets):
-        t = (qber - scan[lo]) / (scan[hi] - scan[lo])
-        infos.append(i_eve[lo] + t * (i_eve[hi] - i_eve[lo]))
+        t = (qber - scan[hi - 1]) / (scan[hi] - scan[hi - 1])
+        infos.append(i_eve[hi - 1] + t * (i_eve[hi] - i_eve[hi - 1]))
     return infos
 
 

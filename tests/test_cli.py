@@ -194,6 +194,12 @@ class TestExitCodes:
         (["curve", "pns-42", "--eta", "1.5707963267948966", "--d", "0:1:1"], 0),
         # no abbreviations: --al is not --alpha
         (["report", "geneva-lausanne", "--al", "0.15"], 2),
+        # the ends of the gamma range, where Eve's discrimination operator
+        # loses rank (ab = 0 in the closed-form Helstrom error)
+        (["curve", "ieclon12", "--gamma", "0:1.5707963267948966:0.7853981633974483",
+          "--format", "json"], 0),
+        (["curve", "ieclon23", "--gamma", "0:1.5707963267948966:0.7853981633974483",
+          "--format", "json"], 0),
     ])
     def test_domain_and_ladder_exit_codes(self, args, code):
         # in-process: an escaping exception (a traceback) fails the test

@@ -1,6 +1,7 @@
 """Cloning machines: isometry checks, fidelities, sifted-attack behavior."""
 import math
 import random
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from pnsqkd.cloning import (
     sifted_point,
     sifted_points,
 )
+import oracle
 from conftest import random_qubit
 
 GAMMAS = np.linspace(0.0, math.pi / 2, 11)
@@ -75,27 +77,36 @@ STATE_BY_NAME = {"+x": qmath.PLUS_X, "-x": qmath.MINUS_X,
                  "+y": qmath.PLUS_Y, "-y": qmath.equatorial(-math.pi / 2)}
 
 
-def _oracle_sifted_point(machine, announced=("+x", "+y")):
-    """Reference: the sifted-attack evaluation one machine at a time, with
-    its own projections, density operators and Helstrom bound, for any
-    announced pair."""
-    def project(out, outcome):  # receiver's clone onto <outcome|
-        t = out.reshape((2,) * machine.n_qubits)
-        t = np.moveaxis(t, machine.clone_positions[0], 0).reshape(2, -1)
-        return outcome.conj() @ t
-
+def _oracle_states(machine, announced=("+x", "+y")):
+    """Reference: the eavesdropper's two conditional density operators and
+    the receiver's error rate per sent state, one machine at a time, with
+    their own projections, for any announced pair."""
     s0, s1 = (STATE_BY_NAME[a] for a in announced)
     perp0, perp1 = qmath.orthogonal_qubit(s0), qmath.orthogonal_qubit(s1)
     rhos, qbers = [], []
     for sent, perp_sent, perp_other in ((s0, perp0, perp1), (s1, perp1, perp0)):
         out = machine.apply_to_qubit(sent)
-        e_err, e_ok = project(out, perp_sent), project(out, perp_other)
+        e_err, e_ok = _project(machine, out, perp_sent), _project(machine, out, perp_other)
         w_err, w_ok = float(np.vdot(e_err, e_err).real), float(np.vdot(e_ok, e_ok).real)
         qbers.append(w_err / (w_err + w_ok))
         rho = 0.5 * (np.outer(e_err, e_err.conj()) + np.outer(e_ok, e_ok.conj()))
         rhos.append(rho / (0.5 * (w_err + w_ok)))
+    return rhos, qbers
+
+
+def _project(machine, out, outcome):
+    """The receiver's clone of an output state projected onto <outcome|."""
+    t = out.reshape((2,) * machine.n_qubits)
+    t = np.moveaxis(t, machine.clone_positions[0], 0).reshape(2, -1)
+    return outcome.conj() @ t
+
+
+def _oracle_sifted_point(machine, announced=("+x", "+y")):
+    """Reference: the sifted-attack evaluation from ``_oracle_states`` and
+    the Helstrom bound."""
+    rhos, qbers = _oracle_states(machine, announced)
     p_e = qmath.helstrom_error(rhos[0], rhos[1], 0.5)
-    wrong = project(machine.apply_to_qubit(qmath.PLUS_X), qmath.MINUS_X)
+    wrong = _project(machine, machine.apply_to_qubit(qmath.PLUS_X), qmath.MINUS_X)
     qber = 0.5 * (qbers[0] + qbers[1])
     return {"disturbance": float(np.vdot(wrong, wrong).real), "qber_sifted": qber,
             "i_ab": qmath.binary_information(qber), "i_eve": qmath.binary_information(p_e),
@@ -397,12 +408,6 @@ class TestSiftedPoints:
             assert points["p_e"][k] == pytest.approx(want["p_e"], abs=1e-15, rel=0)
 
     @pytest.mark.parametrize("factory,grid", FACTORY_GRIDS)
-    def test_sifted_qber_is_the_same_stage(self, factory, grid):
-        machine = factory(grid)
-        assert np.array_equal(cloning.sifted_qber(machine),
-                              sifted_points(machine)["qber_sifted"])
-
-    @pytest.mark.parametrize("factory,grid", FACTORY_GRIDS)
     def test_qber_is_two_d_over_one_plus_two_d(self, factory, grid):
         # the right exclusion weighs 1/2 and the wrong one D; the largest
         # deviation measured on these grids is 2.2e-16
@@ -430,6 +435,52 @@ class TestSiftedPoints:
     def test_empty_grid(self):
         points = sifted_points(make_ngs23([]))
         assert all(col.shape == (0,) for col in points.values())
+
+
+# each machine's whole parameter range; the ends include every rank-deficient
+# point (gamma = 0 and pi/2, cerf12 F = 1, cerf23 x = 1/sqrt 8)
+FACTORY_RANGES = [(make_ng12, 0.0, math.pi / 2), (make_cerf12, 0.5, 1.0),
+                  (make_ng23, 0.0, math.pi / 2), (make_ngs23, 0.0, math.pi / 2),
+                  (make_cerf23, 0.0, cloning.CERF23_X_MAX)]
+
+
+class TestHelstromClosedForm:
+    """sifted_points reads ||M||_1 as sqrt(2 ||M||_F^2 + 8 ab), which holds
+    because the spectrum of M = (rho_0 - rho_1)/2 comes in pairs +-a, +-b."""
+
+    @pytest.mark.parametrize("factory,lo,hi", FACTORY_RANGES)
+    def test_spectrum_pairs_and_p_e_matches_the_eigensolve(self, factory, lo, hi):
+        rng = random.Random(f"pairing/{factory.__name__}")
+        params = [lo, hi] + [rng.uniform(lo, hi) for _ in range(30)]
+        points = sifted_points(factory(params))
+        for k, p in enumerate(params):
+            rhos, _ = _oracle_states(factory(p))
+            w, _ = qmath.eig_hermitian(0.5 * rhos[0] - 0.5 * rhos[1])
+            assert np.max(np.abs(w + w[::-1])) <= 1e-15, p
+            want = qmath.helstrom_error(rhos[0], rhos[1], 0.5)
+            assert abs(points["p_e"][k] - want) <= 1e-15, p
+
+    def test_oracle_anchors(self):
+        # Eve's states coincide (p_e = 1/2 exactly), or she holds one copy
+        # of the signal and p_e = (1 - 1/sqrt 2)/2, up to the float
+        # isometry's roundings (cos(pi/2) = 6e-17, 1/sqrt 2)
+        for machine in (make_ng12(0.0), make_cerf12(1.0)):
+            assert oracle.sifted_helstrom_error(machine.isometry) == Decimal("0.5")
+        exact = (1 - 1 / Decimal(2).sqrt()) / 2
+        for machine in (make_ng12(math.pi / 2), make_cerf12(0.5), make_cerf23(0.0)):
+            assert abs(oracle.sifted_helstrom_error(machine.isometry) - exact) <= 1e-16
+        assert oracle.binary_information(Decimal("0.5")) == 0
+        assert oracle.binary_information(0) == 1
+        assert float(oracle.binary_information(0.05)) == pytest.approx(
+            qmath.binary_information(0.05), abs=2e-16)
+
+    @pytest.mark.parametrize("factory,lo,hi", FACTORY_RANGES)
+    def test_p_e_matches_the_50_digit_oracle(self, factory, lo, hi):
+        params = [lo, hi, random.Random(f"oracle/{factory.__name__}").uniform(lo, hi)]
+        points = sifted_points(factory(params))
+        for k, p in enumerate(params):
+            want = oracle.sifted_helstrom_error(factory(p).isometry)
+            assert abs(Decimal(points["p_e"][k]) - want) <= Decimal("1e-15"), p
 
 
 class TestSiftedAttack:

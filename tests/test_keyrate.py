@@ -157,7 +157,7 @@ class TestCloningInfos:
     """The report evaluates the sifted attack only on the rows it reads."""
 
     def test_matches_the_full_grid(self):
-        scan = cloning.sifted_qber(cloning.make_ngs23(keyrate._CLONING_GRID)).tolist()
+        scan = [q for q, _ in _full_grid_rows()]
         targets = [0.01, 0.05, scan[57], 0.02]
         want = [_full_grid_cloning_info(q) for q in targets]
         assert keyrate._cloning_infos(targets) == want
@@ -169,18 +169,18 @@ class TestCloningInfos:
         assert gl.i_eve_cloning_optical == _full_grid_cloning_info(0.01)
         assert gl.i_eve_cloning_full == _full_grid_cloning_info(0.05)
 
-    def test_report_makes_one_small_eigensolve(self, monkeypatch):
-        shapes = []
-        solve = qmath.eig_hermitian
+    def test_sifted_points_and_report_make_no_eigensolve(self, monkeypatch):
+        def refuse(a):
+            raise AssertionError("unexpected eigensolve")
 
-        def recording(a):
-            shapes.append(np.shape(a))
-            return solve(a)
-
-        monkeypatch.setattr(qmath, "eig_hermitian", recording)
+        monkeypatch.setattr(qmath, "eig_hermitian", refuse)
+        for factory, grid in ((cloning.make_ng12, [0.0, 0.7, math.pi / 2]),
+                              (cloning.make_cerf12, [0.5, 0.8, 1.0]),
+                              (cloning.make_ng23, [0.0, 0.7, math.pi / 2]),
+                              (cloning.make_ngs23, [0.0, 0.7, math.pi / 2]),
+                              (cloning.make_cerf23, [0.0, 0.2, cloning.CERF23_X_MAX])):
+            cloning.sifted_points(factory(grid))
         geneva_lausanne_report()
-        assert len(shapes) == 1
-        assert len(shapes[0]) == 3 and shapes[0][0] <= 4
 
     def test_every_row_value_matches_the_full_grid(self, monkeypatch):
         rows = _full_grid_rows()
@@ -193,19 +193,19 @@ class TestCloningInfos:
             targets += [math.nextafter(q, 0.0), q, up, math.nextafter(up, 1.0)]
         # the first row reaching the target follows one that falls short
         targets = [q for q in targets if scan[0] < q <= scan[-1]]
-        projections = []
-        project = cloning.sifted_qber
+        evaluations = []
+        evaluate = cloning.sifted_points
 
         def recording(machine):
-            projections.append(len(machine.isometry))
-            return project(machine)
+            evaluations.append(len(machine.isometry))
+            return evaluate(machine)
 
-        monkeypatch.setattr(cloning, "sifted_qber", recording)
+        monkeypatch.setattr(cloning, "sifted_points", recording)
         for q in targets:
-            projections.clear()
+            evaluations.clear()
             assert keyrate._cloning_infos([q]) == [_read_rows(rows, q)], q
             # the rows around the guessed row always bracket the target
-            assert len(projections) == 1 and projections[0] <= 4, q
+            assert len(evaluations) == 1 and evaluations[0] <= 4, q
 
     @pytest.mark.parametrize("gamma", [0.0, 0.7, math.pi / 2])
     def test_a_wrong_guess_raises(self, monkeypatch, gamma):
