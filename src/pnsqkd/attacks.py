@@ -100,8 +100,9 @@ def _fourtwo_s_c(eta):
 
 
 def _expm1_minus_x(x):
-    """e^x - 1 - x, summed as its Taylor series where the closed form cancels."""
-    if abs(x) >= 1.0:
+    """e^x - 1 - x, summed as its Taylor series where the closed form cancels;
+    a NaN takes the closed form, so the series never sees it."""
+    if not abs(x) < 1.0:
         return math.expm1(x) - x
     term, total, m = x * x / 2.0, 0.0, 2
     while total + term != total:
@@ -114,6 +115,7 @@ def _expm1_minus_x(x):
 def fourtwo_mu(eta, reference_mu=0.1):
     """Mean photon number keeping the sifted rate equal to the two-basis
     reference: mu = reference / (1 - cos eta)."""
+    fourtwo_half_angle(eta, "eta")
     positive_finite(reference_mu, "reference_mu")
     s, _ = _fourtwo_s_c(eta)
     if s == 0.0:
@@ -125,41 +127,40 @@ def fourtwo_mu(eta, reference_mu=0.1):
     return mu
 
 
-def fourtwo_split_rate(eta, mu):
-    """Deliverable photons per pulse when the eavesdropper filters photons
-    one at a time until a conclusive result.
+def fourtwo_moments(eta, reference_mu=0.1):
+    """(mu, E, F) of the filter attack on the four-plus-two protocol: the
+    mean photon number of ``fourtwo_mu``, the photons per pulse delivered
+    when the eavesdropper filters photons one at a time until a conclusive
+    result, and the probability that a multiphoton pulse yields a conclusive
+    filtered photon with at least one photon left to forward.
 
     A failed filter spoils its photon (forwarding it would cause errors),
     so from an n-photon pulse a success on trial k leaves n - k photons:
     E_n = sum_{k=1}^{n-1} s (1-s)^(k-1) (n-k) with s = 1 - cos eta.  Over
     the Poisson source this sums to
     E = mu - 1 + e^-mu - (c/s) F = (mu s - 1 + e^(-mu s)) / s
-    with c = cos eta and F the success fraction; the last form has no
-    cancellation.
-    """
-    s, _ = _fourtwo_s_c(eta)
-    return _expm1_minus_x(-mu * s) / s
-
-
-def fourtwo_success_fraction(eta, mu):
-    """Probability a multiphoton pulse yields a conclusive filtered photon
-    with at least one photon left to forward:
+    with c = cos eta; the last form has no cancellation.  And
     F = sum_{n>=2} p_n (1 - c^(n-1))
       = P(n>=2) - (e^(-mu s) - e^-mu - mu c e^-mu) / c
       = (1 - e^(-mu s) - s (1 - e^-mu)) / c.
     The last form divides by c, so where mu c < 1 the sum of p_n c^(n-1)
     is taken as mu e^-mu (e^x - 1 - x)/x with x = mu c instead.
+
+    ``fourtwo_mu`` checks eta and reference_mu, each once, and mu is then
+    positive and finite.
     """
+    mu = fourtwo_mu(eta, reference_mu)
     s, c = _fourtwo_s_c(eta)
+    rate = _expm1_minus_x(-mu * s) / s
     x = mu * c
     if x >= 1.0:
-        return (s * math.expm1(-mu) - math.expm1(-mu * s)) / c
+        return mu, rate, (s * math.expm1(-mu) - math.expm1(-mu * s)) / c
     if mu < 1.0:
         multiphoton = math.exp(-mu) * _expm1_minus_x(mu)
     else:
         multiphoton = 1.0 - math.exp(-mu) * (1.0 + mu)
     kept = mu * math.exp(-mu) * _expm1_minus_x(x) / x if x > 0.0 else 0.0
-    return multiphoton - kept
+    return mu, rate, multiphoton - kept
 
 
 def fourtwo_half_angle(value, name):
@@ -172,9 +173,8 @@ def fourtwo_half_angle(value, name):
 
 def fourtwo_pns(eta, delta_db, reference_mu=0.1):
     """Filter-based splitting attack point for the four-plus-two protocol."""
-    mu = fourtwo_mu(fourtwo_half_angle(eta, "eta"), reference_mu)
-    return _rate_balanced_point(mu, delta_db, fourtwo_split_rate(eta, mu),
-                                fourtwo_success_fraction(eta, mu))
+    mu, rate, fraction = fourtwo_moments(eta, reference_mu)
+    return _rate_balanced_point(mu, delta_db, rate, fraction)
 
 
 # ---------------------------------------------------------------------------

@@ -116,9 +116,11 @@ def poisson_tails(mu):
       A = sum_{n>=2} (n-1) t_n / (mu^2/2)    B = sum_{n>=2} t_n / (mu^2/2)
       C = sum_{n>=3} (n-2) t_n / (mu^3/6)    D = sum_{n>=3} t_n / (mu^3/6),
     summed as positive series (for mu < 1e-3).  All four tend to 1 as mu -> 0,
-    so callers can take logs where mu^2 or mu^3 underflows."""
+    so callers can take logs where mu^2 or mu^3 underflows.  mu must be
+    finite and >= 0, so no term is negative, and a NaN would end the loop."""
+    nonnegative_finite(mu, "mu")
     term, c, d, n = 1.0, 0.0, 0.0, 3
-    while c + (n - 2) * term != c:
+    while c + (n - 2) * term > c:
         d += term
         c += (n - 2) * term
         n += 1

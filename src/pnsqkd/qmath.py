@@ -271,6 +271,8 @@ def two_mode_overlap(n, ratio):
     and raising it to a large n (n ~ 1/t in the strong-pulse scheme) would
     amplify one ulp to ~1e-9 in the overlap.
     """
+    if not 0.0 <= n < math.inf:
+        raise ValueError("photon number n must be non-negative and finite")
     if not 0.0 <= ratio < 1.0:
         raise ValueError("intensity ratio must be in [0, 1)")
     return math.exp(n * (math.log1p(-ratio) - math.log1p(ratio)))

@@ -1,10 +1,12 @@
-"""Reference values in stdlib ``decimal`` at 50 significant digits.
+"""Reference values in stdlib ``decimal``.
 
 Each function takes the float inputs the program works from and evaluates
-them in Decimal arithmetic with guard digits, so that its result is the
-exact value for those floats, correct to ``DIGITS`` significant digits.
-The tests compare the program's floats with these values; ``mpmath`` is not
-used.
+them in Decimal arithmetic, each at its own working precision: enough
+digits to absorb the cancellation of the closed form it sums, as its
+docstring states.  ``binary_information`` and ``sifted_helstrom_error``
+round to ``DIGITS`` significant digits; the others return the Decimal at
+their working precision.  The tests compare the program's floats with these
+values; ``mpmath`` is not used.
 """
 from decimal import Decimal, localcontext
 
@@ -26,6 +28,85 @@ def binary_information(p):
         result = 1 + total / Decimal(2).ln()
         ctx.prec = DIGITS
         return +result
+
+
+def poisson_tails(mu):
+    """(A, B, C, D) of ``photonics.poisson_tails`` from the closed forms at
+    1200 digits: e^mu times each moment, over mu^2/2 or mu^3/6.  At
+    mu = 5e-324 the forms cancel by mu^3 ~ 1e-971."""
+    with localcontext() as ctx:
+        ctx.prec = 1200
+        m = Decimal(mu)
+        e = m.exp()
+        two, three = m * m / 2, m * m * m / 6
+        return ((m * e - e + 1) / two, (e - 1 - m) / two,
+                (m * e - 2 * e + 2 + m) / three, (e - 1 - m - m * m / 2) / three)
+
+
+def click_sums(mu, eta, nmax):
+    """Every click sum S(k) = sum_{k<n<=nmax} p(n) (1 - (1 - eta)^(n - k)),
+    each summed directly from exact Poisson weights at 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        mu, loss = Decimal(mu), 1 - Decimal(eta)
+        pmf = [(-mu).exp()]
+        for n in range(1, nmax + 1):
+            pmf.append(pmf[-1] * mu / n)
+        return [sum(pmf[n] * (1 - loss ** (n - k)) for n in range(k + 1, nmax + 1))
+                for k in range(nmax + 1)]
+
+
+def bb84_critical_attenuation(mu):
+    """10 log10(mu / (mu - 1 + e^-mu)) at 800 digits: e^-mu - 1 + mu ~ mu^2/2
+    needs 2 x 324 digits at mu = 5e-324."""
+    with localcontext() as ctx:
+        ctx.prec = 800
+        m = Decimal(mu)
+        return 10 * (m / (m - 1 + (-m).exp())).log10()
+
+
+def irud_critical_attenuation(mu):
+    """10 log10(mu / R_irud), R_irud = (mu - 2 + e^-mu (2 + mu)) / 2, at 100
+    digits: the closed form cancels by about mu^3 ~ 1e-36 at mu = 1e-12."""
+    with localcontext() as ctx:
+        ctx.prec = 100
+        m = Decimal(mu)
+        rate = (m - 2 + (-m).exp() * (2 + m)) / 2
+        return 10 * (m / rate).log10()
+
+
+def decimal_cos(x):
+    """cos x for a Decimal x by its Taylor series, to 1e-110 absolute, at
+    the caller's working precision."""
+    term, total, k = Decimal(1), Decimal(0), 0
+    while abs(term) > Decimal(10) ** -110:
+        total += term
+        k += 2
+        term = -term * x * x / (k * (k - 1))
+    return total
+
+
+def fourtwo_rate_and_fraction(eta, mu):
+    """(E, F) of the four-plus-two filter attack to 40 digits, from
+    F = P(n>=2) - (e^(-mu s) - e^-mu - mu c e^-mu)/c and
+    E = (mu - 1 + e^-mu) - (c/s) F at the exact eta and mu of the floats.
+    100 working digits absorb the cancellation in both (about 35 digits
+    at eta = pi/2, where c ~ 6e-17)."""
+    with localcontext() as ctx:
+        ctx.prec = 100
+        c = decimal_cos(Decimal(eta))
+        s, mu = 1 - c, Decimal(mu)
+        e_mu = (-mu).exp()
+        f = 1 - e_mu * (1 + mu) - ((-mu * s).exp() - e_mu - mu * c * e_mu) / c
+        return (mu - 1 + e_mu) - (c / s) * f, f
+
+
+def two_mode_overlap(n, t):
+    """((1 - t)/(1 + t))^n at 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        one, dt = Decimal(1), Decimal(t)
+        return ((one - dt) / (one + dt)) ** Decimal(n)
 
 
 def _mul(a, b):

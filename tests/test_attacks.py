@@ -27,6 +27,7 @@ from pnsqkd.attacks import (
     strongpulse_b92,
 )
 from pnsqkd.photonics import SourceChannelModel, poisson_click_sums, poisson_pmf
+import oracle
 from test_solvers import golden_max_loop
 
 
@@ -51,10 +52,7 @@ class TestBB84:
     def test_small_mu_matches_oracle(self, mu):
         # mu - 1 + e^-mu cancels to 0 at mu = 1e-10 (a ZeroDivisionError) and
         # mu^2 underflows below 1e-154
-        with decimal.localcontext() as ctx:
-            ctx.prec = 800  # e^-mu - 1 + mu ~ mu^2 / 2 needs 2 x 324 digits
-            m = decimal.Decimal(mu)
-            want = float(10 * (m / (m - 1 + (-m).exp())).log10())
+        want = float(oracle.bb84_critical_attenuation(mu))
         assert bb84_critical_attenuation(mu) == pytest.approx(want, rel=1e-15)
 
     def test_beyond_critical_full_information(self):
@@ -76,8 +74,8 @@ class TestBB84:
 
 def _fourtwo_critical_attenuation(eta):
     """Attenuation where the filter attack alone supplies the expected rate."""
-    mu = attacks.fourtwo_mu(eta)
-    return 10 * math.log10(mu / attacks.fourtwo_split_rate(eta, mu))
+    mu, rate, _ = attacks.fourtwo_moments(eta)
+    return 10 * math.log10(mu / rate)
 
 
 class TestFourTwo:
@@ -103,37 +101,15 @@ class TestFourTwo:
         assert pt.i_eve == 1.0
 
 
-def _decimal_cos(x):
-    term, total, k = decimal.Decimal(1), decimal.Decimal(0), 0
-    while abs(term) > decimal.Decimal(10) ** -110:
-        total += term
-        k += 2
-        term = -term * x * x / (k * (k - 1))
-    return total
-
-
-def _fourtwo_oracle(eta, mu):
-    """(E, F) of the four-plus-two filter attack to 40 digits, from
-    F = P(n>=2) - (e^(-mu s) - e^-mu - mu c e^-mu)/c and
-    E = (mu - 1 + e^-mu) - (c/s) F at the exact eta and mu of the floats.
-    100 working digits absorb the cancellation in both (about 35 digits
-    at eta = pi/2, where c ~ 6e-17)."""
-    with decimal.localcontext(prec=100):
-        c = _decimal_cos(decimal.Decimal(eta))
-        s, mu = 1 - c, decimal.Decimal(mu)
-        e_mu = (-mu).exp()
-        f = 1 - e_mu * (1 + mu) - ((-mu * s).exp() - e_mu - mu * c * e_mu) / c
-        return (mu - 1 + e_mu) - (c / s) * f, f
-
-
 class TestFourTwoSums:
     @pytest.mark.parametrize("eta,mu", [(math.pi / 3, 0.2), (0.4, 1.3), (1.2, 0.7), (1.5, 2.5)])
     def test_oracle_closed_forms_match_the_defining_sums(self, eta, mu):
         # E = sum_n p_n sum_{k=1}^{n-1} s c^(k-1) (n - k),
         # F = sum_n p_n (1 - c^(n-1)), summed until p_n < 1e-60
-        want_e, want_f = _fourtwo_oracle(eta, mu)
-        with decimal.localcontext(prec=100):
-            c = _decimal_cos(decimal.Decimal(eta))
+        want_e, want_f = oracle.fourtwo_rate_and_fraction(eta, mu)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 100
+            c = oracle.decimal_cos(decimal.Decimal(eta))
             s, mu_d = 1 - c, decimal.Decimal(mu)
             p = (-mu_d).exp() * mu_d  # p_1
             e = f = decimal.Decimal(0)
@@ -151,10 +127,8 @@ class TestFourTwoSums:
         # eta down to 1e-4 covers the c/s cancellation (mu ~ 2e7 there)
         etas = np.geomspace(1e-4, math.pi / 2, 60).tolist() + [math.pi / 3, math.pi / 2]
         for eta in etas:
-            mu = attacks.fourtwo_mu(eta, reference_mu)
-            want_e, want_f = _fourtwo_oracle(eta, mu)
-            got_e = attacks.fourtwo_split_rate(eta, mu)
-            got_f = attacks.fourtwo_success_fraction(eta, mu)
+            mu, got_e, got_f = attacks.fourtwo_moments(eta, reference_mu)
+            want_e, want_f = oracle.fourtwo_rate_and_fraction(eta, mu)
             assert abs(decimal.Decimal(got_e) / want_e - 1) < 1e-14, eta
             assert abs(decimal.Decimal(got_f) / want_f - 1) < 1e-14, eta
 
@@ -264,11 +238,7 @@ class TestFourStateIrud:
     def test_small_mu_matches_oracle(self, mu):
         # the closed form cancels below mu = 1e-3: the critical attenuation
         # read +inf at mu = 1e-6 and 109.55 dB (for 110.79) at 1e-5
-        with decimal.localcontext() as ctx:
-            ctx.prec = 100  # the closed form cancels by about mu^3 ~ 1e-36
-            m = decimal.Decimal(mu)
-            rate = (m - 2 + (-m).exp() * (2 + m)) / 2
-            critical = 10 * (m / rate).log10()
+        critical = oracle.irud_critical_attenuation(mu)
         assert abs(decimal.Decimal(fourstate_irud_critical(mu)) / critical - 1) < 1e-14
 
     def test_tiny_mu_stays_finite(self):
@@ -593,14 +563,37 @@ class TestNbGeneralization:
     lambda x: keyrate.key_rate(0.2, x, 0.1),
     lambda x: cloning.pns_cloning_attack(cloning.make_ngs23, x, 12.0, [0.3]),
     lambda x: cloning.pns_cloning_attack(cloning.make_ngs23, 0.2, x, [0.3]),
+    lambda x: photonics.poisson_tails(x),  # its series looped forever on a NaN
+    lambda x: attacks.fourtwo_moments(x),
+    lambda x: attacks.fourtwo_moments(1.0, x),
+    lambda x: attacks.fourtwo_mu(x),
 ], ids=["bb84_pns-mu", "bb84_pns-delta", "fourstate_irud_pns-mu", "fourtwo_pns-delta",
         "fourtwo_pns-mu", "fourstate_irud_critical-mu", "fourstate_combined_info-delta",
         "strongpulse_b92-delta", "qber_total-mu", "qber_total-delta", "nb_storing_info_at-delta",
         "bb84_critical_attenuation-mu", "key_rate-mu", "key_rate-delta",
-        "pns_cloning_attack-mu", "pns_cloning_attack-delta"])
+        "pns_cloning_attack-mu", "pns_cloning_attack-delta", "poisson_tails-mu",
+        "fourtwo_moments-eta", "fourtwo_moments-reference_mu", "fourtwo_mu-eta"])
 def test_non_finite_input_is_rejected(call, bad):
     with pytest.raises(ValueError):
         call(bad)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: attacks.fourtwo_moments(-1.0),
+    lambda: attacks.fourtwo_moments(1.0, -1.0),
+    lambda: attacks.fourtwo_mu(-1.0),
+    lambda: photonics.poisson_tails(-1e-4),
+], ids=["fourtwo_moments-eta", "fourtwo_moments-reference_mu", "fourtwo_mu-eta",
+        "poisson_tails-mu"])
+def test_negative_input_is_rejected(call):
+    # fourtwo_mu(-1.0) returned a mean photon number for a negative angle
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_series_returns_nan_for_nan():
+    # e^x - 1 - x took a Taylor series whose loop never ended on a NaN
+    assert math.isnan(attacks._expm1_minus_x(math.nan))
 
 
 @pytest.mark.parametrize("call", [

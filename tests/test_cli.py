@@ -1,9 +1,11 @@
 """Command-line interface: determinism, formats, exit codes."""
+import ast
 import contextlib
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import types
@@ -16,7 +18,9 @@ from hypothesis import strategies as st
 
 from pnsqkd import cli
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
+CASES = ROOT / "tests" / "cli_cases.txt"
 
 
 def run_cli(args, timeout=60):
@@ -25,6 +29,16 @@ def run_cli(args, timeout=60):
     proc = subprocess.run([sys.executable, "-m", "pnsqkd.cli", *args],
                           capture_output=True, text=True, env=env, timeout=timeout)
     return proc
+
+
+def _cli_cases():
+    """(argv, exit code) of every case of cli_cases.txt, in file order."""
+    cases = []
+    for line in CASES.read_text().splitlines():
+        if line.strip() and not line.startswith("#"):
+            code, *args = line.split()
+            cases.append((args, int(code)))
+    return cases
 
 
 class TestCurves:
@@ -119,88 +133,7 @@ class TestExitCodes:
         assert proc.returncode == 3
         assert "error" in proc.stderr.lower()
 
-    @pytest.mark.parametrize("args,code", [
-        # without dark counts the ladders for 3..7 bases end at 127-395 dB
-        (["curve", "dcrit", "--pd", "0", "--nb", "2:7"], 0),
-        # for 8 bases it runs out of reachable rungs before meeting I_AB
-        (["curve", "dcrit", "--pd", "0", "--nb", "8"], 3),
-        (["curve", "dcrit", "--pd", "1e-300", "--nb", "8"], 3),
-        (["curve", "dcrit", "--alpha", "0"], 2),
-        (["curve", "pns-bb84", "--alpha", "-1"], 2),
-        (["curve", "pns-bb84", "--mu", "nan", "--d", "0:2:1"], 2),
-        (["curve", "pns-bb84", "--mu", "inf", "--d", "0:2:1"], 2),
-        (["curve", "figiepr", "--mu", "0"], 2),
-        (["curve", "ieclon23", "--delta", "nan", "--gamma", "0.2:0.4:0.2"], 2),
-        (["curve", "ieclon23", "--delta", "inf", "--gamma", "0.2:0.4:0.2"], 2),
-        (["curve", "pns-bb84", "--d", "0:inf:1"], 2),
-        (["curve", "pns-bb84", "--d", "0:1:inf"], 2),
-        # grids above cli.MAX_GRID_POINTS
-        (["curve", "pns-bb84", "--d", "0:1e6:1e-3"], 2),
-        (["curve", "ieclon12", "--gamma", "0:1.5:1e-8"], 2),
-        # n_b outside 2..8, negative attenuation
-        (["curve", "stattnb", "--nb", "0"], 2),
-        (["curve", "stattnb", "--nb", "1"], 2),
-        (["curve", "ieclon23", "--delta", "-5"], 2),
-        # the four-plus-two sums are closed forms, so a tiny eta is quick
-        (["curve", "pns-42", "--eta", "1e-4", "--d", "0:2:1"], 0),
-        (["curve", "pns-42", "--eta", "1e-170", "--d", "0:2:1"], 2),
-        # distances below 0 km: no q > 1, negative I_Eve or overflow
-        (["curve", "pns-bb84", "--d=-10:-8:1"], 2),
-        (["curve", "pns-42", "--d=-10:-8:1"], 2),
-        (["curve", "figiepr", "--d=-10:-8:1"], 2),
-        (["curve", "pns-bb84", "--d=-20000:-19000:500"], 2),
-        (["curve", "strongpulse", "--d=-1:2:1"], 2),
-        # gamma outside the machines' [0, pi/2]
-        (["curve", "clonfid", "--gamma=-1:0.5:0.5"], 2),
-        (["curve", "clonfid", "--gamma=0:5:1"], 2),
-        # 25 steps of pi/50 round one ulp past pi/2; the grid ends at its max
-        (["curve", "clonfid", "--gamma", "0:1.5707963267948966:0.06283185307179587"], 0),
-        (["curve", "ieclon12", "--gamma", "0:1.5707963267948966:0.06283185307179587"], 0),
-        # above about 3,072 dB the strong reference pulse overflows a float
-        (["curve", "strongpulse", "--d", "0:20000:10000"], 2),
-        # argparse choices hold the only report id
-        (["report", "nope"], 2),
-        # distances below 0 km reach the attenuation check through d * alpha
-        (["curve", "muopt", "--d=-4:4:4"], 2),
-        (["curve", "stattnb", "--d=-4:4:4"], 2),
-        # above about 3,240 dB the transmission underflows to 0; without
-        # dark counts the QBER is still the optical error alone
-        (["curve", "stattnb", "--pd", "0", "--nb", "2", "--d", "0:20000:10000"], 0),
-        # finite bounds whose point count is inf as a float
-        (["curve", "pns-bb84", "--d", "0:1e300:1e-10"], 2),
-        (["curve", "pns-bb84", "--d=-1e308:1e308:1"], 2),
-        (["curve", "ieclon12", "--gamma=0:1e300:1e-10"], 2),
-        # non-finite model options are usage errors
-        (["curve", "dcrit", "--pd", "nan"], 2),
-        (["curve", "pns-42", "--eta", "inf"], 2),
-        (["curve", "stattnb", "--eta-det", "nan"], 2),
-        (["curve", "dcrit", "--qber-opt", "nan"], 2),
-        # finite values outside the model's ranges, likewise: eta_det in
-        # (0, 1], p_d in [0, 1), qber_opt in [0, 0.5) and eta in (0, pi/2]
-        (["curve", "stattnb", "--eta-det", "5", "--nb", "2", "--d", "0:1:1"], 2),
-        (["curve", "dcrit", "--pd", "2", "--nb", "2"], 2),
-        (["curve", "pns-42", "--eta", "0", "--d", "0:1:1"], 2),
-        (["curve", "pns-42", "--eta", "7", "--d", "0:1:1"], 2),
-        (["curve", "stattnb", "--qber-opt", "0.7", "--nb", "2", "--d", "0:1:1"], 2),
-        (["curve", "dcrit", "--eta-det", "5", "--nb", "2"], 2),
-        (["curve", "dcrit", "--eta-det", "1", "--pd", "0", "--nb", "2"], 0),
-        # an --out path that cannot be written: a missing folder, a folder
-        (["curve", "pns-bb84", "--d", "0:2:1", "--out", "/nonexistent/pnsqkd.csv"], 2),
-        (["report", "geneva-lausanne", "--out", "."], 2),
-        # R = 1e-20 is far above what splitting delivers (R_split = 5e-41)
-        (["curve", "ieclon23", "--mu", "1e-20", "--delta", "0"], 3),
-        # the other ends of the model's and eta's ranges
-        (["curve", "stattnb", "--eta-det", "1", "--qber-opt", "0", "--nb", "2", "--d", "0:1:1"], 0),
-        (["curve", "pns-42", "--eta", "1.5707963267948966", "--d", "0:1:1"], 0),
-        # no abbreviations: --al is not --alpha
-        (["report", "geneva-lausanne", "--al", "0.15"], 2),
-        # the ends of the gamma range, where Eve's discrimination operator
-        # loses rank (ab = 0 in the closed-form Helstrom error)
-        (["curve", "ieclon12", "--gamma", "0:1.5707963267948966:0.7853981633974483",
-          "--format", "json"], 0),
-        (["curve", "ieclon23", "--gamma", "0:1.5707963267948966:0.7853981633974483",
-          "--format", "json"], 0),
-    ])
+    @pytest.mark.parametrize("args,code", _cli_cases())
     def test_domain_and_ladder_exit_codes(self, args, code):
         # in-process: an escaping exception (a traceback) fails the test
         out, err = io.StringIO(), io.StringIO()
@@ -212,6 +145,24 @@ class TestExitCodes:
         assert rc == code
         if code == 2:
             assert "usage" in err.getvalue().lower()
+        if code == 3:
+            assert "error" in err.getvalue().lower()
+        if code == 0 and (args[0] in ("report", "validate") or "--format json" in " ".join(args)):
+            json.loads(out.getvalue())
+
+    def test_the_ci_step_and_the_table_test_read_the_case_file(self):
+        # an argv list kept in the workflow or in this file would drift
+        # from cli_cases.txt; the workflow names no curve or report id
+        workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+        assert "tests/cli_cases.txt" in workflow
+        assert [i for i in (*cli.CURVE_IDS, "geneva-lausanne") if i in workflow] == []
+        assert not re.search(r"[\"'][0-9]+ (curve|report|validate)\b", workflow)
+        tree = ast.parse(Path(__file__).read_text())
+        table_test = next(node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+                          and node.name == "test_domain_and_ladder_exit_codes")
+        for decorator in table_test.decorator_list:
+            assert not any(isinstance(a, (ast.List, ast.Tuple, ast.ListComp))
+                           for a in decorator.args)
 
     @pytest.mark.parametrize("curve_id,option", [
         (curve_id, option) for curve_id, (_, reads) in cli._CURVES.items()

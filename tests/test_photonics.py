@@ -18,6 +18,7 @@ from pnsqkd.photonics import (
     qber_total,
     transmission,
 )
+import oracle
 
 
 class TestPoisson:
@@ -42,19 +43,6 @@ class TestPoisson:
             assert sum(poisson_distribution(mu)) == pytest.approx(1.0, abs=1e-12)
 
 
-def _tails_oracle(mu):
-    """(A, B, C, D) of ``poisson_tails`` from the closed forms at 1200 digits:
-    e^mu times each moment, over mu^2/2 or mu^3/6.  At mu = 5e-324 the forms
-    cancel by mu^3 ~ 1e-971."""
-    with decimal.localcontext() as ctx:
-        ctx.prec = 1200
-        m = decimal.Decimal(mu)
-        e = m.exp()
-        two, three = m * m / 2, m * m * m / 6
-        return ((m * e - e + 1) / two, (e - 1 - m) / two,
-                (m * e - 2 * e + 2 + m) / three, (e - 1 - m - m * m / 2) / three)
-
-
 class TestPoissonMoments:
     @pytest.mark.parametrize("mu", [1e-3, 0.05, 0.2, 1.0, 2.0, 700.0, 1e154, 1e200, 1e300])
     def test_closed_forms_bit_for_bit(self, mu):
@@ -71,13 +59,13 @@ class TestPoissonMoments:
     @pytest.mark.parametrize("mu", [5e-324, 1e-300, 1e-151, 1e-100, 1e-10, 1e-5, 5e-4,
                                     9.99e-4])
     def test_tails_match_oracle(self, mu):
-        for got, want in zip(poisson_tails(mu), _tails_oracle(mu)):
+        for got, want in zip(poisson_tails(mu), oracle.poisson_tails(mu)):
             assert abs(decimal.Decimal(got) / want - 1) < 1e-15
 
     @pytest.mark.parametrize("mu", [1e-100, 1e-10, 1e-5, 5e-4, 9.99e-4])
     def test_small_mu_moments_match_oracle(self, mu):
         # below about 1e-100 mu^3 / 12 is no longer a normal float
-        a, b, c, d = _tails_oracle(mu)
+        a, b, c, d = oracle.poisson_tails(mu)
         with decimal.localcontext() as ctx:
             ctx.prec = 1200
             m = decimal.Decimal(mu)
@@ -135,19 +123,6 @@ class TestRawRate:
         assert 0.1 * transmission(13.15) == pytest.approx(0.004842, abs=1e-6)
 
 
-def _click_sums_oracle(mu, eta, nmax):
-    """Every click sum S(k) = sum_{k<n<=nmax} p(n) (1 - (1 - eta)^(n - k)),
-    each summed directly from exact Poisson weights at 50 digits."""
-    with decimal.localcontext() as ctx:
-        ctx.prec = 50
-        mu, loss = decimal.Decimal(mu), 1 - decimal.Decimal(eta)
-        pmf = [(-mu).exp()]
-        for n in range(1, nmax + 1):
-            pmf.append(pmf[-1] * mu / n)
-        return [sum(pmf[n] * (1 - loss ** (n - k)) for n in range(k + 1, nmax + 1))
-                for k in range(nmax + 1)]
-
-
 class TestDetection:
     def test_perfect_detector(self):
         # eta = 1 clicks on every pulse with more than offset photons
@@ -186,7 +161,7 @@ class TestDetection:
         mu = nb_mu(n_bases)
         nmax = poisson_cutoff(mu)
         got = poisson_click_sums(mu, eta, nmax)
-        exact = _click_sums_oracle(mu, eta, nmax)
+        exact = oracle.click_sums(mu, eta, nmax)
         assert len(got) == nmax + 1
         for k, (g, e) in enumerate(zip(got, exact)):
             assert abs(decimal.Decimal(g) - e) <= decimal.Decimal("1e-14") * e, k

@@ -22,6 +22,7 @@ from pnsqkd.qmath import (
     two_mode_number_state,
     two_mode_overlap,
 )
+import oracle
 from conftest import random_density, random_qubit
 
 
@@ -289,10 +290,7 @@ class TestTwoModeNumberState:
     def test_overlap_within_a_few_ulps_of_a_decimal_oracle(self, n, t):
         # the plain power ((1-t)/(1+t))^n carries the rounding of its base
         # n-fold: 8 ulps off at (100, 0.01), about 5e4 at (1e6, 1e-6)
-        with decimal.localcontext() as ctx:
-            ctx.prec = 50
-            one, dt = decimal.Decimal(1), decimal.Decimal(t)
-            exact = ((one - dt) / (one + dt)) ** decimal.Decimal(n)
+        exact = oracle.two_mode_overlap(n, t)
         got = two_mode_overlap(n, t)
         assert abs(decimal.Decimal(got) - exact) <= 4 * decimal.Decimal(math.ulp(got))
 
@@ -300,6 +298,12 @@ class TestTwoModeNumberState:
     def test_overlap_ratio_outside_its_domain_rejected(self, ratio):
         with pytest.raises(ValueError, match="intensity ratio must be in"):
             two_mode_overlap(5, ratio)
+
+    @pytest.mark.parametrize("n", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+    def test_overlap_photon_number_outside_its_domain_rejected(self, n):
+        # two_mode_overlap(-1.0, 0.1) returned 1.22, an overlap above 1
+        with pytest.raises(ValueError, match="photon number n must be non-negative"):
+            two_mode_overlap(n, 0.1)
 
     @pytest.mark.parametrize("phase,ratio", [(0.0, math.nan), (0.0, math.inf),
                                              (math.nan, 0.5), (math.inf, 0.5)])
