@@ -187,8 +187,8 @@ def _curve_ieclon12(args):
     ng = cloning.sifted_points(cloning.make_ng12(args.gamma))
     fidelity, ref = cloning.cerf12_fidelity_for_disturbance(ng)
     cf = cloning.sifted_points(cloning.make_cerf12(fidelity))
-    columns = (args.gamma, ng["disturbance"], ng["qber_sifted"], ng["i_ab"], ng["i_eve"],
-               cf["i_eve"], ref)
+    columns = (args.gamma, ng["disturbance"].tolist(), ng["qber_sifted"].tolist(),
+               ng["i_ab"].tolist(), ng["i_eve"].tolist(), cf["i_eve"].tolist(), ref)
     return header, [list(row) for row in zip(*columns)]
 
 
@@ -196,8 +196,8 @@ def _curve_ieclon23(args):
     header = ["gamma", "disturbance", "qber_sifted", "i_ab", "i_eve_ngs", "i_eve_cerf"]
     ngs = cloning.pns_cloning_attack(cloning.make_ngs23, args.mu, args.delta, args.gamma)
     cf = cloning.sifted_points(cloning.make_cerf23(cloning.cerf23_x_for_disturbance(ngs)))
-    columns = (args.gamma, ngs["disturbance"], ngs["qber_sifted"], ngs["i_ab"], ngs["i_eve"],
-               cf["i_eve"])
+    columns = (args.gamma, ngs["disturbance"].tolist(), ngs["qber_sifted"].tolist(),
+               ngs["i_ab"].tolist(), ngs["i_eve"].tolist(), cf["i_eve"].tolist())
     return header, [list(row) for row in zip(*columns)]
 
 
@@ -230,7 +230,7 @@ def _curve_clonfid(args):
     header = ["machine", "parameter", "f_clone_pair", "f_clone_third"]
     rows = [["ng23", g, *cloning.ng23_fidelities(g)] for g in args.gamma]
     rows += [["cerf23", x, *cloning.cerf23_fidelities(x)]
-             for x in np.linspace(0.0, cloning.CERF23_X_MAX, 100)]
+             for x in np.linspace(0.0, cloning.CERF23_X_MAX, 100).tolist()]
     return header, rows
 
 
@@ -256,7 +256,7 @@ def _km(lo, hi, step):
     return tuple(float(k) for k in range(lo, hi + 1, step))
 
 
-_GAMMAS = tuple(np.linspace(1e-4, math.pi / 2, 200))
+_GAMMAS = tuple(np.linspace(1e-4, math.pi / 2, 200).tolist())
 # Each curve: its builder (args -> (header, rows)) and the options that
 # builder reads, with this curve's defaults (grids as tuples, since every
 # parse shares them).  A curve accepts no other option but --out and --format.
@@ -277,7 +277,7 @@ _CURVES = {
     "stattnb": (_curve_stattnb, {"--nb": tuple(range(2, 6)), "--d": _km(10, 240, 2),
                                  "--alpha": 0.25, "--eta-det": 0.1, "--pd": 1e-5,
                                  "--qber-opt": 0.01}),
-    "clonfid": (_curve_clonfid, {"--gamma": tuple(np.linspace(0.0, math.pi / 2, 100))}),
+    "clonfid": (_curve_clonfid, {"--gamma": tuple(np.linspace(0.0, math.pi / 2, 100).tolist())}),
     "strongpulse": (functools.partial(_curve_distance,
                                       ["mu_prime", "intensity_ratio", "overlap", "p_e", "i_eve"],
                                       _strongpulse_row),

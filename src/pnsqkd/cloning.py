@@ -52,8 +52,10 @@ class CloningMachine:
 
     def __post_init__(self):
         v = self.isometry
+        if v.shape[-1] not in _SIGNAL_COLUMNS:
+            raise ValueError(f"{self.name}: isometry must have 2 or 3 input columns")
         gram = np.swapaxes(v.conj(), -1, -2) @ v
-        if not np.max(np.abs(gram - np.eye(v.shape[-1])), initial=0.0) <= ISOMETRY_TOL:
+        if not np.max(np.abs(gram - _IDENTITY[v.shape[-1]]), initial=0.0) <= ISOMETRY_TOL:
             raise ValueError(f"{self.name}: isometry defect exceeds tolerance")
 
     @property
@@ -109,6 +111,19 @@ _X2, _Y2, _Z2 = (np.kron(p, np.eye(2)) + np.kron(np.eye(2), p) for p in (_X, _Y,
 _CERF23_V = np.kron(_PAIR, _PHIP)
 _CERF23_X = (np.kron(_Z2 @ _PAIR, _PHIM) + np.kron(_X2 @ _PAIR, _PSIP)
              + 1j * np.kron(_Y2 @ _PAIR, _PSIM_SWAPPED))
+
+# The announced pair of the sifted attack, its input columns keyed by the
+# isometry's input dimension (a qubit, or the Dicke coordinates of a pair),
+# the receiver's two excluding outcomes as bras, and the signs of the
+# eavesdropper's two hypotheses in M = (rho_0 - rho_1)/2.
+_SIGNALS = (qmath.PLUS_X, qmath.PLUS_Y)
+_SIGNAL_COLUMNS = {
+    2: np.stack(_SIGNALS, axis=-1),
+    3: np.stack([qmath.symmetric_coordinates(s, 2) for s in _SIGNALS], axis=-1),
+}
+_IDENTITY = {d: np.eye(d) for d in _SIGNAL_COLUMNS}
+_EXCLUDING_BRAS = tuple(qmath.orthogonal_qubit(s).conj() for s in _SIGNALS)
+_SIGNS = np.array([1.0, -1.0])
 
 
 # Every factory takes one parameter or a grid of them (a sequence or 1-D
@@ -245,22 +260,24 @@ def clone_reduced_states(machine, psi):
     return results
 
 
-def _receiver_amplitudes(machine, inputs, outcomes):
+def _receiver_amplitudes(machine):
     """<outcome|_B V|input> for every slice of a machine or stack, with the
-    receiver's clone projected out: shape (G, inputs, outcomes, 2^(n-1)).
+    receiver's clone projected out: shape (G, 2 inputs, 2 outcomes, 2^(n-1)).
 
-    The receiver holds output qubit 0 on every machine here, so his
-    projection acts on the most significant index.
+    The inputs are the two signal states (+x, +y) and the outcomes the two
+    that exclude them; the signal states, their input columns and the
+    conjugated excluding outcomes are module constants.  The receiver holds
+    output qubit 0 on every machine here, so his projection acts on the
+    most significant index.
     """
     if machine.clone_positions[0] != 0:
         raise ValueError(f"{machine.name}: the receiver's clone must be output qubit 0")
     v = machine.isometry.reshape((-1,) + machine.isometry.shape[-2:])
-    columns = np.stack([machine.input_coordinates(psi) for psi in inputs], axis=-1)
     # (G, input, receiver qubit, rest), contiguous so that each product
     # below rounds exactly as the single-machine one
-    out = np.ascontiguousarray(np.moveaxis(v @ columns, 2, 1))
-    out = out.reshape(len(v), len(inputs), 2, v.shape[1] // 2)
-    return np.stack([o.conj() @ out for o in outcomes], axis=2)
+    out = np.ascontiguousarray(np.moveaxis(v @ _SIGNAL_COLUMNS[v.shape[-1]], 2, 1))
+    out = out.reshape(len(v), len(_SIGNALS), 2, v.shape[1] // 2)
+    return np.stack([bra @ out for bra in _EXCLUDING_BRAS], axis=2)
 
 
 def _squared_norms(e):
@@ -281,10 +298,13 @@ def sifted_points(machine):
     the other.  In e[:, k, o] the state k was sent and the outcome is
     orthogonal to announced state o, so o = k leads to the wrong inference.
     Every other announced pair of neighboring equatorial states is a
-    rotation or reflection of this one and gives the same numbers.  On
-    every machine here the right exclusion weighs exactly 1/2 (the clone's
-    Bloch vector has no component along the other announced state) and the
-    wrong one weighs the disturbance D, so the sifted error rate is
+    rotation or reflection of this one and gives the same numbers.  The
+    two signal states, their input columns (keyed by the isometry's input
+    dimension) and the conjugated excluding outcomes are module constants,
+    built once with the isometry pieces.  On every machine here the right
+    exclusion weighs exactly 1/2 (the clone's Bloch vector has no component
+    along the other announced state) and the wrong one weighs the
+    disturbance D, so the sifted error rate is
     q = D/(D + 1/2) = 2D/(1 + 2D).
 
     The eavesdropper knows the announcement and the acceptance (the
@@ -326,14 +346,13 @@ def sifted_points(machine):
     the sifted error rate, the honest-party and eavesdropper informations
     and her error probability.
     """
-    states = (qmath.PLUS_X, qmath.PLUS_Y)
-    e = _receiver_amplitudes(machine, states, [qmath.orthogonal_qubit(s) for s in states])
+    e = _receiver_amplitudes(machine)
     w = _squared_norms(e)
     accepted = w[:, :, 0] + w[:, :, 1]
     qber = 0.5 * (w[:, 0, 0] / accepted[:, 0] + w[:, 1, 1] / accepted[:, 1])
     r = np.linalg.qr(np.swapaxes(e.reshape(len(e), 4, e.shape[-1]), 1, 2), mode="r")
     c = 0.5 / accepted
-    m = (r * np.repeat(c * [1.0, -1.0], 2, axis=1)[:, None, :]) @ np.swapaxes(r.conj(), 1, 2)
+    m = (r * np.repeat(c * _SIGNS, 2, axis=1)[:, None, :]) @ np.swapaxes(r.conj(), 1, 2)
     frobenius2 = np.sum(m.real ** 2 + m.imag ** 2, axis=(1, 2))
     ab = 0.0
     if r.shape[1] == 4:

@@ -289,6 +289,8 @@ class TestEmit:
         args = cli.build_parser().parse_args(argv)
         header, rows = cli._CURVES[curve_id][0](args)
         assert rows
+        # exactly int, float or str: no NumPy scalar and no bool reaches _emit
+        assert {type(v) for row in rows for v in row} <= {int, float, str}
         for fmt in ("csv", "json"):
             assert _emitted(header, rows, fmt) == _emit_oracle(header, rows, fmt)
 

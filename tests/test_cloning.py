@@ -160,6 +160,10 @@ class TestIsometries:
             v = factory(p).isometry
             assert np.max(np.abs(v.conj().T @ v - np.eye(v.shape[1]))) < 1e-12
 
+    def test_input_dimension_other_than_a_qubit_or_a_pair_is_rejected(self):
+        with pytest.raises(ValueError, match="2 or 3 input columns"):
+            cloning.CloningMachine("x", np.eye(8)[:, :4], (0, 1, 2))
+
     def test_parameter_ranges(self):
         with pytest.raises(ValueError):
             make_ng12(-0.1)
@@ -435,6 +439,23 @@ class TestSiftedPoints:
     def test_empty_grid(self):
         points = sifted_points(make_ngs23([]))
         assert all(col.shape == (0,) for col in points.values())
+
+    # the constants are compared as bytes, so that a -0.0 for a 0.0 fails
+    @pytest.mark.parametrize("machine", [make_ng12(0.3), make_cerf23(0.2)],
+                             ids=["qubit", "pair"])
+    def test_signal_columns_are_the_input_coordinates(self, machine):
+        columns = np.stack([machine.input_coordinates(s) for s in (qmath.PLUS_X, qmath.PLUS_Y)],
+                           axis=-1)
+        constant = cloning._SIGNAL_COLUMNS[machine.isometry.shape[-1]]
+        assert (constant.dtype, constant.shape) == (columns.dtype, columns.shape)
+        assert constant.tobytes() == columns.tobytes()
+
+    def test_excluding_bras_are_the_conjugated_orthogonal_states(self):
+        assert len(cloning._EXCLUDING_BRAS) == 2
+        for bra, s in zip(cloning._EXCLUDING_BRAS, (qmath.PLUS_X, qmath.PLUS_Y)):
+            want = qmath.orthogonal_qubit(s).conj()
+            assert (bra.dtype, bra.shape) == (want.dtype, want.shape)
+            assert bra.tobytes() == want.tobytes()
 
 
 # each machine's whole parameter range; the ends include every rank-deficient

@@ -1,4 +1,5 @@
-"""The CLI's curve builders hold no physics: they call the library.
+"""The CLI's curve builders hold no physics: they call the library.  And
+README's Benchmark list names every committed benchmark result.
 
 Parses ``src/pnsqkd/cli.py`` with ``ast`` and resolves every dotted
 reference through the module's imports, so ``np.clip`` under
@@ -7,9 +8,11 @@ error rates, square roots and clipping belong in the library modules, where
 the tests of those modules see them.
 """
 import ast
+import re
 from pathlib import Path
 
-CLI = Path(__file__).resolve().parent.parent / "src" / "pnsqkd" / "cli.py"
+ROOT = Path(__file__).resolve().parent.parent
+CLI = ROOT / "src" / "pnsqkd" / "cli.py"
 FORBIDDEN = ("qmath", "photonics.qber_total", "math.sqrt", "numpy.clip")
 
 
@@ -55,3 +58,13 @@ def test_the_check_sees_each_spelling():
     found = {n for n in _qualified_references(ast.parse(source)) if _forbidden(n)}
     assert found == {"qmath", "qmath.binary_information", "math.sqrt", "numpy.clip",
                      "photonics.qber_total"}
+
+
+def test_readme_lists_every_benchmark_result():
+    # one "* `BENCH_<n>.json`: ..." entry per file in the section's list
+    section = ROOT.joinpath("README.md").read_text().partition("\n## Benchmark\n")[2]
+    section = section.partition("\n## ")[0]
+    entries = re.findall(r"^\* `(BENCH_\w+\.json)`", section, flags=re.MULTILINE)
+    files = sorted(p.name for p in ROOT.glob("BENCH_*.json"))
+    assert len(entries) == len(set(entries))
+    assert sorted(entries) == files
