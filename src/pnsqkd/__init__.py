@@ -14,7 +14,7 @@ discrimination  two-state POVM and filter, overlap penalty, multicopy
 attacks         photon-number-splitting attack evaluations per protocol
 cloning         asymmetric cloning machines and sifted cloning attacks
 keyrate         security criterion, key rate, optimal mu, protocol comparison
-solvers         the one root finder and the one golden-section search
+solvers         the one root finder and the golden-section search of optimal mu
 validation      the anchor self-check suite behind ``validate``
 cli             curve sweeps, reports and self checks
 """

@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from . import discrimination, photonics, qmath, solvers
+from . import discrimination, photonics, qmath
 from .photonics import (
     SourceChannelModel,
     nonnegative_finite,
@@ -25,6 +25,7 @@ from .photonics import (
     positive_finite,
     transmission,
 )
+from .solvers import _GOLDEN
 
 STORING_OVERLAP = 1.0 / math.sqrt(2.0)  # announced-pair overlap in the four-state protocol
 BOB_FLOOR = 10.0  # photons the strong reference pulse must deliver to the receiver
@@ -304,7 +305,11 @@ def fourstate_combined_info(mu, delta_db):
     oversupplies photons the surplus successful pulses are discarded
     uniformly, which leaves the per-bit information unchanged.  f is the
     first maximum over f = k/100 (a NaN at 0 would win, a later one never)
-    refined by 90 golden-section steps between its neighbours.  Returns
+    refined by 90 golden-section steps between its neighbours: the steps of
+    ``solvers.golden_max``, with its stop on a 2-cycle and its result (the
+    midpoint of the final bracket and I there), in a loop of their own that
+    evaluates I inline, with the floats of ``info``, so that a step makes
+    no call.  The grid point is kept where it beats that result.  Returns
     (i_eve, q_passed, f_irud).
 
     That maximum is read from at most seven points.  The kink
@@ -353,7 +358,47 @@ def fourstate_combined_info(mu, delta_db):
 
     scan = {k: info(k / 100.0) for k in _f_scan_indices(mu, required, *moments)}
     k = max(scan, key=scan.get)
-    f_best, i_best = solvers.golden_max(info, max(k - 1, 0) / 100.0, min(k + 1, 100) / 100.0, 90)
+    # the steps of solvers.golden_max(info, lo, hi, 90), with info written out
+    lo, hi = max(k - 1, 0) / 100.0, min(k + 1, 100) / 100.0
+    c1 = hi - _GOLDEN * (hi - lo)
+    c2 = lo + _GOLDEN * (hi - lo)
+    i1, i2 = info(c1), info(c2)
+    # the unordered states one and two such states back: an ordered state
+    # lies on no cycle (see golden_max), so an unordered state that matches
+    # the one two unordered steps back matches the state two steps back
+    back1 = back2 = None
+    for _ in range(90):
+        up = i1 < i2
+        if up:
+            lo, c1, i1 = c1, c2, i2
+            f = c2 = lo + _GOLDEN * (hi - lo)
+        else:
+            hi, c2, i2 = c2, c1, i1
+            f = c1 = hi - _GOLDEN * (hi - lo)
+        g = 1.0 - f
+        a = f * r_irud + g * r_store
+        if a >= required:
+            wi = f * s_irud
+            ws = g * s_store
+            denom = wi + ws
+        else:
+            q = (required - a) / (mu - a)
+            p = 1.0 - q
+            wi = p * f * s_irud
+            ws = p * g * s_store
+            denom = q + wi + ws
+        i_f = 0.0 if denom <= 0.0 else (wi + ws * i_store) / denom
+        if up:
+            i2 = i_f
+        else:
+            i1 = i_f
+        if not lo < c1 < c2 < hi:
+            state = (lo, hi, c1, c2)
+            if state == back2:
+                break
+            back1, back2 = state, back1
+    f_best = 0.5 * (lo + hi)
+    i_best = info(f_best)
     if scan[k] > i_best:
         f_best, i_best = k / 100.0, scan[k]
     a = f_best * r_irud + (1.0 - f_best) * r_store
@@ -398,21 +443,32 @@ def _solve_click_attenuation(model, mu, target):
     return 0.0 if x >= 1.0 else -10.0 * math.log10(x)
 
 
-def nb_critical_usd(n_bases, model=SourceChannelModel()):
+def nb_click_sums(n_bases, model):
+    """The click sums of ``poisson_click_sums`` at mu = nb_mu(n_bases) and the
+    model's detector efficiency, to the Poisson cutoff of mu: one pass that
+    holds the rate targets of both n_b-bases attacks."""
+    mu = nb_mu(n_bases)
+    return poisson_click_sums(mu, model.eta_det, poisson_cutoff(mu))
+
+
+def nb_critical_usd(n_bases, model=SourceChannelModel(), sums=None):
     """Critical attenuation against unambiguous discrimination of
     n_e = 2 n_b - 1 copies, where both sides count detector clicks:
       1 - e^(-eta mu 10^(-d/10))
         = p_ok sum_{m>=n_e} p(m, mu) (1 - (1 - eta)^(m - n_e + 1)).
+    ``sums`` are ``nb_click_sums(n_bases, model)``, summed here if not given.
     """
     mu = nb_mu(n_bases)
     n_e = 2 * n_bases - 1
     p_ok = discrimination.usd_optimal_pok(n_bases)
-    target = p_ok * poisson_click_sums(mu, model.eta_det, poisson_cutoff(mu))[n_e - 1]
-    return _solve_click_attenuation(model, mu, target)
+    if sums is None:
+        sums = nb_click_sums(n_bases, model)
+    return _solve_click_attenuation(model, mu, p_ok * sums[n_e - 1])
 
 
-def _storing_rungs(n_bases, model):
-    """(delta(n_s), I(n_s)) for n_s = 1, 2, ..., every click sum from one pass.
+def _storing_rungs(n_bases, model, sums):
+    """(delta(n_s), I(n_s)) for n_s = 1, 2, ..., from the click sums ``sums``
+    of ``nb_click_sums``.
 
     Both sides count detector clicks: 1 - e^(-eta mu 10^(-d/10))
       = sum_{m>=n_s} p(m, mu) (1 - (1 - eta)^(m - n_s)).
@@ -421,7 +477,6 @@ def _storing_rungs(n_bases, model):
     and the attenuation infinite.
     """
     mu = nb_mu(n_bases)
-    sums = poisson_click_sums(mu, model.eta_det, poisson_cutoff(mu))
     overlap = nb_neighbor_overlap(n_bases)
     for n_s in itertools.count(1):
         target = sums[n_s] if n_s < len(sums) else 0.0
@@ -435,7 +490,8 @@ def nb_storing_critical(n_bases, n_stored, model=SourceChannelModel()):
     it yields, as (delta_db, i_eve)."""
     if n_stored < 1:
         raise ValueError("n_stored must be at least 1")
-    return next(itertools.islice(_storing_rungs(n_bases, model), n_stored - 1, None))
+    rungs = _storing_rungs(n_bases, model, nb_click_sums(n_bases, model))
+    return next(itertools.islice(rungs, n_stored - 1, None))
 
 
 def honest_information(model, mu, delta_db):
@@ -443,17 +499,20 @@ def honest_information(model, mu, delta_db):
     return qmath.binary_information(photonics.qber_total(model, mu, delta_db))
 
 
-def nb_storing_ladder(n_bases, model=SourceChannelModel()):
+def nb_storing_ladder(n_bases, model=SourceChannelModel(), sums=None):
     """Storing-attack ladder [(delta(n_s), I(n_s))] until it overtakes I_AB.
 
     Stops at the first rung whose information meets or exceeds the honest
     parties' information at that attenuation.  Past the Poisson cutoff no
     pulse holds n_s photons, so the rung is unreachable (infinite
-    attenuation); reaching it first raises InfeasibleModelError.
+    attenuation); reaching it first raises InfeasibleModelError.  ``sums``
+    are ``nb_click_sums(n_bases, model)``, summed here if not given.
     """
     mu = nb_mu(n_bases)
+    if sums is None:
+        sums = nb_click_sums(n_bases, model)
     ladder = []
-    for n_s, (delta, i_eve) in enumerate(_storing_rungs(n_bases, model), 1):
+    for n_s, (delta, i_eve) in enumerate(_storing_rungs(n_bases, model, sums), 1):
         if math.isinf(delta):
             raise InfeasibleModelError(
                 f"storing ladder for {n_bases} bases: no reachable rung with {n_s} stored "

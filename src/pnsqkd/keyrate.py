@@ -79,11 +79,13 @@ def nb_security_summary(n_bases, model=photonics.SourceChannelModel()):
     between 0 dB and the rung of a one-rung ladder; delta2 is found there to
     the last bit.  A link with I_AB = 0 at 0 dB is never secure, and its
     delta2 is 0.  min(delta1, delta2) estimates the critical attenuation of
-    the unknown optimal attack.
+    the unknown optimal attack.  Both attacks read their rate targets from
+    one pass of click sums.
     """
     mu = attacks.nb_mu(n_bases)
-    delta1 = attacks.nb_critical_usd(n_bases, model)
-    ladder = attacks.nb_storing_ladder(n_bases, model)
+    sums = attacks.nb_click_sums(n_bases, model)
+    delta1 = attacks.nb_critical_usd(n_bases, model, sums)
+    ladder = attacks.nb_storing_ladder(n_bases, model, sums)
 
     def margin(delta):  # I_AB - I_Eve, decreasing across the ladder
         i_ab = attacks.honest_information(model, mu, delta)

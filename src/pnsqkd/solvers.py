@@ -1,4 +1,6 @@
-"""One-dimensional searches shared by the attack, key-rate and cloning layers.
+"""One-dimensional searches of the key-rate and cloning layers.  The
+four-state attack optimum runs the maximum search's steps in a loop of its
+own, with its function inline.
 
 Neither takes a tolerance: the root search runs until the bracket holds
 two neighbouring floats, and the maximum search for a fixed number of

@@ -43,6 +43,30 @@ def poisson_tails(mu):
                 (m * e - 2 * e + 2 + m) / three, (e - 1 - m - m * m / 2) / three)
 
 
+def poisson_moments(mu):
+    """(R_split, S_multi, R_irud, S_irud) of ``photonics.poisson_moments`` at
+    1200 digits: e^-mu mu^2/2 times A and B, and e^-mu mu^3/12 times C and D
+    of ``poisson_tails``."""
+    a, b, c, d = poisson_tails(mu)
+    with localcontext() as ctx:
+        ctx.prec = 1200
+        m = Decimal(mu)
+        two, three = (-m).exp() * m * m / 2, (-m).exp() * m * m * m / 12
+        return two * a, two * b, three * c, three * d
+
+
+def block_below_three(mu):
+    """(R_irud, S_irud) of the block-below-three attack at 100 digits:
+    R_irud = (mu - 2 + e^-mu (2 + mu)) / 2 and
+    S_irud = (1 - e^-mu (1 + mu + mu^2/2)) / 2.  Both closed forms cancel by
+    about mu^3 ~ 1e-36 at mu = 1e-12."""
+    with localcontext() as ctx:
+        ctx.prec = 100
+        m = Decimal(mu)
+        head = (-m).exp()
+        return (m - 2 + head * (2 + m)) / 2, (1 - head * (1 + m + m * m / 2)) / 2
+
+
 def click_sums(mu, eta, nmax):
     """Every click sum S(k) = sum_{k<n<=nmax} p(n) (1 - (1 - eta)^(n - k)),
     each summed directly from exact Poisson weights at 50 digits."""
@@ -66,13 +90,11 @@ def bb84_critical_attenuation(mu):
 
 
 def irud_critical_attenuation(mu):
-    """10 log10(mu / R_irud), R_irud = (mu - 2 + e^-mu (2 + mu)) / 2, at 100
-    digits: the closed form cancels by about mu^3 ~ 1e-36 at mu = 1e-12."""
+    """10 log10(mu / R_irud) with R_irud of ``block_below_three``, at 100 digits."""
+    rate, _ = block_below_three(mu)
     with localcontext() as ctx:
         ctx.prec = 100
-        m = Decimal(mu)
-        rate = (m - 2 + (-m).exp() * (2 + m)) / 2
-        return 10 * (m / rate).log10()
+        return 10 * (Decimal(mu) / rate).log10()
 
 
 def decimal_cos(x):

@@ -368,12 +368,16 @@ class TestCombinedOptimumMatchesScan:
             assert fourstate_combined_info(mu, delta) == _combined_info_scan(mu, delta), delta
 
     def test_optimal_mu_at_default_distances(self):
-        for distance in range(4, 161, 4):
-            delta = distance * photonics.DEFAULT_ALPHA_DB_PER_KM
+        deltas = [distance * photonics.DEFAULT_ALPHA_DB_PER_KM for distance in range(4, 161, 4)]
+        # and distances and losses drawn as the keyrate-scan benchmark draws them
+        rng = random.Random(20261020)
+        deltas += [round(rng.uniform(4.0, 160.0), 6) * round(rng.uniform(0.18, 0.3), 4)
+                   for _ in range(10)]
+        for delta in deltas:
             expected = golden_max_loop(
                 lambda mu: keyrate.key_rate(mu, delta, _combined_info_scan(mu, delta)[0]),
                 1e-3, keyrate.MU_SEARCH_MAX, 120)
-            assert keyrate.optimal_mu(delta) == expected, distance
+            assert keyrate.optimal_mu(delta) == expected, delta
 
 
 def _record_scan_sizes(monkeypatch):

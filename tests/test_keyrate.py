@@ -112,6 +112,17 @@ class TestNbSummary:
         assert all(b > a for a, b in zip(dists, dists[1:]))
         assert dists[-1] == pytest.approx(153.0, abs=2.0)
 
+    def test_one_click_sum_pass_per_n_b(self, monkeypatch):
+        # both attacks read their targets from one pass of the (mu, eta_det, cutoff) sums
+        calls = []
+        click_sums = attacks.poisson_click_sums
+        monkeypatch.setattr(attacks, "poisson_click_sums",
+                            lambda *args: calls.append(args) or click_sums(*args))
+        summaries = [nb_security_summary(nb) for nb in range(2, 9)]
+        assert len(calls) == len(set(calls)) == 7
+        for s in summaries:
+            assert s.delta1_db == attacks.nb_critical_usd(s.n_bases)
+
 
 class TestGenevaLausanne:
     def test_report_values(self):
