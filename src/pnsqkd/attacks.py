@@ -172,9 +172,13 @@ def fourtwo_half_angle(value, name):
     return value
 
 
-def fourtwo_pns(eta, delta_db, reference_mu=0.1):
-    """Filter-based splitting attack point for the four-plus-two protocol."""
-    mu, rate, fraction = fourtwo_moments(eta, reference_mu)
+def fourtwo_pns(eta, delta_db, reference_mu=0.1, moments=None):
+    """Filter-based splitting attack point for the four-plus-two protocol.
+    ``moments`` are ``fourtwo_moments(eta, reference_mu)``, computed here if
+    not given."""
+    if moments is None:
+        moments = fourtwo_moments(eta, reference_mu)
+    mu, rate, fraction = moments
     return _rate_balanced_point(mu, delta_db, rate, fraction)
 
 
@@ -537,3 +541,33 @@ def nb_storing_info_at(ladder, delta_db):
     (d0, i0), (d1, i1) = ladder[k - 1], ladder[k]
     t = (delta_db - d0) / (d1 - d0)
     return i0 + t * (i1 - i0)
+
+
+def nb_storing_columns(n_bases, model, deltas):
+    """([I_AB], [I_Eve]) at each attenuation of ``deltas``: the values of
+    ``honest_information`` and of ``nb_storing_info_at`` on the ladder of
+    ``nb_storing_ladder``, which is built once.
+
+    The ladder is interpolated here, in the floats of ``nb_storing_info_at``
+    and with its error for an attenuation that is negative or not finite,
+    raised before any later attenuation is read.
+    """
+    mu = nb_mu(n_bases)
+    ladder = nb_storing_ladder(n_bases, model)
+    rungs = [delta for delta, _ in ladder]
+    first, (last, i_last) = rungs[0], ladder[-1]
+    qber_total, information = photonics.qber_total, qmath.binary_information
+    i_ab, i_eve = [], []
+    for delta in deltas:
+        if not 0.0 <= delta < math.inf:
+            nonnegative_finite(delta, "attenuation")
+        if delta <= first:
+            i_eve.append(0.0)
+        elif delta >= last:
+            i_eve.append(i_last)
+        else:
+            k = bisect.bisect_left(rungs, delta)
+            (d0, i0), (d1, i1) = ladder[k - 1], ladder[k]
+            i_eve.append(i0 + (delta - d0) / (d1 - d0) * (i1 - i0))
+        i_ab.append(information(qber_total(model, mu, delta)))
+    return i_ab, i_eve

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import sys
@@ -61,17 +62,30 @@ def _json_literal(x):
     return _JSON_NONFINITE.get(text, text)
 
 
+def _json_numbers(spec, values):
+    """``_json_literal`` of numbers that the %-format ``spec`` writes.  A
+    ``%.12g`` text in fixed notation (a '.' and no 'e') is a normal float of
+    at most 12 significant digits, so it already is its float's repr; only
+    other texts are parsed back."""
+    texts = map(spec.__mod__, values)
+    texts = [t if "." in t and "e" not in t else repr(float(t)) for t in texts]
+    return list(map(_JSON_NONFINITE.get, texts, texts))
+
+
 def _json_column(column):
     """``_json_literal`` of every value, by one %-format when the column is
-    all numbers of one format.  A ``%.12g`` text in fixed notation (a '.'
-    and no 'e') is a normal float of at most 12 significant digits, so it
-    already is its float's repr; only other texts are parsed back."""
+    all numbers of one format, and then once per distinct value where at
+    most half the values are distinct.  Equal numbers of one format print
+    alike, except 0.0 and -0.0, so a column holding a zero is not merged."""
     specs = set(map(_spec, set(map(type, column))))
     if len(specs) != 1 or "%s" in specs:
         return list(map(_json_literal, column))
-    texts = map(specs.pop().__mod__, column)
-    texts = [t if "." in t and "e" not in t else repr(float(t)) for t in texts]
-    return list(map(_JSON_NONFINITE.get, texts, texts))
+    spec = specs.pop()
+    distinct = set(column)
+    if 2 * len(distinct) > len(column) or 0 in distinct:
+        return _json_numbers(spec, column)
+    literals = dict(zip(distinct, _json_numbers(spec, distinct)))
+    return list(map(literals.__getitem__, column))
 
 
 def _json_records(header, rows):
@@ -153,11 +167,6 @@ def _bb84_row(args, delta):
     return [pt.q_passed, pt.i_eve]
 
 
-def _fourtwo_row(args, delta):
-    pt = attacks.fourtwo_pns(args.eta, delta, args.mu)
-    return [pt.q_passed, pt.i_eve]
-
-
 def _figiepr_row(args, delta):
     i_block = attacks.fourstate_irud_pns(args.mu, delta).i_eve
     return i_block, attacks.fourstate_combined_info(args.mu, delta)[0]
@@ -179,6 +188,15 @@ def _curve_distance(columns, row, args):
         delta = d * args.alpha
         rows.append([d, delta, *row(args, delta)])
     return ["distance_km", "delta_db", *columns], rows
+
+
+def _curve_pns42(args):
+    moments = attacks.fourtwo_moments(args.eta, args.mu)  # once per curve
+
+    def row(_, delta):
+        pt = attacks.fourtwo_pns(args.eta, delta, args.mu, moments)
+        return [pt.q_passed, pt.i_eve]
+    return _curve_distance(["q", "i_eve"], row, args)
 
 
 def _curve_ieclon12(args):
@@ -215,14 +233,11 @@ def _curve_dcrit(args):
 def _curve_stattnb(args):
     header = ["n_b", "distance_km", "delta_db", "i_ab", "i_eve"]
     model = _model_from_args(args)
+    deltas = [d * args.alpha for d in args.d]
     rows = []
     for nb in args.nb:
-        mu = attacks.nb_mu(nb)
-        ladder = attacks.nb_storing_ladder(nb, model)
-        for d in args.d:
-            delta = d * args.alpha
-            i_eve = attacks.nb_storing_info_at(ladder, delta)
-            rows.append([nb, d, delta, attacks.honest_information(model, mu, delta), i_eve])
+        i_ab, i_eve = attacks.nb_storing_columns(nb, model, deltas)
+        rows += zip(itertools.repeat(nb), args.d, deltas, i_ab, i_eve)
     return header, rows
 
 
@@ -263,7 +278,7 @@ _GAMMAS = tuple(np.linspace(1e-4, math.pi / 2, 200).tolist())
 _CURVES = {
     "pns-bb84": (functools.partial(_curve_distance, ["q", "i_eve"], _bb84_row),
                  {"--mu": 0.1, "--alpha": 0.25, "--d": _km(0, 120, 1)}),
-    "pns-42": (functools.partial(_curve_distance, ["q", "i_eve"], _fourtwo_row),
+    "pns-42": (_curve_pns42,
                {"--mu": 0.1, "--eta": math.pi / 3, "--alpha": 0.25, "--d": _km(0, 120, 1)}),
     "figiepr": (functools.partial(_curve_distance, ["i_eve_block_lt3", "i_eve_combined"],
                                   _figiepr_row),

@@ -4,6 +4,7 @@ import decimal
 import io
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from pnsqkd.attacks import (
     fourtwo_pns,
     nb_critical_usd,
     nb_mu,
+    nb_storing_columns,
     nb_storing_critical,
     nb_storing_info_at,
     nb_storing_ladder,
@@ -534,6 +536,39 @@ class TestNbGeneralization:
             probes += [d, math.nextafter(d, -math.inf), math.nextafter(d, math.inf)]
         for delta in probes:
             assert nb_storing_info_at(ladder, delta) == _scan_storing_info(ladder, delta), delta
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_columns_equal_the_per_point_functions_bit_for_bit(self, seed):
+        rng = random.Random(seed)
+        n_bases = rng.randint(2, 8)
+        model = SourceChannelModel(alpha=rng.uniform(0.15, 0.35),
+                                   eta_det=rng.uniform(0.02, 1.0),
+                                   p_d=0.0 if seed % 3 == 0 else 10 ** rng.uniform(-8, -3),
+                                   qber_opt=rng.uniform(0.0, 0.06))
+        try:
+            ladder = nb_storing_ladder(n_bases, model)
+        except attacks.InfeasibleModelError as exc:
+            with pytest.raises(attacks.InfeasibleModelError, match=re.escape(str(exc))):
+                nb_storing_columns(n_bases, model, [0.0])
+            return
+        rungs = [d for d, _ in ladder]
+        deltas = [0.0, 1e4, rungs[0] / 2, rungs[-1] + 1.0, *rungs]
+        deltas += [math.nextafter(d, side) for d in rungs for side in (-math.inf, math.inf)]
+        deltas += [d * model.alpha for d in (rng.uniform(0.0, 400.0) for _ in range(60))]
+        rng.shuffle(deltas)
+        i_ab, i_eve = nb_storing_columns(n_bases, model, deltas)
+        mu = nb_mu(n_bases)
+        assert [x.hex() for x in i_ab] == [
+            attacks.honest_information(model, mu, d).hex() for d in deltas]
+        assert [x.hex() for x in i_eve] == [nb_storing_info_at(ladder, d).hex() for d in deltas]
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, -1.0])
+    def test_columns_reject_an_attenuation_as_the_point_function_does(self, bad):
+        ladder = nb_storing_ladder(2)
+        with pytest.raises(ValueError) as expected:
+            nb_storing_info_at(ladder, bad)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+            nb_storing_columns(2, SourceChannelModel(), [1.0, bad, 2.0])
 
     def test_exact_sums_no_weak_pulse_approximation(self):
         # at n_b = 8 the mean photon number is ~10.5; the click solver must

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pnsqkd import cli
+from pnsqkd import attacks, cli
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(ROOT / "src")
@@ -262,6 +262,39 @@ def test_json_column_writes_each_number_as_json_dumps(x):
     # keeps a fixed-notation text as it is
     assert cli._json_column([x]) == [cli._json_literal(x)]
     assert cli._json_literal(x) == json.dumps(float(cli._fmt(x)))
+
+
+_FLOATS = st.floats() | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])
+_FLOAT_SCALARS = st.one_of(_FLOATS, _FLOATS.map(np.float64), st.floats(width=32).map(np.float32))
+_INT_SCALARS = st.one_of(st.integers(), st.booleans(),
+                         st.integers(-2**63, 2**63 - 1).map(np.int64))
+# a few values, each repeated: floats only (one %-format), ints only, or both
+_POOLS = st.one_of(*(st.lists(values, min_size=1, max_size=5) for values in
+                     (_FLOAT_SCALARS, _INT_SCALARS, _FLOAT_SCALARS | _INT_SCALARS)))
+
+
+@given(_POOLS.flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=40)))
+@example([0.0, 0.0, -0.0, -0.0])
+@example([-0.0, -0.0, 0.0, 0.0])
+@example([False, 0, np.int64(0), 0])
+@example([math.nan, math.nan, float("nan"), 1.5, 1.5, 1.5])
+@example([np.float64(0.1), 0.1, 0.1, np.float32(0.5), 0.5, 0.5])
+def test_json_column_of_repeated_values_writes_each_literal(column):
+    # a column with at most half its values distinct is formatted per
+    # distinct value; 0.0 and -0.0 are one dict key but print differently
+    assert cli._json_column(column) == list(map(cli._json_literal, column))
+
+
+def test_pns42_computes_its_moments_once_per_curve(monkeypatch):
+    calls = []
+    moments = attacks.fourtwo_moments
+    monkeypatch.setattr(attacks, "fourtwo_moments",
+                        lambda *args: calls.append(args) or moments(*args))
+    for argv in (["curve", "pns-42"], ["curve", "pns-42", *_BENCH_ARGS["pns-42"]]):
+        calls.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        assert len(calls) == 1
 
 
 # One argument set per curve, shaped like the benchmark's invocations of it.
