@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from . import discrimination, photonics, qmath
 from .photonics import (
+    POSITIVE_SERIES_MU,
     SourceChannelModel,
     nonnegative_finite,
     poisson_click_sums,
@@ -65,15 +66,15 @@ def _rate_balanced_point(mu, delta_db, r_att, s_att):
 
 def bb84_critical_attenuation(mu):
     """Attenuation where splitting alone reproduces the expected raw rate:
-    10 log10(mu / (mu - 1 + e^-mu)).  Below mu = 1e-3 it is summed in logs
-    as 10 log10(2 e^mu / (mu A)) with A of ``poisson_tails``, so that mu^2
-    cannot underflow.  Above mu = 1 the ratio tends to 1, so it is taken as
-    -10 log10(1 - (1 - e^-mu)/mu) by log1p, which stays above 0 where the
-    ratio rounds to 1 (mu > 9e15)."""
+    10 log10(mu / (mu - 1 + e^-mu)).  Below mu = POSITIVE_SERIES_MU it is
+    summed in logs as 10 log10(2 e^mu / (mu A)) with A of ``poisson_tails``,
+    so that mu^2 cannot underflow.  Above mu = 1 the ratio tends to 1, so it
+    is taken as -10 log10(1 - (1 - e^-mu)/mu) by log1p, which stays above 0
+    where the ratio rounds to 1 (mu > 9e15)."""
     positive_finite(mu, "mu")
     if mu > 1.0:
         return -10.0 * math.log1p(math.expm1(-mu) / mu) / math.log(10.0)
-    if mu >= 1e-3:
+    if mu >= POSITIVE_SERIES_MU:
         return 10.0 * math.log10(mu / poisson_moments(mu)[0])
     a = poisson_tails(mu)[0]
     return 10.0 * (math.log10(2.0) - math.log10(mu) - math.log10(a) + mu / math.log(10.0))
@@ -247,10 +248,11 @@ def strongpulse_asymptotic_info(mu):
 def fourstate_irud_critical(mu):
     """Attenuation where unambiguous discrimination of three-photon pulses
     reproduces the expected rate: 10 log10(mu / (sum p_n (n-2) / 2)).  Below
-    mu = 1e-3 it is summed in logs as 10 log10(12 e^mu / (mu^2 C)) with C of
-    ``poisson_tails``, so that mu^3 cannot underflow."""
+    mu = POSITIVE_SERIES_MU it is summed in logs as
+    10 log10(12 e^mu / (mu^2 C)) with C of ``poisson_tails``, so that mu^3
+    cannot underflow."""
     positive_finite(mu, "mu")
-    if mu >= 1e-3:
+    if mu >= POSITIVE_SERIES_MU:
         return 10.0 * math.log10(mu / poisson_moments(mu)[2])
     c = poisson_tails(mu)[2]
     return 10.0 * (math.log10(12.0) - 2.0 * math.log10(mu) - math.log10(c)

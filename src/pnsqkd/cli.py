@@ -13,10 +13,9 @@ import functools
 import itertools
 import json
 import math
+import numbers
 import sys
 from json.encoder import encode_basestring_ascii
-
-import numpy as np
 
 from . import attacks, cloning, keyrate, validation
 from .attacks import InfeasibleModelError
@@ -29,17 +28,13 @@ from .photonics import SourceChannelModel, nonnegative_finite, positive_finite
 MAX_GRID_POINTS = 10_000
 
 
-def _fmt(x):
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".12g")
-
-
 def _spec(kind):
-    """The %-format that writes a value of this type as ``_fmt`` does."""
+    """The %-format of a value of this type: strings as they are, integers
+    (bools and NumPy integers too) in full, other numbers at 12 significant
+    digits."""
     if issubclass(kind, str):
         return "%s"
-    if issubclass(kind, (int, np.integer)):
+    if issubclass(kind, numbers.Integral):
         return "%d"
     return "%.12g"
 
@@ -55,11 +50,10 @@ _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 def _json_literal(x):
     """A value as ``json.dumps`` writes it: strings as JSON strings, numbers
-    as the float of their ``_fmt`` text."""
+    as the float of their ``_spec`` text."""
     if isinstance(x, str):
         return encode_basestring_ascii(x)
-    text = repr(float(_fmt(x)))
-    return _JSON_NONFINITE.get(text, text)
+    return _json_numbers(_spec(type(x)), [x])[0]
 
 
 def _json_numbers(spec, values):
@@ -90,7 +84,7 @@ def _json_column(column):
 
 def _json_records(header, rows):
     """The text of ``json.dumps`` with indent=2 and sorted keys, for the
-    list of records {header: float(_fmt(value))}, strings kept."""
+    list of records {header: float(_spec text of value)}, strings kept."""
     if not rows:
         return "[]"
     index = {h: i for i, h in enumerate(header)}
@@ -245,7 +239,7 @@ def _curve_clonfid(args):
     header = ["machine", "parameter", "f_clone_pair", "f_clone_third"]
     rows = [["ng23", g, *cloning.ng23_fidelities(g)] for g in args.gamma]
     rows += [["cerf23", x, *cloning.cerf23_fidelities(x)]
-             for x in np.linspace(0.0, cloning.CERF23_X_MAX, 100).tolist()]
+             for x in _linspace(0.0, cloning.CERF23_X_MAX, 100)]
     return header, rows
 
 
@@ -271,7 +265,13 @@ def _km(lo, hi, step):
     return tuple(float(k) for k in range(lo, hi + 1, step))
 
 
-_GAMMAS = tuple(np.linspace(1e-4, math.pi / 2, 200).tolist())
+def _linspace(lo, hi, n):
+    """n evenly spaced points lo + k (hi - lo)/(n - 1), the last one hi."""
+    step = (hi - lo) / (n - 1)
+    return [lo + k * step for k in range(n - 1)] + [hi]
+
+
+_GAMMAS = tuple(_linspace(1e-4, math.pi / 2, 200))
 # Each curve: its builder (args -> (header, rows)) and the options that
 # builder reads, with this curve's defaults (grids as tuples, since every
 # parse shares them).  A curve accepts no other option but --out and --format.
@@ -292,7 +292,7 @@ _CURVES = {
     "stattnb": (_curve_stattnb, {"--nb": tuple(range(2, 6)), "--d": _km(10, 240, 2),
                                  "--alpha": 0.25, "--eta-det": 0.1, "--pd": 1e-5,
                                  "--qber-opt": 0.01}),
-    "clonfid": (_curve_clonfid, {"--gamma": tuple(np.linspace(0.0, math.pi / 2, 100).tolist())}),
+    "clonfid": (_curve_clonfid, {"--gamma": tuple(_linspace(0.0, math.pi / 2, 100))}),
     "strongpulse": (functools.partial(_curve_distance,
                                       ["mu_prime", "intensity_ratio", "overlap", "p_e", "i_eve"],
                                       _strongpulse_row),
@@ -332,7 +332,7 @@ def _cmd_curve(args):
 
 def _cmd_report(args):
     gl = keyrate.geneva_lausanne_report(alpha=args.alpha)
-    payload = {k: v if isinstance(v, bool) else float(_fmt(v))
+    payload = {k: v if isinstance(v, bool) else float(_spec(type(v)) % v)
                for k, v in dataclasses.asdict(gl).items()}
     _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     return 0

@@ -18,6 +18,9 @@ import math
 from dataclasses import dataclass
 
 DEFAULT_ALPHA_DB_PER_KM = 0.25
+# Below this mu the attack moments and critical attenuations are summed as
+# the positive ``poisson_tails`` series; their closed forms cancel there.
+POSITIVE_SERIES_MU = 1e-3
 
 
 def positive_finite(value, name):
@@ -115,9 +118,10 @@ def poisson_tails(mu):
     and block-below-three attacks read, each divided by its leading term,
       A = sum_{n>=2} (n-1) t_n / (mu^2/2)    B = sum_{n>=2} t_n / (mu^2/2)
       C = sum_{n>=3} (n-2) t_n / (mu^3/6)    D = sum_{n>=3} t_n / (mu^3/6),
-    summed as positive series (for mu < 1e-3).  All four tend to 1 as mu -> 0,
-    so callers can take logs where mu^2 or mu^3 underflows.  mu must be
-    finite and >= 0, so no term is negative, and a NaN would end the loop."""
+    summed as positive series (for mu < POSITIVE_SERIES_MU).  All four tend
+    to 1 as mu -> 0, so callers can take logs where mu^2 or mu^3 underflows.
+    mu must be finite and >= 0, so no term is negative, and a NaN would end
+    the loop."""
     nonnegative_finite(mu, "mu")
     term, c, d, n = 1.0, 0.0, 0.0, 3
     while c + (n - 2) * term > c:
@@ -139,9 +143,10 @@ def poisson_moments(mu):
     the photons per pulse and the share of pulses that splitting one photon
     off (two-basis) and unambiguous three-copy discrimination concluding with
     probability 1/2 (four-state) give the eavesdropper.  The closed forms
-    cancel below mu = 1e-3, where the ``poisson_tails`` series are taken."""
+    cancel below mu = POSITIVE_SERIES_MU, where the ``poisson_tails`` series
+    are taken."""
     head = math.exp(-mu)
-    if mu < 1e-3:
+    if mu < POSITIVE_SERIES_MU:
         a, b, c, d = poisson_tails(mu)
         two = head * (mu * mu / 2.0)
         three = head * (mu * mu * mu / 12.0)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pnsqkd import attacks, cli
+from pnsqkd import attacks, cli, cloning
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(ROOT / "src")
@@ -258,10 +258,10 @@ def _emitted(header, rows, fmt):
 @example(math.inf)
 @example(-math.inf)
 def test_json_column_writes_each_number_as_json_dumps(x):
-    # _json_literal parses every _fmt text back to a float; _json_column
-    # keeps a fixed-notation text as it is
+    # _json_literal parses every %-format text back to a float but a
+    # fixed-notation one, which it keeps as it is
     assert cli._json_column([x]) == [cli._json_literal(x)]
-    assert cli._json_literal(x) == json.dumps(float(cli._fmt(x)))
+    assert cli._json_literal(x) == json.dumps(float(_fmt_oracle(x)))
 
 
 _FLOATS = st.floats() | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])
@@ -283,6 +283,20 @@ def test_json_column_of_repeated_values_writes_each_literal(column):
     # a column with at most half its values distinct is formatted per
     # distinct value; 0.0 and -0.0 are one dict key but print differently
     assert cli._json_column(column) == list(map(cli._json_literal, column))
+
+
+def test_default_grids_are_numpys_linspace():
+    def hexes(values):
+        return [float.hex(v) for v in values]
+
+    gammas = np.linspace(1e-4, math.pi / 2, 200).tolist()
+    for curve_id in ("ieclon12", "ieclon23"):
+        args = cli.build_parser().parse_args(["curve", curve_id])
+        assert hexes(args.gamma) == hexes(gammas)
+    args = cli.build_parser().parse_args(["curve", "clonfid"])
+    assert hexes(args.gamma) == hexes(np.linspace(0.0, math.pi / 2, 100).tolist())
+    xs = [x for machine, x, *_ in cli._curve_clonfid(args)[1] if machine == "cerf23"]
+    assert hexes(xs) == hexes(np.linspace(0.0, cloning.CERF23_X_MAX, 100).tolist())
 
 
 def test_pns42_computes_its_moments_once_per_curve(monkeypatch):

@@ -1,19 +1,23 @@
-"""The CLI's curve builders hold no physics: they call the library.  And
-README's Benchmark list names every committed benchmark result.
+"""The CLI's curve builders hold no physics: they call the library.  The
+package's ``__init__`` re-exports nothing that code reads.  And README's
+Benchmark list names every committed benchmark result.
 
 Parses ``src/pnsqkd/cli.py`` with ``ast`` and resolves every dotted
 reference through the module's imports, so ``np.clip`` under
 ``import numpy as np`` reads as ``numpy.clip``.  Information measures,
-error rates, square roots and clipping belong in the library modules, where
-the tests of those modules see them.
+error rates and square roots belong in the library modules, where the tests
+of those modules see them; array work, NumPy included, belongs there too.
 """
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CLI = ROOT / "src" / "pnsqkd" / "cli.py"
-FORBIDDEN = ("qmath", "photonics.qber_total", "math.sqrt", "numpy.clip")
+FORBIDDEN = ("qmath", "photonics.qber_total", "math.sqrt", "numpy")
 
 
 def _qualified_references(tree):
@@ -53,11 +57,29 @@ def test_cli_computes_no_formula():
 
 def test_the_check_sees_each_spelling():
     source = ("import math\nimport numpy as np\nfrom . import photonics, qmath\n"
-              "from .qmath import binary_information as h\n"
+              "from .qmath import binary_information as h\nfrom numpy import linspace\n"
               "x = math.sqrt(2) + np.clip(1, 0, 2) + h(photonics.qber_total(m, 1, 2))")
     found = {n for n in _qualified_references(ast.parse(source)) if _forbidden(n)}
-    assert found == {"qmath", "qmath.binary_information", "math.sqrt", "numpy.clip",
-                     "photonics.qber_total"}
+    assert found == {"qmath", "qmath.binary_information", "math.sqrt", "numpy", "numpy.clip",
+                     "numpy.linspace", "photonics.qber_total"}
+
+
+def test_importing_the_package_binds_and_loads_only_what_it_needs():
+    # code imports the submodules it reads; the package binds eig_hermitian
+    # only for the benchmark's tracing test
+    probe = ("import sys, types, pnsqkd\n"
+             "print(*[k for k, v in vars(pnsqkd).items() if not k.startswith('_')"
+             " and not isinstance(v, types.ModuleType)])\n"
+             "print(*[m for m in sys.modules if m.startswith('pnsqkd.')])\n"
+             "print(pnsqkd.__version__)")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=60, check=True)
+    names, loaded, version = proc.stdout.splitlines()
+    assert names.split() == ["eig_hermitian"]
+    assert version
+    unneeded = {f"pnsqkd.{m}" for m in ("attacks", "cloning", "keyrate", "validation", "cli")}
+    assert unneeded.isdisjoint(loaded.split())
 
 
 def test_readme_lists_every_benchmark_result():

@@ -1,0 +1,73 @@
+"""Shape guard: the monotone shapes each attack curve keeps, checked on dense
+seeded grids with plain float comparisons and no oracle.
+
+A value that is physical but wrong passes the range checks of
+test_properties.py, and an oracle covers only the points it is run on; a
+replaced formula that bends a curve the wrong way fails here.  Every
+inequality is non-strict: equal neighbours (I_Eve at 1 past the critical
+attenuation, information at 0) are allowed.
+"""
+import math
+import random
+
+import pytest
+
+from pnsqkd import attacks
+from pnsqkd.photonics import SourceChannelModel
+
+MUS = (1e-3, 1.1e-3, 0.05, 0.2, 0.5, 1.0, 2.0)
+DELTAS = [k * 0.25 for k in range(281)]  # 0 to 70 dB
+
+
+def _descents(xs, ys):
+    """The (x, y, next y) where y falls from one grid point to the next."""
+    return [(x, a, b) for x, a, b in zip(xs, ys, ys[1:]) if b < a]
+
+
+@pytest.mark.parametrize("mu", MUS)
+def test_information_grows_with_loss(mu):
+    curves = {
+        "bb84_pns": [attacks.bb84_pns(mu, d).i_eve for d in DELTAS],
+        "fourstate_irud_pns": [attacks.fourstate_irud_pns(mu, d).i_eve for d in DELTAS],
+        "fourstate_combined_info": [attacks.fourstate_combined_info(mu, d)[0] for d in DELTAS],
+    }
+    for eta in (0.3, math.pi / 3, 1.5):
+        moments = attacks.fourtwo_moments(eta, mu)
+        curves[f"fourtwo_pns eta={eta}"] = [attacks.fourtwo_pns(eta, d, mu, moments).i_eve
+                                            for d in DELTAS]
+    assert {name: _descents(DELTAS, ys) for name, ys in curves.items()} == {
+        name: [] for name in curves}
+
+
+def test_critical_attenuations_fall_with_mu():
+    mus = [1e-6 * (2e6) ** (k / 1260) for k in range(1261)]  # log-spaced, 1e-6 to 2
+    rises = {}
+    for critical in (attacks.bb84_critical_attenuation, attacks.fourstate_irud_critical):
+        deltas = [critical(mu) for mu in mus]
+        # a rise is a descent of the negated curve
+        rises[critical.__name__] = _descents(mus, [-d for d in deltas])
+    assert rises == {"bb84_critical_attenuation": [], "fourstate_irud_critical": []}
+
+
+def test_combined_attack_knows_at_least_the_block_below_three_attack():
+    # at f = 1 the combined attack stores nothing: that is the
+    # block-below-three attack, so the best f never learns less
+    rng = random.Random(17)
+    short = []
+    for _ in range(2000):
+        mu, delta = 10.0 ** rng.uniform(-6.0, math.log10(2.0)), rng.uniform(0.0, 70.0)
+        combined = attacks.fourstate_combined_info(mu, delta)[0]
+        block = attacks.fourstate_irud_pns(mu, delta).i_eve
+        if combined < block:
+            short.append((mu, delta, combined, block))
+    assert short == []
+
+
+def test_nb_storing_columns_trade_honest_for_eavesdropped_information():
+    model = SourceChannelModel()
+    deltas = [k * 0.25 for k in range(241)]  # 0 to 60 dB
+    found = {}
+    for n_bases in range(2, 9):
+        i_ab, i_eve = attacks.nb_storing_columns(n_bases, model, deltas)
+        found[n_bases] = (_descents(deltas, [-i for i in i_ab]), _descents(deltas, i_eve))
+    assert found == {n_bases: ([], []) for n_bases in range(2, 9)}
