@@ -80,15 +80,18 @@ def bb84_critical_attenuation(mu):
     return 10.0 * (math.log10(2.0) - math.log10(mu) - math.log10(a) + mu / math.log(10.0))
 
 
-def bb84_pns(mu, delta_db):
+def bb84_pns(mu, delta_db, moments=None):
     """Photon-number-splitting attack point for the two-basis protocol.
 
     Solves q mu + (1-q) R = mu 10^(-delta/10) for the untouched fraction q
     and weighs full information on split pulses against silence on passed
     ones: I = (1-q) S / (q + (1-q) S) with S the multiphoton fraction.
+    ``moments`` are ``poisson_moments(mu)``, computed here if not given.
     """
     positive_finite(mu, "mu")
-    r_split, s_multi, _, _ = poisson_moments(mu)
+    if moments is None:
+        moments = poisson_moments(mu)
+    r_split, s_multi, _, _ = moments
     return _rate_balanced_point(mu, delta_db, r_split, s_multi)
 
 
@@ -259,11 +262,14 @@ def fourstate_irud_critical(mu):
                    + mu / math.log(10.0))
 
 
-def fourstate_irud_pns(mu, delta_db):
+def fourstate_irud_pns(mu, delta_db, moments=None):
     """Block-below-three attack point for the four-state protocol: pulses
-    with >= 3 photons are discriminated unambiguously, the rest blocked."""
+    with >= 3 photons are discriminated unambiguously, the rest blocked.
+    ``moments`` are ``poisson_moments(mu)``, computed here if not given."""
     positive_finite(mu, "mu")
-    _, _, r_irud, s_irud = poisson_moments(mu)
+    if moments is None:
+        moments = poisson_moments(mu)
+    _, _, r_irud, s_irud = moments
     return _rate_balanced_point(mu, delta_db, r_irud, s_irud)
 
 
@@ -301,7 +307,7 @@ def _f_scan_indices(mu, required, r_store, s_store, r_irud, s_irud):
     return [0, *range(max(k0 - 2, 1), min(k0 + 2, 99) + 1), 100]
 
 
-def fourstate_combined_info(mu, delta_db):
+def fourstate_combined_info(mu, delta_db, moments=None):
     """Best undetectable mix of storing and multicopy-discrimination attacks.
 
     A fraction f of the attack capacity goes to unambiguous discrimination
@@ -337,10 +343,13 @@ def fourstate_combined_info(mu, delta_db):
     (32 (mu - R) + 6e4 mu).  Near the kink R - a cancels and the error grows
     like u R/(mu d), but those points are in the window.  Where a check fails
     (delta near 0, mu < 6e-10, a flat q > 0 piece) all 101 are read.
+    ``moments`` are ``poisson_moments(mu)``, computed here if not given.
     """
     positive_finite(mu, "mu")
     required = mu * transmission(nonnegative_finite(delta_db, "attenuation"))
-    r_store, s_store, r_irud, s_irud = moments = poisson_moments(mu)
+    if moments is None:
+        moments = poisson_moments(mu)
+    r_store, s_store, r_irud, s_irud = moments
     i_store = _FOURSTATE_STORING_INFO
 
     def info(f):

@@ -19,7 +19,7 @@ from json.encoder import encode_basestring_ascii
 
 from . import attacks, cloning, keyrate, validation
 from .attacks import InfeasibleModelError
-from .photonics import SourceChannelModel, nonnegative_finite, positive_finite
+from .photonics import SourceChannelModel, nonnegative_finite, poisson_moments, positive_finite
 
 # Cloning sweeps evaluate a whole grid as one stack, about 3 kB per point
 # for ieclon23 (tracemalloc peak of its curve builder over 1,000 points), so
@@ -156,16 +156,6 @@ def _model_from_args(args):
 
 # --- curve builders: each returns (header, rows) -----------------------------
 
-def _bb84_row(args, delta):
-    pt = attacks.bb84_pns(args.mu, delta)
-    return [pt.q_passed, pt.i_eve]
-
-
-def _figiepr_row(args, delta):
-    i_block = attacks.fourstate_irud_pns(args.mu, delta).i_eve
-    return i_block, attacks.fourstate_combined_info(args.mu, delta)[0]
-
-
 def _muopt_row(args, delta):
     return keyrate.optimal_mu(delta)
 
@@ -184,6 +174,24 @@ def _curve_distance(columns, row, args):
     return ["distance_km", "delta_db", *columns], rows
 
 
+def _curve_bb84(args):
+    moments = poisson_moments(args.mu)  # once per curve
+
+    def row(_, delta):
+        pt = attacks.bb84_pns(args.mu, delta, moments)
+        return [pt.q_passed, pt.i_eve]
+    return _curve_distance(["q", "i_eve"], row, args)
+
+
+def _curve_figiepr(args):
+    moments = poisson_moments(args.mu)  # once per curve
+
+    def row(_, delta):
+        return (attacks.fourstate_irud_pns(args.mu, delta, moments).i_eve,
+                attacks.fourstate_combined_info(args.mu, delta, moments)[0])
+    return _curve_distance(["i_eve_block_lt3", "i_eve_combined"], row, args)
+
+
 def _curve_pns42(args):
     moments = attacks.fourtwo_moments(args.eta, args.mu)  # once per curve
 
@@ -196,12 +204,11 @@ def _curve_pns42(args):
 def _curve_ieclon12(args):
     header = ["gamma", "disturbance", "qber_sifted", "i_ab", "i_eve_ng", "i_eve_cerf",
               "i_eve_bb84_ref"]
-    ng = cloning.sifted_points(cloning.make_ng12(args.gamma))
-    fidelity, ref = cloning.cerf12_fidelity_for_disturbance(ng)
-    cf = cloning.sifted_points(cloning.make_cerf12(fidelity))
-    columns = (args.gamma, ng["disturbance"].tolist(), ng["qber_sifted"].tolist(),
-               ng["i_ab"].tolist(), ng["i_eve"].tolist(), cf["i_eve"].tolist(), ref)
-    return header, [list(row) for row in zip(*columns)]
+    # the two machines' informations are one number (clause 07b)
+    points = cloning.ng12_sifted_rows(args.gamma)
+    rows = [(g, d, q, i_ab, i_eve, i_eve, ref)
+            for g, (d, q, i_ab, i_eve, ref) in zip(args.gamma, points)]
+    return header, rows
 
 
 def _curve_ieclon23(args):
@@ -276,13 +283,10 @@ _GAMMAS = tuple(_linspace(1e-4, math.pi / 2, 200))
 # builder reads, with this curve's defaults (grids as tuples, since every
 # parse shares them).  A curve accepts no other option but --out and --format.
 _CURVES = {
-    "pns-bb84": (functools.partial(_curve_distance, ["q", "i_eve"], _bb84_row),
-                 {"--mu": 0.1, "--alpha": 0.25, "--d": _km(0, 120, 1)}),
+    "pns-bb84": (_curve_bb84, {"--mu": 0.1, "--alpha": 0.25, "--d": _km(0, 120, 1)}),
     "pns-42": (_curve_pns42,
                {"--mu": 0.1, "--eta": math.pi / 3, "--alpha": 0.25, "--d": _km(0, 120, 1)}),
-    "figiepr": (functools.partial(_curve_distance, ["i_eve_block_lt3", "i_eve_combined"],
-                                  _figiepr_row),
-                {"--mu": 0.2, "--alpha": 0.25, "--d": _km(0, 120, 1)}),
+    "figiepr": (_curve_figiepr, {"--mu": 0.2, "--alpha": 0.25, "--d": _km(0, 120, 1)}),
     "muopt": (functools.partial(_curve_distance, ["mu_opt", "key_rate"], _muopt_row),
               {"--alpha": 0.25, "--d": _km(4, 160, 4)}),
     "ieclon12": (_curve_ieclon12, {"--gamma": _GAMMAS}),

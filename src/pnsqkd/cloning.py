@@ -5,16 +5,19 @@ and a Bell-ancilla construction) and their 2 -> 3 generalizations, the
 two-qubit one also symmetrized with its bit-flipped mirror.  Each is
 represented as an isometry from the input space (with the ancilla reference
 fixed) to the full output register; a factory called with a parameter grid
-returns the stack of those isometries.  ``sifted_points`` is the one
-evaluator of a cloning attack: for a machine or a stack it returns a dict
+returns the stack of those isometries.  ``sifted_points`` evaluates a
+cloning attack on any machine: for a machine or a stack it returns a dict
 of column arrays over the grid, which ``pns_cloning_attack``,
-``information_crossing`` and the CLI read as they are.  The attack model
-mirrors the protocol: the sender emits +x or +y (the announced pair), the
-receiver measures his clone, sifting succeeds when his outcome excludes
-one announced state, and the eavesdropper then discriminates her two
-conditional states with a minimum-error measurement, whose error is read
-in closed form from the QR factor of the receiver's four projected
-amplitudes, with no eigensolve.
+``information_crossing``, the 2 -> 3 curve of the CLI and the tests read
+as they are.  The attack model mirrors the protocol: the sender emits +x
+or +y (the announced pair), the receiver measures his clone, sifting
+succeeds when his outcome excludes one announced state, and the
+eavesdropper then discriminates her two conditional states with a
+minimum-error measurement, whose error is read in closed form from the QR
+factor of the receiver's four projected amplitudes, with no eigensolve.
+The two 1 -> 2 machines give one closed form in the disturbance,
+``ng12_sifted_rows``, which the CLI's 1 -> 2 curve reads with no machine
+built.
 """
 from __future__ import annotations
 
@@ -410,11 +413,47 @@ def information_crossing(points):
 
 def bb84_reference_information(disturbance):
     """Optimal individual-attack information for basis-revealing sifting:
-    1 - h(1/2 + sqrt(D (1 - D))).  Crosses 1 - h(D) at D = (1 - 1/sqrt 2)/2."""
+    1 - h(1/2 + sqrt(D (1 - D))), read from its gap sqrt(D (1 - D)).
+    Crosses 1 - h(D) at D = (1 - 1/sqrt 2)/2."""
     if not 0.0 <= disturbance <= 0.5:
         raise ValueError("disturbance must be in [0, 1/2]")
-    arg = 0.5 + math.sqrt(disturbance * (1.0 - disturbance))
-    return qmath.binary_information(1.0 - arg)
+    return qmath.gap_information(math.sqrt(disturbance * (1.0 - disturbance)))
+
+
+def _sifted_12(d, c):
+    """(q, 1/2 - q, 1/2 - p_e) of the sifted 1 -> 2 attack at disturbance d,
+    with c = 1 - 2d passed in exactly: cos gamma for ng12, 2F - 1 for cerf12.
+
+    q = 2d/(1 + 2d) (see ``sifted_points``), so 1/2 - q = c/(2(1 + 2d)),
+    and the gap of the eavesdropper's error is
+    t = sqrt(2d(1 - d))/(1 + 2d): on ng12 both signals are accepted with
+    weight 1 - (cos gamma)/2 and M has the eigenvalues
+    +-sin gamma/(sqrt 2 (2 - cos gamma)), and cerf12 at F = 1 - d gives the
+    same t, as clause 07b's Choi identity requires.
+    """
+    s = 1.0 + 2.0 * d
+    return 2.0 * d / s, 0.5 * c / s, math.sqrt(2.0 * d * (1.0 - d)) / s
+
+
+def ng12_sifted_rows(gammas):
+    """The sifted attack of the 1 -> 2 cloners at each of ng12's gammas, in
+    closed form and Python floats, with no machine built: one tuple
+    (disturbance, qber_sifted, i_ab, i_eve, i_eve_bb84_ref) per gamma.
+
+    The disturbance is D = sin^2(gamma/2) and each information is read from
+    its gap by ``qmath.gap_information``, never from an error rate near
+    1/2.  i_eve is that of both machines, ng12 at gamma and cerf12 at
+    F = 1 - D, and i_eve_bb84_ref is ``bb84_reference_information(D)``.
+    """
+    rows = []
+    for g in gammas:
+        if not 0.0 <= g <= math.pi / 2:
+            raise ValueError("gamma must be in [0, pi/2]")
+        d = math.sin(0.5 * g) ** 2
+        q, gap_ab, gap_eve = _sifted_12(d, math.cos(g))
+        rows.append((d, q, qmath.gap_information(gap_ab), qmath.gap_information(gap_eve),
+                     bb84_reference_information(d)))
+    return rows
 
 
 def ngs23_gamma_for_disturbance(d):
@@ -425,14 +464,6 @@ def ngs23_gamma_for_disturbance(d):
     if not ng23_fidelities(hi)[0] - 1e-12 <= target <= ng23_fidelities(lo)[0] + 1e-12:
         raise ValueError("disturbance out of range for this machine")
     return solvers.root_decreasing(lambda g: ng23_fidelities(g)[0] - target, lo, hi)
-
-
-def cerf12_fidelity_for_disturbance(points):
-    """Fidelity F = 1 - D of the Bell-ancilla 1 -> 2 cloner with disturbance D,
-    the ``disturbance`` column of ``sifted_points`` clipped to [0, 1/2], and
-    ``bb84_reference_information`` at each D: (array of F, list)."""
-    d = np.clip(points["disturbance"], 0.0, 0.5)
-    return 1.0 - d, [bb84_reference_information(x) for x in d.tolist()]
 
 
 def cerf23_x_for_disturbance(points):

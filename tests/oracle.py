@@ -3,10 +3,11 @@
 Each function takes the float inputs the program works from and evaluates
 them in Decimal arithmetic, each at its own working precision: enough
 digits to absorb the cancellation of the closed form it sums, as its
-docstring states.  ``binary_information`` and ``sifted_helstrom_error``
-round to ``DIGITS`` significant digits; the others return the Decimal at
-their working precision.  The tests compare the program's floats with these
-values; ``mpmath`` is not used.
+docstring states.  ``binary_information``, ``gap_information`` and
+``sifted_helstrom_error`` round to ``DIGITS`` significant digits, and
+``ng12_sifted`` returns its values so; the others return the Decimal at
+their working precision.  The tests compare the program's floats with
+these values; ``mpmath`` is not used.
 """
 from decimal import Decimal, localcontext
 
@@ -26,6 +27,24 @@ def binary_information(p):
             if x > 0:
                 total += x * x.ln()
         result = 1 + total / Decimal(2).ln()
+        ctx.prec = DIGITS
+        return +result
+
+
+def gap_information(t):
+    """1 - h(1/2 - t) = ((1 + x) ln(1 + x) + (1 - x) ln(1 - x)) / (2 ln 2),
+    x = 2t, for a Decimal (or float) t in [0, 1/2].  The two products are
+    about +-x and their sum about x^2, so the working precision grows by
+    twice the decimal exponent of t: 370 digits at t = 1e-150."""
+    with localcontext() as ctx:
+        t = Decimal(t)
+        ctx.prec = _PREC + (2 * -t.adjusted() if t else 0)
+        x = 2 * t
+        total = Decimal(0)
+        for y in (1 + x, 1 - x):
+            if y > 0:
+                total += y * y.ln()
+        result = total / (2 * Decimal(2).ln())
         ctx.prec = DIGITS
         return +result
 
@@ -129,6 +148,27 @@ def two_mode_overlap(n, t):
         ctx.prec = 50
         one, dt = Decimal(1), Decimal(t)
         return ((one - dt) / (one + dt)) ** Decimal(n)
+
+
+def ng12_sifted(gamma):
+    """The sifted attack of the two-qubit 1 -> 2 cloner at a float gamma, in
+    closed form: D = sin^2(gamma/2) = (1 - cos gamma)/2, q = 2D/(1 + 2D),
+    I_AB = 1 - h(q) from the gap 1/2 - q = cos gamma / (2 (1 + 2D)), I_Eve
+    from the gap t = sqrt(2D(1 - D))/(1 + 2D) and the basis-revealing
+    reference from the gap sqrt(D(1 - D)).  Returns (D, q, I_AB, I_Eve,
+    I_ref), each to ``DIGITS`` digits.  ``decimal_cos`` is good to 1e-110
+    absolute at 130 digits, so D keeps 100 digits at gamma = 1e-4 and the
+    honest gap keeps 90 at gamma = fl(pi/2), where cos gamma = 6.1e-17."""
+    with localcontext() as ctx:
+        ctx.prec = 130
+        c = decimal_cos(Decimal(gamma))
+        d = (1 - c) / 2
+        q = 2 * d / (1 + 2 * d)
+        gaps = (c / (2 * (1 + 2 * d)), (2 * d * (1 - d)).sqrt() / (1 + 2 * d),
+                (d * (1 - d)).sqrt())
+        infos = [gap_information(g) for g in gaps]
+        ctx.prec = DIGITS
+        return (+d, +q, *infos)
 
 
 def _mul(a, b):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pnsqkd import attacks, cli, cloning
+from pnsqkd import attacks, cli, cloning, photonics
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(ROOT / "src")
@@ -309,6 +309,35 @@ def test_pns42_computes_its_moments_once_per_curve(monkeypatch):
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(argv) == 0
         assert len(calls) == 1
+
+
+@pytest.mark.parametrize("curve_id", ["pns-bb84", "figiepr"])
+def test_distance_curves_compute_their_poisson_moments_once(curve_id, monkeypatch):
+    # the CLI computes them, and the attack functions would if not handed them
+    calls = []
+    moments = photonics.poisson_moments
+
+    def counted(*args):
+        calls.append(args)
+        return moments(*args)
+    monkeypatch.setattr(cli, "poisson_moments", counted)
+    monkeypatch.setattr(attacks, "poisson_moments", counted)
+    for argv in (["curve", curve_id], ["curve", curve_id, *_BENCH_ARGS[curve_id]]):
+        calls.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        assert len(calls) == 1
+
+
+def test_ieclon12_builds_no_cloning_machine(monkeypatch):
+    # the curve is the closed form of ng12_sifted_rows: no isometry and no QR
+    def unused(*args, **kwargs):
+        raise AssertionError("the closed form needs no machine")
+    for name in ("make_ng12", "make_cerf12", "sifted_points"):
+        monkeypatch.setattr(cloning, name, unused)
+    for argv in (["curve", "ieclon12"], ["curve", "ieclon12", *_BENCH_ARGS["ieclon12"]]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
 
 
 # One argument set per curve, shaped like the benchmark's invocations of it.

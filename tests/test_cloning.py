@@ -569,6 +569,60 @@ class TestSiftedAttack:
             assert cf["i_eve"][0] == pytest.approx(ng["i_eve"][0], abs=1e-9)
 
 
+def _within_ulps(a, b, ulps=8):
+    """a and b agree to ``ulps`` units in the last place of b, or to 2^-104
+    (an ulp of 1, squared), the size of the residue that the evaluator's
+    products of unit-size amplitudes leave where D is exactly 0."""
+    return bool(np.all(np.abs(a - b) <= ulps * np.spacing(np.abs(b)) + 2.0 ** -104))
+
+
+class TestNg12ClosedForm:
+    """``ng12_sifted_rows``, what ``curve ieclon12`` prints, against the
+    machines' own evaluator on the FACTORY_GRIDS grids of both 1 -> 2
+    machines: cerf12 at F has D = 1 - F and cos gamma = 2F - 1, both exact."""
+
+    def test_matches_sifted_points_on_the_ng12_grid(self):
+        gammas = FACTORY_GRIDS[0][1]
+        rows = np.array(cloning.ng12_sifted_rows(gammas.tolist()))
+        points = sifted_points(make_ng12(gammas))
+        assert _within_ulps(rows[:, 0], points["disturbance"])
+        assert _within_ulps(rows[:, 1], points["qber_sifted"])
+        p_e = [0.5 - cloning._sifted_12(d, math.cos(g))[2]
+               for d, g in zip(rows[:, 0].tolist(), gammas.tolist())]
+        assert np.max(np.abs(p_e - points["p_e"])) <= 1e-15
+
+    def test_matches_sifted_points_on_the_cerf12_grid(self):
+        fidelities = FACTORY_GRIDS[1][1]
+        points = sifted_points(make_cerf12(fidelities))
+        d = 1.0 - fidelities
+        assert _within_ulps(d, points["disturbance"])
+        gaps = np.array([cloning._sifted_12(x, 2.0 * f - 1.0)
+                         for x, f in zip(d.tolist(), fidelities.tolist())])
+        assert _within_ulps(gaps[:, 0], points["qber_sifted"])
+        assert np.max(np.abs(0.5 - gaps[:, 2] - points["p_e"])) <= 1e-15
+
+    def test_informations_are_read_from_their_gaps(self):
+        gammas = _log_uniform(1e-8, math.pi / 2, 50, seed=12) + [0.0, math.pi / 2]
+        for g, (d, q, i_ab, i_eve, ref) in zip(gammas, cloning.ng12_sifted_rows(gammas)):
+            _, gap_ab, gap_eve = cloning._sifted_12(d, math.cos(g))
+            assert 0.0 <= d <= 0.5
+            assert 0.5 - gap_ab == pytest.approx(q, abs=1e-16)
+            assert (i_ab, i_eve, ref) == (qmath.gap_information(gap_ab),
+                                          qmath.gap_information(gap_eve),
+                                          bb84_reference_information(d))
+
+    @pytest.mark.parametrize("gamma", [-1e-300, math.nextafter(math.pi / 2, 2.0), 2.0, math.nan])
+    def test_rejects_gamma_outside_the_range(self, gamma):
+        with pytest.raises(ValueError, match=r"gamma must be in \[0, pi/2\]"):
+            cloning.ng12_sifted_rows([0.5, gamma])
+
+    def test_peak_is_at_a_quarter_disturbance(self):
+        # t = sqrt(2D(1 - D))/(1 + 2D) peaks at D = 1/4 (gamma = pi/3) with t = 1/sqrt 6
+        d, _, _, i_eve, _ = cloning.ng12_sifted_rows([math.pi / 3])[0]
+        assert d == pytest.approx(0.25, rel=1e-15)
+        assert i_eve == pytest.approx(qmath.gap_information(1.0 / math.sqrt(6.0)), rel=1e-15)
+
+
 def _log_uniform(lo, hi, n, seed):
     """n seeded draws, log-uniform over [lo, hi]."""
     rng = random.Random(seed)
@@ -636,16 +690,9 @@ class TestCerfInversions:
     D = np.concatenate([np.linspace(0.0, 0.5, 2001), np.geomspace(1e-12, 0.5, 500)])
 
     def test_cerf12_machine_gives_back_the_disturbance(self):
-        fidelity, ref = cloning.cerf12_fidelity_for_disturbance({"disturbance": self.D})
-        back = sifted_points(make_cerf12(fidelity))["disturbance"]
+        # F = 1 - D, so ng12_sifted_rows holds for cerf12 at that F
+        back = sifted_points(make_cerf12(1.0 - self.D))["disturbance"]
         np.testing.assert_allclose(back, self.D, rtol=0.0, atol=1e-15)
-        assert ref == [bb84_reference_information(d) for d in self.D.tolist()]
-
-    def test_cerf12_clips_the_disturbance_to_half(self):
-        fidelity, ref = cloning.cerf12_fidelity_for_disturbance(
-            {"disturbance": np.array([-1e-17, 0.7])})
-        assert fidelity.tolist() == [1.0, 0.5]
-        assert ref == [bb84_reference_information(0.0), bb84_reference_information(0.5)]
 
     def test_cerf23_clone_pair_fidelity_is_one_minus_the_disturbance(self):
         machine = make_cerf23(cloning.cerf23_x_for_disturbance({"disturbance": self.D}))

@@ -1,0 +1,76 @@
+"""Every printed digit of the scalar commands against the 50-digit oracle.
+
+A command runs in-process at its default arguments, and each number it
+prints must equal the oracle's value rounded to 12 significant digits.
+Where the oracle lies within 2% of a last-digit unit of a rounding
+boundary, either neighbour passes: the float the program prints from is a
+few ulps from the exact value, and such a value may round either way.
+"""
+import contextlib
+import io
+from decimal import ROUND_FLOOR, Decimal, localcontext
+
+import oracle
+from pnsqkd import cli
+
+_BOUNDARY_SLACK = Decimal("0.02")
+
+
+def _printed_at_12_digits(text, exact):
+    """True when ``text`` (a %.12g print) is ``exact`` rounded to 12
+    significant digits, or either neighbour near a rounding boundary."""
+    printed = Decimal(text)
+    if exact == 0:
+        return printed == 0
+    with localcontext() as ctx:
+        ctx.prec = oracle.DIGITS + 20
+        unit = Decimal(1).scaleb(exact.adjusted() - 11)
+        scaled = abs(exact) / unit  # in [1e11, 1e12)
+        low = scaled.to_integral_value(rounding=ROUND_FLOOR)
+        excess = scaled - low - Decimal("0.5")
+        if abs(excess) <= _BOUNDARY_SLACK:
+            allowed = (low, low + 1)
+        else:
+            allowed = (low + 1 if excess > 0 else low,)
+        return any(printed == (k * unit).copy_sign(exact) for k in allowed)
+
+
+def _csv(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert cli.main(argv) == 0
+    header, *lines = buf.getvalue().splitlines()
+    return header.split(","), [line.split(",") for line in lines]
+
+
+def _misprinted(header, rows, exact_rows):
+    """(column, first column's text, printed, oracle) of every value off."""
+    return [(h, row[0], text, f"{exact:.15g}")
+            for row, exact_row in zip(rows, exact_rows)
+            for h, text, exact in zip(header, row, exact_row)
+            if not _printed_at_12_digits(text, exact)]
+
+
+def test_boundary_rule():
+    assert _printed_at_12_digits("0.123456789012", Decimal("0.1234567890124"))
+    assert not _printed_at_12_digits("0.123456789012", Decimal("0.1234567890126"))
+    # within 2% of a unit of the boundary either neighbour passes
+    for text in ("1.23456789012e-30", "1.23456789013e-30"):
+        assert _printed_at_12_digits(text, Decimal("1.2345678901251e-30"))
+    assert not _printed_at_12_digits("1.23456789012e-30", Decimal("1.2345678901271e-30"))
+    # a rounding that carries into the next decade
+    assert _printed_at_12_digits("1", Decimal("0.99999999999996"))
+    assert _printed_at_12_digits("-2.5", Decimal("-2.5"))
+    assert _printed_at_12_digits("0", Decimal(0))
+    assert not _printed_at_12_digits("6.76155000303e-34", Decimal(0))
+
+
+def test_ieclon12_prints_the_closed_form_at_every_digit():
+    header, rows = _csv(["curve", "ieclon12"])
+    args = cli.build_parser().parse_args(["curve", "ieclon12"])
+    assert len(rows) == len(args.gamma) == 200
+    exact_rows = []
+    for g in args.gamma:
+        d, q, i_ab, i_eve, i_ref = oracle.ng12_sifted(g)
+        exact_rows.append((Decimal(g), d, q, i_ab, i_eve, i_eve, i_ref))
+    assert _misprinted(header, rows, exact_rows) == []

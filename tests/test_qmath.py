@@ -262,6 +262,38 @@ class TestBinaryInformation:
         assert val == pytest.approx(binary_information(1.0 - p), abs=1e-12)
 
 
+class TestGapInformation:
+    # log-spaced from 1e-150 to 1/2, the switch at 1/4 and its neighbours,
+    # and 1/2 - 10^-k, where p = 1/2 - t is near 0
+    GAPS = ([0.5 * 10.0 ** (-k / 4) for k in range(601)]
+            + [0.25, math.nextafter(0.25, 0.0), math.nextafter(0.25, 1.0)]
+            + [0.5 - 10.0 ** -k for k in range(1, 17)])
+
+    def test_matches_the_oracle_to_1e_15_relative(self):
+        worst = max(abs(decimal.Decimal(qmath.gap_information(t)) / oracle.gap_information(t) - 1)
+                    for t in self.GAPS)
+        assert worst <= 1e-15
+
+    def test_ends(self):
+        assert qmath.gap_information(0.0) == 0.0
+        assert qmath.gap_information(0.5) == 1.0
+        assert oracle.gap_information(0) == 0
+        assert oracle.gap_information(decimal.Decimal("0.5")) == 1
+
+    def test_is_the_information_of_half_minus_the_gap(self):
+        # where 1/2 - t does not cancel the two forms agree
+        for t in (0.05, 0.1, 0.2, 0.249, 0.3, 0.45):
+            assert qmath.gap_information(t) == pytest.approx(
+                binary_information(0.5 - t), rel=1e-14)
+        assert float(oracle.gap_information(0.2)) == pytest.approx(
+            float(oracle.binary_information(decimal.Decimal("0.3"))), rel=1e-15)
+
+    @pytest.mark.parametrize("t", [-1e-300, math.nextafter(0.5, 1.0), math.nan, math.inf])
+    def test_range_check(self, t):
+        with pytest.raises(ValueError, match="gap out of range"):
+            qmath.gap_information(t)
+
+
 class TestTwoModeNumberState:
     def test_vacuum(self):
         v = two_mode_number_state(0, 0.3, 0.5)

@@ -4,15 +4,16 @@ seeded grids with plain float comparisons and no oracle.
 A value that is physical but wrong passes the range checks of
 test_properties.py, and an oracle covers only the points it is run on; a
 replaced formula that bends a curve the wrong way fails here.  Every
-inequality is non-strict: equal neighbours (I_Eve at 1 past the critical
-attenuation, information at 0) are allowed.
+inequality between neighbouring grid points is non-strict: equal
+neighbours (I_Eve at 1 past the critical attenuation, information at 0)
+are allowed.
 """
 import math
 import random
 
 import pytest
 
-from pnsqkd import attacks
+from pnsqkd import attacks, cloning, keyrate
 from pnsqkd.photonics import SourceChannelModel
 
 MUS = (1e-3, 1.1e-3, 0.05, 0.2, 0.5, 1.0, 2.0)
@@ -71,3 +72,39 @@ def test_nb_storing_columns_trade_honest_for_eavesdropped_information():
         i_ab, i_eve = attacks.nb_storing_columns(n_bases, model, deltas)
         found[n_bases] = (_descents(deltas, [-i for i in i_ab]), _descents(deltas, i_eve))
     assert found == {n_bases: ([], []) for n_bases in range(2, 9)}
+
+
+def test_strong_pulse_information_grows_towards_its_asymptote():
+    # checked to 100 dB, where the gap to the asymptote is still about 1e-10
+    # relative; from about 110 dB on the curve lies within an ulp or two of
+    # it, where rounding moves it by an ulp either way
+    deltas = [k * 0.05 for k in range(2001)]
+    found = {}
+    for mu in (1e-3, 0.01, 0.025, 0.1, 0.2, 0.5, 0.9, 0.999):
+        infos = [attacks.StrongPulseModel(mu, d).b92()[2] for d in deltas]
+        limit = attacks.strongpulse_asymptotic_info(mu)
+        found[mu] = (_descents(deltas, infos), [d for d, i in zip(deltas, infos) if i > limit])
+    assert found == {mu: ([], []) for mu in found}
+
+
+def test_ng12_information_peaks_at_a_quarter_disturbance():
+    # dt/dgamma has the sign of 2 cos gamma - 1, so I_Eve rises up to
+    # gamma = pi/3 (D = 1/4, t = 1/sqrt 6) and falls after it
+    gammas = [k * (math.pi / 2) / 1200 for k in range(1201)]  # pi/3 is k = 800
+    infos = [row[3] for row in cloning.ng12_sifted_rows(gammas)]
+    peak = infos.index(max(infos))
+    assert peak == 800
+    assert _descents(gammas[:peak + 1], infos[:peak + 1]) == []
+    assert _descents(gammas[peak:], [-i for i in infos[peak:]]) == []
+    assert infos[peak] == pytest.approx(0.557710, abs=5e-7)
+
+
+def test_storing_attack_sets_the_critical_attenuation_for_every_nb():
+    # the storing crossing delta2 lies below the USD bound delta1 for
+    # n_b = 2..8 (clause 10a checks 2..5)
+    above = {}
+    for n_bases in range(2, 9):
+        s = keyrate.nb_security_summary(n_bases, SourceChannelModel())
+        if not s.delta2_db < s.delta1_db:
+            above[n_bases] = (s.delta1_db, s.delta2_db)
+    assert above == {}
