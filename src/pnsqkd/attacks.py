@@ -12,7 +12,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import discrimination, photonics, qmath
 from .photonics import (
@@ -32,8 +32,7 @@ STORING_OVERLAP = 1.0 / math.sqrt(2.0)  # announced-pair overlap in the four-sta
 BOB_FLOOR = 10.0  # photons the strong reference pulse must deliver to the receiver
 
 
-@dataclass
-class AttackPoint:
+class AttackPoint(NamedTuple):
     """Attack evaluation at a single attenuation."""
 
     q_passed: float
@@ -189,55 +188,33 @@ def fourtwo_pns(eta, delta_db, reference_mu=0.1, moments=None):
 # ---------------------------------------------------------------------------
 # two-state protocol with a strong reference pulse
 
-@dataclass(frozen=True)
-class StrongPulseModel:
-    """Weak signal plus strong reference pulse, receiver floor of 10 photons.
+def strongpulse_b92(mu, delta_db):
+    """Eavesdropper information against the strong-pulse two-state scheme:
+    a weak signal of mean photon number mu plus a strong reference pulse.
 
     The reference must always arrive, so its mean photon number grows with
-    the attenuation: mu_prime 10^(-delta/10) = BOB_FLOOR.
+    the attenuation: mu' 10^(-delta/10) = BOB_FLOOR.  She measures the total
+    photon number, forwards the floor the receiver expects and keeps the
+    rest, then discriminates two pure states with overlap
+    ((1-t)/(1+t))^(mu' - floor) where t = mu/mu'.  Returns
+    (mu', t, overlap, error probability, information).  As the distance
+    grows the overlap tends to e^(-2 mu), so the information saturates and
+    the protocol stays secure at any loss.
     """
-
-    mu: float
-    delta_db: float
-
-    def __post_init__(self):
-        if not 0 < self.mu < 1:
-            raise ValueError("mu must be in (0, 1)")
-        nonnegative_finite(self.delta_db, "attenuation")
-        try:
-            finite = math.isfinite(self.mu_prime)
-        except OverflowError:
-            finite = False
-        if not finite:
-            raise ValueError(f"attenuation {self.delta_db:g} dB too large: "
-                             "the reference pulse overflows")
-
-    @property
-    def mu_prime(self):
-        return BOB_FLOOR * 10.0 ** (self.delta_db / 10.0)
-
-    @property
-    def intensity_ratio(self):
-        return self.mu / self.mu_prime
-
-    def b92(self):
-        """Eavesdropper information against the strong-pulse two-state scheme.
-
-        She measures the total photon number, forwards the floor the receiver
-        expects and keeps the rest, then discriminates two pure states with
-        overlap ((1-t)/(1+t))^(mu' - floor) where t = mu/mu'.  Returns
-        (overlap, error probability, information).  As the distance grows the
-        overlap tends to e^(-2 mu), so the information saturates and the
-        protocol stays secure at any loss.
-        """
-        overlap = qmath.two_mode_overlap(self.mu_prime - BOB_FLOOR, self.intensity_ratio)
-        p_e = qmath.pure_state_error(overlap)
-        return overlap, p_e, qmath.binary_information(p_e)
-
-
-def strongpulse_b92(delta_db, mu):
-    """(overlap, error probability, information) of ``StrongPulseModel.b92``."""
-    return StrongPulseModel(mu, delta_db).b92()
+    if not 0 < mu < 1:
+        raise ValueError("mu must be in (0, 1)")
+    nonnegative_finite(delta_db, "attenuation")
+    try:
+        mu_prime = BOB_FLOOR * 10.0 ** (delta_db / 10.0)
+    except OverflowError:
+        mu_prime = math.inf
+    if not math.isfinite(mu_prime):
+        raise ValueError(f"attenuation {delta_db:g} dB too large: "
+                         "the reference pulse overflows")
+    ratio = mu / mu_prime
+    overlap = qmath.two_mode_overlap(mu_prime - BOB_FLOOR, ratio)
+    p_e = qmath.pure_state_error(overlap)
+    return mu_prime, ratio, overlap, p_e, qmath.binary_information(p_e)
 
 
 def strongpulse_asymptotic_info(mu):

@@ -8,7 +8,6 @@ separator, '\\n' line endings).  Exit codes: 0 success, 1 failed self check,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import itertools
 import json
@@ -156,49 +155,43 @@ def _model_from_args(args):
 
 # --- curve builders: each returns (header, rows) -----------------------------
 
-def _muopt_row(args, delta):
-    return keyrate.optimal_mu(delta)
-
-
-def _strongpulse_row(args, delta):
-    pulse = attacks.StrongPulseModel(args.mu, delta)
-    return [pulse.mu_prime, pulse.intensity_ratio, *pulse.b92()]
-
-
-def _curve_distance(columns, row, args):
-    """A curve over the --d grid: distance_km, delta_db and row(args, delta)."""
+def _curve_distance(args, columns, row):
+    """A curve over the --d grid: distance_km, delta_db and row(delta)."""
     rows = []
     for d in args.d:
         delta = d * args.alpha
-        rows.append([d, delta, *row(args, delta)])
+        rows.append([d, delta, *row(delta)])
     return ["distance_km", "delta_db", *columns], rows
 
 
 def _curve_bb84(args):
     moments = poisson_moments(args.mu)  # once per curve
-
-    def row(_, delta):
-        pt = attacks.bb84_pns(args.mu, delta, moments)
-        return [pt.q_passed, pt.i_eve]
-    return _curve_distance(["q", "i_eve"], row, args)
+    return _curve_distance(args, ["q", "i_eve"],
+                           lambda delta: attacks.bb84_pns(args.mu, delta, moments))
 
 
 def _curve_figiepr(args):
     moments = poisson_moments(args.mu)  # once per curve
 
-    def row(_, delta):
+    def row(delta):
         return (attacks.fourstate_irud_pns(args.mu, delta, moments).i_eve,
                 attacks.fourstate_combined_info(args.mu, delta, moments)[0])
-    return _curve_distance(["i_eve_block_lt3", "i_eve_combined"], row, args)
+    return _curve_distance(args, ["i_eve_block_lt3", "i_eve_combined"], row)
 
 
 def _curve_pns42(args):
     moments = attacks.fourtwo_moments(args.eta, args.mu)  # once per curve
+    return _curve_distance(args, ["q", "i_eve"],
+                           lambda delta: attacks.fourtwo_pns(args.eta, delta, args.mu, moments))
 
-    def row(_, delta):
-        pt = attacks.fourtwo_pns(args.eta, delta, args.mu, moments)
-        return [pt.q_passed, pt.i_eve]
-    return _curve_distance(["q", "i_eve"], row, args)
+
+def _curve_muopt(args):
+    return _curve_distance(args, ["mu_opt", "key_rate"], keyrate.optimal_mu)
+
+
+def _curve_strongpulse(args):
+    return _curve_distance(args, ["mu_prime", "intensity_ratio", "overlap", "p_e", "i_eve"],
+                           lambda delta: attacks.strongpulse_b92(args.mu, delta))
 
 
 def _curve_ieclon12(args):
@@ -287,8 +280,7 @@ _CURVES = {
     "pns-42": (_curve_pns42,
                {"--mu": 0.1, "--eta": math.pi / 3, "--alpha": 0.25, "--d": _km(0, 120, 1)}),
     "figiepr": (_curve_figiepr, {"--mu": 0.2, "--alpha": 0.25, "--d": _km(0, 120, 1)}),
-    "muopt": (functools.partial(_curve_distance, ["mu_opt", "key_rate"], _muopt_row),
-              {"--alpha": 0.25, "--d": _km(4, 160, 4)}),
+    "muopt": (_curve_muopt, {"--alpha": 0.25, "--d": _km(4, 160, 4)}),
     "ieclon12": (_curve_ieclon12, {"--gamma": _GAMMAS}),
     "ieclon23": (_curve_ieclon23, {"--gamma": _GAMMAS, "--mu": 0.2, "--delta": 12.0}),
     "dcrit": (_curve_dcrit, {"--nb": tuple(range(2, 9)), "--alpha": 0.25, "--eta-det": 0.1,
@@ -297,10 +289,7 @@ _CURVES = {
                                  "--alpha": 0.25, "--eta-det": 0.1, "--pd": 1e-5,
                                  "--qber-opt": 0.01}),
     "clonfid": (_curve_clonfid, {"--gamma": tuple(_linspace(0.0, math.pi / 2, 100))}),
-    "strongpulse": (functools.partial(_curve_distance,
-                                      ["mu_prime", "intensity_ratio", "overlap", "p_e", "i_eve"],
-                                      _strongpulse_row),
-                    {"--mu": 0.025, "--alpha": 0.25, "--d": _km(0, 240, 2)}),
+    "strongpulse": (_curve_strongpulse, {"--mu": 0.025, "--alpha": 0.25, "--d": _km(0, 240, 2)}),
 }
 CURVE_IDS = tuple(_CURVES)
 
@@ -337,7 +326,7 @@ def _cmd_curve(args):
 def _cmd_report(args):
     gl = keyrate.geneva_lausanne_report(alpha=args.alpha)
     payload = {k: v if isinstance(v, bool) else float(_spec(type(v)) % v)
-               for k, v in dataclasses.asdict(gl).items()}
+               for k, v in vars(gl).items()}
     _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     return 0
 

@@ -127,12 +127,37 @@ def decimal_cos(x):
     return total
 
 
+def rate_balanced_point(mu, delta_db, rate, fraction):
+    """(q, I_Eve) of an attack that supplies ``rate`` photons per pulse and
+    concludes on a ``fraction`` of the pulses it attacks, at 100 digits:
+    q mu + (1 - q) rate = mu 10^(-delta/10) and
+    I = (1 - q) fraction / (q + (1 - q) fraction); (0, 1) where the attack
+    alone supplies the rate.  ``rate`` and ``fraction`` are Decimals."""
+    with localcontext() as ctx:
+        ctx.prec = 100
+        mu = Decimal(mu)
+        required = mu * Decimal(10) ** (-Decimal(delta_db) / 10)
+        if rate >= required:
+            return Decimal(0), Decimal(1)
+        q = (required - rate) / (mu - rate)
+        return q, (1 - q) * fraction / (q + (1 - q) * fraction)
+
+
+def fourtwo_mu(eta, reference_mu):
+    """reference_mu / (1 - cos eta) at the exact eta and reference_mu of the
+    floats, at 130 digits: ``decimal_cos`` is good to 1e-110 absolute, so
+    1 - cos eta keeps 100 digits down to eta = 1e-4."""
+    with localcontext() as ctx:
+        ctx.prec = 130
+        return Decimal(reference_mu) / (1 - decimal_cos(Decimal(eta)))
+
+
 def fourtwo_rate_and_fraction(eta, mu):
     """(E, F) of the four-plus-two filter attack to 40 digits, from
     F = P(n>=2) - (e^(-mu s) - e^-mu - mu c e^-mu)/c and
-    E = (mu - 1 + e^-mu) - (c/s) F at the exact eta and mu of the floats.
-    100 working digits absorb the cancellation in both (about 35 digits
-    at eta = pi/2, where c ~ 6e-17)."""
+    E = (mu - 1 + e^-mu) - (c/s) F at the exact eta and mu (a float or a
+    Decimal).  100 working digits absorb the cancellation in both (about 35
+    digits at eta = pi/2, where c ~ 6e-17)."""
     with localcontext() as ctx:
         ctx.prec = 100
         c = decimal_cos(Decimal(eta))
@@ -148,6 +173,20 @@ def two_mode_overlap(n, t):
         ctx.prec = 50
         one, dt = Decimal(1), Decimal(t)
         return ((one - dt) / (one + dt)) ** Decimal(n)
+
+
+def strongpulse_row(mu, delta_db):
+    """(mu', mu/mu', overlap, p_e, I_Eve) of the strong-reference-pulse
+    scheme at 50 digits: mu' = 10 10^(delta/10), the overlap
+    ``two_mode_overlap(mu' - 10, mu/mu')``, p_e = (1 - sqrt(1 - c^2))/2 and
+    I_Eve = ``binary_information(p_e)``."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        mu_prime = 10 * Decimal(10) ** (Decimal(delta_db) / 10)
+        ratio = Decimal(mu) / mu_prime
+        overlap = two_mode_overlap(mu_prime - 10, ratio)
+        p_e = (1 - (1 - overlap * overlap).sqrt()) / 2
+        return mu_prime, ratio, overlap, p_e, binary_information(p_e)
 
 
 def ng12_sifted(gamma):

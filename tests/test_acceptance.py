@@ -92,7 +92,7 @@ def test_criterion_05a_strongpulse_asymptote_low_mu():
     form; and the finite-distance curve rises towards it from below.
     """
     mu = 0.025
-    overlap = attacks.strongpulse_b92(60.0, mu)[0]
+    overlap = attacks.strongpulse_b92(mu, 60.0)[2]
     rounded = round(overlap, 2)
     info_rounded = qmath.binary_information(0.5 * (1 - math.sqrt(1 - rounded**2)))
 
@@ -100,7 +100,7 @@ def test_criterion_05a_strongpulse_asymptote_low_mu():
     closed = 1 + p * math.log2(p) + (1 - p) * math.log2(1 - p)
     asymptote = attacks.strongpulse_asymptotic_info(mu)
 
-    curve = [attacks.strongpulse_b92(d, mu)[2] for d in (10.0, 20.0, 30.0, 40.0, 60.0)]
+    curve = [attacks.strongpulse_b92(mu, d)[4] for d in (10.0, 20.0, 30.0, 40.0, 60.0)]
     from_below = (all(a < b for a, b in zip(curve, curve[1:]))
                   and 0.0 < asymptote - curve[-1] < 1e-6)
 

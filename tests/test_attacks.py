@@ -11,7 +11,6 @@ import pytest
 
 from pnsqkd import attacks, cli, cloning, keyrate, photonics, qmath
 from pnsqkd.attacks import (
-    StrongPulseModel,
     bb84_critical_attenuation,
     bb84_pns,
     fourstate_combined_info,
@@ -150,21 +149,30 @@ class TestFourTwoSums:
 
 class TestStrongPulse:
     def test_model_construction(self):
-        m = StrongPulseModel(0.025, 20.0)
-        assert m.mu_prime == pytest.approx(1000.0)
-        assert m.intensity_ratio == pytest.approx(2.5e-5)
+        mu_prime, ratio, _, _, _ = strongpulse_b92(0.025, 20.0)
+        assert mu_prime == pytest.approx(1000.0)
+        assert ratio == pytest.approx(2.5e-5)
         # receiver floor exactly satisfied
-        assert m.mu_prime * 10 ** (-20.0 / 10) == pytest.approx(10.0)
+        assert mu_prime * 10 ** (-20.0 / 10) == pytest.approx(10.0)
 
     def test_paper_scale_point(self):
         # delta = 20 dB, mu = 0.25: mu' = 1e3 and t = 1e-4/4 scaled by mu/0.025
-        m = StrongPulseModel(0.25, 20.0)
-        assert m.mu_prime == pytest.approx(1000.0)
-        assert m.intensity_ratio == pytest.approx(2.5e-4)
+        mu_prime, ratio, _, _, _ = strongpulse_b92(0.25, 20.0)
+        assert mu_prime == pytest.approx(1000.0)
+        assert ratio == pytest.approx(2.5e-4)
 
     def test_mu_validation(self):
-        with pytest.raises(ValueError):
-            StrongPulseModel(1.0, 10.0)
+        # mu is checked first, so an attenuation that overflows does not mask it
+        for mu in (1.0, 0.0, math.nan):
+            with pytest.raises(ValueError, match=r"mu must be in \(0, 1\)"):
+                strongpulse_b92(mu, 1e6)
+
+    def test_overflow_names_the_reference_pulse(self):
+        # 10^(delta/10) overflows beyond about 3,083 dB; BOB_FLOOR times it
+        # already at about 3,073 dB
+        for delta in (3075.0, 1e6):
+            with pytest.raises(ValueError, match=r"too large: the reference pulse overflows"):
+                strongpulse_b92(0.1, delta)
 
     def test_asymptotes(self):
         assert strongpulse_asymptotic_info(0.025) == pytest.approx(0.0698, abs=1e-3)
@@ -172,7 +180,7 @@ class TestStrongPulse:
 
     def test_monotone_convergence(self):
         limit = strongpulse_asymptotic_info(0.025)
-        vals = [strongpulse_b92(d, 0.025)[2] for d in (5.0, 10.0, 20.0, 30.0, 40.0)]
+        vals = [strongpulse_b92(0.025, d)[4] for d in (5.0, 10.0, 20.0, 30.0, 40.0)]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
         assert all(v <= limit + 1e-12 for v in vals)
         assert vals[-1] == pytest.approx(limit, abs=1e-4)
@@ -182,10 +190,10 @@ class TestStrongPulse:
         # a naive ((1-t)/(1+t))^kept overshoots the limit by ~1e-9 here
         mu = 0.025
         limit = strongpulse_asymptotic_info(mu)
-        vals = [strongpulse_b92(0.5 * k, mu)[2] for k in range(120, 241)]
+        vals = [strongpulse_b92(mu, 0.5 * k)[4] for k in range(120, 241)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
         assert max(vals) <= limit
-        assert strongpulse_b92(120.0, mu)[0] == pytest.approx(math.exp(-2 * mu), abs=1e-12)
+        assert strongpulse_b92(mu, 120.0)[2] == pytest.approx(math.exp(-2 * mu), abs=1e-12)
 
     def test_overlap_limit_relative_error(self):
         # mu' = 1e4: ((1-t)/(1+t))^mu' within 1e-3 relative of e^-2mu
@@ -593,7 +601,7 @@ class TestNbGeneralization:
     lambda x: fourtwo_pns(math.pi / 3, 10.0, x),
     lambda x: fourstate_irud_critical(x),
     lambda x: fourstate_combined_info(0.2, x),
-    lambda x: strongpulse_b92(x, 0.1),
+    lambda x: strongpulse_b92(0.1, x),
     lambda x: photonics.qber_total(SourceChannelModel(), x, 10.0),
     lambda x: photonics.qber_total(SourceChannelModel(), 0.1, x),
     lambda x: nb_storing_info_at(nb_storing_ladder(2), x),
@@ -645,7 +653,7 @@ def test_series_returns_nan_for_nan():
     lambda x: cloning.pns_cloning_attack(cloning.make_ngs23, 0.2, x, [0.3]),
     lambda x: photonics.qber_total(SourceChannelModel(), 0.1, x),
     lambda x: nb_storing_info_at(nb_storing_ladder(2), x),
-    lambda x: strongpulse_b92(x, 0.1),
+    lambda x: strongpulse_b92(0.1, x),
 ], ids=["bb84_pns", "fourstate_irud_pns", "fourtwo_pns", "fourstate_combined_info",
         "optimal_mu", "key_rate", "pns_cloning_attack", "qber_total", "nb_storing_info_at",
         "strongpulse_b92"])

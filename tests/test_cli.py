@@ -42,11 +42,12 @@ def _cli_cases():
 
 
 class TestCurves:
-    def test_bb84_columns_and_critical_region(self):
+    def test_bb84_columns_and_critical_region(self, tmp_path):
+        out = tmp_path / "bb84.csv"
         rc = cli.main(["curve", "pns-bb84", "--mu", "0.1", "--alpha", "0.25",
-                       "--d", "0:120:1", "--out", "/tmp/pnsqkd_bb84.csv"])
+                       "--d", "0:120:1", "--out", str(out)])
         assert rc == 0
-        lines = open("/tmp/pnsqkd_bb84.csv").read().splitlines()
+        lines = out.read_text().splitlines()
         assert lines[0] == "distance_km,delta_db,q,i_eve"
         assert len(lines) == 122
         rows = [line.split(",") for line in lines[1:]]

@@ -8,6 +8,7 @@ few ulps from the exact value, and such a value may round either way.
 """
 import contextlib
 import io
+import math
 from decimal import ROUND_FLOOR, Decimal, localcontext
 
 import oracle
@@ -73,4 +74,39 @@ def test_ieclon12_prints_the_closed_form_at_every_digit():
     for g in args.gamma:
         d, q, i_ab, i_eve, i_ref = oracle.ng12_sifted(g)
         exact_rows.append((Decimal(g), d, q, i_ab, i_eve, i_eve, i_ref))
+    assert _misprinted(header, rows, exact_rows) == []
+
+
+def _distance_rows(argv, point):
+    """The printed rows and the oracle rows of a curve over the --d grid:
+    distance_km and delta_db (the float d * alpha the program works from)
+    as they are, then ``point(delta)``."""
+    header, rows = _csv(argv)
+    args = cli.build_parser().parse_args(argv)
+    assert len(rows) == len(args.d)
+    exact_rows = [(Decimal(d), Decimal(d * args.alpha), *point(d * args.alpha))
+                  for d in args.d]
+    return header, rows, exact_rows
+
+
+def test_pns_bb84_prints_the_rate_balanced_point_at_every_digit():
+    r_split, s_multi, _, _ = oracle.poisson_moments(0.1)
+    header, rows, exact_rows = _distance_rows(
+        ["curve", "pns-bb84"],
+        lambda delta: oracle.rate_balanced_point(0.1, delta, r_split, s_multi))
+    assert _misprinted(header, rows, exact_rows) == []
+
+
+def test_pns_42_prints_the_filter_attack_point_at_every_digit():
+    # the float eta = fl(pi/3) and the reference mu = 0.1 of the defaults
+    mu = oracle.fourtwo_mu(math.pi / 3, 0.1)
+    rate, fraction = oracle.fourtwo_rate_and_fraction(math.pi / 3, mu)
+    header, rows, exact_rows = _distance_rows(
+        ["curve", "pns-42"], lambda delta: oracle.rate_balanced_point(mu, delta, rate, fraction))
+    assert _misprinted(header, rows, exact_rows) == []
+
+
+def test_strongpulse_prints_the_b92_row_at_every_digit():
+    header, rows, exact_rows = _distance_rows(
+        ["curve", "strongpulse"], lambda delta: oracle.strongpulse_row(0.025, delta))
     assert _misprinted(header, rows, exact_rows) == []

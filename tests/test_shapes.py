@@ -81,7 +81,7 @@ def test_strong_pulse_information_grows_towards_its_asymptote():
     deltas = [k * 0.05 for k in range(2001)]
     found = {}
     for mu in (1e-3, 0.01, 0.025, 0.1, 0.2, 0.5, 0.9, 0.999):
-        infos = [attacks.StrongPulseModel(mu, d).b92()[2] for d in deltas]
+        infos = [attacks.strongpulse_b92(mu, d)[4] for d in deltas]
         limit = attacks.strongpulse_asymptotic_info(mu)
         found[mu] = (_descents(deltas, infos), [d for d, i in zip(deltas, infos) if i > limit])
     assert found == {mu: ([], []) for mu in found}
@@ -97,6 +97,28 @@ def test_ng12_information_peaks_at_a_quarter_disturbance():
     assert _descents(gammas[:peak + 1], infos[:peak + 1]) == []
     assert _descents(gammas[peak:], [-i for i in infos[peak:]]) == []
     assert infos[peak] == pytest.approx(0.557710, abs=5e-7)
+
+
+@pytest.mark.parametrize("make,peak,top", [(cloning.make_ngs23, 1.38971, 0.737956),
+                                           (cloning.make_ng23, 1.06691, 0.601418)],
+                         ids=["ngs23", "ng23"])
+def test_two_to_three_information_rises_then_falls(make, peak, top):
+    # the peaks are measured on this grid, not derived: ngs23 at D = 0.18927,
+    # ng23 at D = 0.10675; the argmax may move by one grid step
+    step = (math.pi / 2 - 1e-4) / 399
+    gammas = [1e-4 + k * step for k in range(400)]
+    infos = cloning.sifted_points(make(gammas))["i_eve"].tolist()
+    k = infos.index(max(infos))
+    assert abs(gammas[k] - peak) <= step
+    assert infos[k] == pytest.approx(top, abs=1e-5)
+    assert _descents(gammas[:k + 1], infos[:k + 1]) == []
+    assert _descents(gammas[k:], [-i for i in infos[k:]]) == []
+
+
+def test_optimal_key_rate_falls_with_loss():
+    deltas = [float(k) for k in range(76)]  # 0 to 75 dB
+    rates = [keyrate.optimal_mu(d)[1] for d in deltas]
+    assert _descents(deltas, [-r for r in rates]) == []
 
 
 def test_storing_attack_sets_the_critical_attenuation_for_every_nb():
