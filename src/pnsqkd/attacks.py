@@ -295,11 +295,11 @@ def fourstate_combined_info(mu, delta_db, moments=None):
     uniformly, which leaves the per-bit information unchanged.  f is the
     first maximum over f = k/100 (a NaN at 0 would win, a later one never)
     refined by 90 golden-section steps between its neighbours: the steps of
-    ``solvers.golden_max``, with its stop on a 2-cycle and its result (the
-    midpoint of the final bracket and I there), in a loop of their own that
-    evaluates I inline, with the floats of ``info``, so that a step makes
-    no call.  The grid point is kept where it beats that result.  Returns
-    (i_eve, q_passed, f_irud).
+    ``solvers.golden_max`` and its result (the midpoint of the final bracket
+    and I there), in a loop of their own that evaluates I inline, with the
+    floats of ``info``, so that a step makes no call, and that stops on a
+    2-cycle with the result of the full step count.  The grid point is kept
+    where it beats that result.  Returns (i_eve, q_passed, f_irud).
 
     That maximum is read from at most seven points.  The kink
     f* = (R_split - R)/(R_split - R_irud), where the attack's photon rate
@@ -355,9 +355,18 @@ def fourstate_combined_info(mu, delta_db, moments=None):
     c1 = hi - _GOLDEN * (hi - lo)
     c2 = lo + _GOLDEN * (hi - lo)
     i1, i2 = info(c1), info(c2)
-    # the unordered states one and two such states back: an ordered state
-    # lies on no cycle (see golden_max), so an unordered state that matches
-    # the one two unordered steps back matches the state two steps back
+    # A step is a function of the state (lo, hi, c1, c2), since i1 and i2
+    # follow from it.  Once a state equals the state two steps earlier, the
+    # remaining steps alternate between the last two states, and these have
+    # the same ends: two steps that move lo would need i1 < i(lo) and then
+    # i(lo) < i1; two that move hi bring it back only if hi - g (hi - lo)
+    # rounds to hi, that is if hi == lo; and a step of each kind returns to
+    # its state only if neither moved its end.  So the result is that of the
+    # current state, whatever the parity of the steps left, and the loop
+    # stops there.  A step from a state with lo < c1 < c2 < hi moves an end
+    # strictly inward, so such a state lies on no cycle, and an unordered
+    # state that matches the one two unordered steps back matches the state
+    # two steps back: back1 and back2 are those two unordered states.
     back1 = back2 = None
     for _ in range(90):
         up = i1 < i2
@@ -487,8 +496,12 @@ def nb_storing_critical(n_bases, n_stored, model=SourceChannelModel()):
 
 
 def honest_information(model, mu, delta_db):
-    """Honest parties' information I_AB = 1 - h(q) at the model's QBER q."""
-    return qmath.binary_information(photonics.qber_total(model, mu, delta_db))
+    """Honest parties' information I_AB = 1 - h(q) at the model's QBER q.
+    From q = 1/4 up it is taken from the gap 1/2 - q, which is exact there
+    (Sterbenz) and keeps the relative precision that 1 - h(q) loses near
+    q = 1/2; below, from q itself."""
+    q = photonics.qber_total(model, mu, delta_db)
+    return qmath.gap_information(0.5 - q) if q >= 0.25 else qmath.binary_information(q)
 
 
 def nb_storing_ladder(n_bases, model=SourceChannelModel(), sums=None):
@@ -544,7 +557,8 @@ def nb_storing_columns(n_bases, model, deltas):
     ladder = nb_storing_ladder(n_bases, model)
     rungs = [delta for delta, _ in ladder]
     first, (last, i_last) = rungs[0], ladder[-1]
-    qber_total, information = photonics.qber_total, qmath.binary_information
+    qber_total = photonics.qber_total
+    information, gap_information = qmath.binary_information, qmath.gap_information
     i_ab, i_eve = [], []
     for delta in deltas:
         if not 0.0 <= delta < math.inf:
@@ -557,5 +571,6 @@ def nb_storing_columns(n_bases, model, deltas):
             k = bisect.bisect_left(rungs, delta)
             (d0, i0), (d1, i1) = ladder[k - 1], ladder[k]
             i_eve.append(i0 + (delta - d0) / (d1 - d0) * (i1 - i0))
-        i_ab.append(information(qber_total(model, mu, delta)))
+        q = qber_total(model, mu, delta)
+        i_ab.append(gap_information(0.5 - q) if q >= 0.25 else information(q))
     return i_ab, i_eve

@@ -50,8 +50,10 @@ def optimal_mu(delta_db):
 
     Golden-section search over [1e-3, MU_SEARCH_MAX] (the cap keeps the weak
     pulse model in its validity region; at short distance larger mu would
-    invite intercept-resend).  The search revisits points, so its rate is
-    cached: each mu runs the attack optimum once.  Returns (mu_opt, rate).
+    invite intercept-resend).  The search calls the rate at each of its 120
+    steps and revisits points once its bracket is a few ulps wide, so the
+    rate is cached: each distinct mu runs the attack optimum once.  Returns
+    (mu_opt, rate).
     """
     rate = functools.cache(lambda mu: fourstate_key_rate(mu, delta_db))
     return solvers.golden_max(rate, 1e-3, MU_SEARCH_MAX, 120)

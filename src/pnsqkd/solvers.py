@@ -1,13 +1,11 @@
 """One-dimensional searches of the key-rate and cloning layers.  The
 four-state attack optimum runs the maximum search's steps in a loop of its
-own, with its function inline.
+own, with its function inline and a stop on a 2-cycle.
 
 Neither takes a tolerance: the root search runs until the bracket holds
 two neighbouring floats, and the maximum search for a fixed number of
 steps.  Their results depend only on the function, the bracket and the
-step count, so a caller's output is reproducible to the last digit.  The
-maximum search stops early once its state alternates between two values,
-with the result of the full step count.
+step count, so a caller's output is reproducible to the last digit.
 """
 from __future__ import annotations
 
@@ -61,27 +59,13 @@ def golden_max(f, lo, hi, iters):
     steps (Press et al., *Numerical Recipes*, section 10.2).  Returns
     (x, f(x)) at the midpoint of the final bracket.
 
-    ``f`` must be a pure function of x.  It is called at every step, and
-    points recur once the bracket is a few ulps wide, so a caller whose
-    ``f`` is costly caches it.
-
-    A step is a function of the state (a, b, c1, c2), since f(c1) and f(c2)
-    follow from it.  Once a state equals the state two steps earlier, the
-    remaining steps alternate between the last two states, and these have
-    the same ends: two steps that move a would need f(c1) < f(a) and then
-    f(a) < f(c1); two that move b bring it back only if b - g (b - a)
-    rounds to b, that is if b == a; and a step of each kind returns to its
-    state only if neither moved its end.  So the result is that of the
-    current state, whatever the parity of the steps left, and the search
-    stops there.  A step from a state with a < c1 < c2 < b moves an end
-    strictly inward, so such a state lies on no cycle: states are compared
-    only while that order is broken, and forgotten once it holds.
+    ``f`` is called once per step, and points recur once the bracket is a
+    few ulps wide, so a caller whose ``f`` is costly caches it.
     """
     a, b = lo, hi
     c1 = b - _GOLDEN * (b - a)
     c2 = a + _GOLDEN * (b - a)
     f1, f2 = f(c1), f(c2)
-    back1 = back2 = None  # the states one and two steps back, while unordered
     for _ in range(iters):
         if f1 < f2:
             a, c1, f1 = c1, c2, f2
@@ -91,12 +75,5 @@ def golden_max(f, lo, hi, iters):
             b, c2, f2 = c2, c1, f1
             c1 = b - _GOLDEN * (b - a)
             f1 = f(c1)
-        if a < c1 < c2 < b:
-            back1 = back2 = None
-            continue
-        state = (a, b, c1, c2)
-        if state == back2:
-            break
-        back1, back2 = state, back1
     x = 0.5 * (a + b)
     return x, f(x)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pnsqkd import attacks, photonics, qmath
+from pnsqkd import attacks
 
 
 @pytest.fixture
@@ -42,8 +42,7 @@ def is_last_bit_crossing(n_bases, model, delta):
     ladder = attacks.nb_storing_ladder(n_bases, model)
 
     def margin(d):
-        return (qmath.binary_information(photonics.qber_total(model, mu, d))
-                - attacks.nb_storing_info_at(ladder, d))
+        return attacks.honest_information(model, mu, d) - attacks.nb_storing_info_at(ladder, d)
 
     if margin(0.0) <= 0.0:
         return delta == 0.0

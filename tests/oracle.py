@@ -9,11 +9,13 @@ docstring states.  ``binary_information``, ``gap_information`` and
 their working precision.  The tests compare the program's floats with
 these values; ``mpmath`` is not used.
 """
+import itertools
 from decimal import Decimal, localcontext
 
 DIGITS = 50
 _PREC = DIGITS + 20
 _MAX_SWEEPS = 60
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
 
 
 def binary_information(p):
@@ -208,6 +210,104 @@ def ng12_sifted(gamma):
         infos = [gap_information(g) for g in gaps]
         ctx.prec = DIGITS
         return (+d, +q, *infos)
+
+
+def nb_mu(n_bases):
+    """n_b / (20 sin^2(pi/(2 n_b))) at 80 digits, with sin^2(pi/(2 n_b)) =
+    (1 - cos(pi/n_b))/2; pi has 60 digits, and so has mu."""
+    with localcontext() as ctx:
+        ctx.prec = 80
+        sin2 = (1 - decimal_cos(_PI / n_bases)) / 2
+        return n_bases / (20 * sin2)
+
+
+def nb_honest_information(mu, delta_db, eta, p_d, qber_opt):
+    """I_AB = 1 - h(q) with q = (p_d/2)/(p_d + mu eta 10^(-delta/10)) +
+    qber_opt, at most 1/2, from the gap 1/2 - q (``gap_information``), at
+    the float delta_db, eta, p_d and qber_opt."""
+    with localcontext() as ctx:
+        ctx.prec = 80
+        p_d = Decimal(p_d)
+        signal = mu * Decimal(eta) * Decimal(10) ** (-Decimal(delta_db) / 10)
+        q = (p_d / 2 / (p_d + signal) if p_d else 0) + Decimal(qber_opt)
+        return gap_information(max(Decimal(1) / 2 - q, Decimal(0)))
+
+
+def _click_attenuation(mu, eta, target):
+    """d = -10 log10(-ln(1 - target)/(eta mu)), or 0 where that is negative."""
+    with localcontext() as ctx:
+        ctx.prec = 80
+        x = -(1 - target).ln() / (Decimal(eta) * mu)
+        return Decimal(0) if x >= 1 else -10 * x.log10()
+
+
+def nb_storing_ladder(n_bases, eta, p_d, qber_opt):
+    """(mu, delta1, ladder) of the n_b-bases protocol: mu of ``nb_mu``, the
+    critical attenuation of unambiguous discrimination of n_e = 2 n_b - 1
+    copies at the exact p_ok = n_b/4^(n_b - 1), and the storing ladder
+    [(delta(n_s), I(n_s))] up to its first rung with I_Eve >= I_AB of
+    ``nb_honest_information``.  Both attenuations invert the click sums of
+    ``click_sums`` to 120 photons (every mu is below 10.6, so the mass past
+    them is below 1e-80); the rung information is 1 - h(p_e) at the overlap
+    c^n_s, c = cos(pi/(2 n_b)), from the gap sqrt(1 - c^(2 n_s))/2."""
+    mu = nb_mu(n_bases)
+    sums = click_sums(mu, eta, 120)
+    with localcontext() as ctx:
+        ctx.prec = 80
+        p_ok = Decimal(n_bases) / 4 ** (n_bases - 1)
+        delta1 = _click_attenuation(mu, eta, p_ok * sums[2 * n_bases - 2])
+        c = decimal_cos(_PI / (2 * n_bases))
+        ladder = []
+        for n_s in itertools.count(1):
+            delta = _click_attenuation(mu, eta, sums[n_s])
+            i_eve = gap_information((1 - c ** (2 * n_s)).sqrt() / 2)
+            ladder.append((delta, i_eve))
+            if i_eve >= nb_honest_information(mu, delta, eta, p_d, qber_opt):
+                return mu, delta1, ladder
+
+
+def nb_storing_info_at(ladder, delta_db):
+    """I_Eve at an attenuation (a Decimal or float), linear in the
+    attenuation between the rungs of ``nb_storing_ladder``: 0 up to the
+    first rung and the last rung's information from it on."""
+    with localcontext() as ctx:
+        ctx.prec = 80
+        delta = Decimal(delta_db)
+        if delta <= ladder[0][0]:
+            return Decimal(0)
+        for (d0, i0), (d1, i1) in zip(ladder, ladder[1:]):
+            if delta <= d1:
+                return i0 + (delta - d0) / (d1 - d0) * (i1 - i0)
+        return ladder[-1][1]
+
+
+def nb_critical_row(n_bases, alpha, eta, p_d, qber_opt):
+    """(mu, delta1, delta2, delta1/alpha, delta2/alpha) of the n_b-bases
+    protocol at the float alpha, eta, p_d and qber_opt.  delta2 is where
+    the margin I_AB - I_Eve of ``nb_storing_ladder`` crosses zero on the
+    ladder's last segment (from 0 dB for a one-rung ladder), bisected in
+    Decimal to 1e-55 relative; it is the segment's start where the margin
+    is not positive there."""
+    mu, delta1, ladder = nb_storing_ladder(n_bases, eta, p_d, qber_opt)
+
+    def margin(delta):
+        return (nb_honest_information(mu, delta, eta, p_d, qber_opt)
+                - nb_storing_info_at(ladder, delta))
+
+    with localcontext() as ctx:
+        ctx.prec = 80
+        lo = ladder[-2][0] if len(ladder) > 1 else Decimal(0)
+        hi = ladder[-1][0]
+        if margin(lo) <= 0:
+            hi = lo
+        while hi - lo > hi * Decimal("1e-55"):
+            mid = (lo + hi) / 2
+            if margin(mid) > 0:
+                lo = mid
+            else:
+                hi = mid
+        alpha = Decimal(alpha)
+        return mu, delta1, hi, delta1 / alpha, hi / alpha
 
 
 def _mul(a, b):

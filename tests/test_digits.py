@@ -110,3 +110,31 @@ def test_strongpulse_prints_the_b92_row_at_every_digit():
     header, rows, exact_rows = _distance_rows(
         ["curve", "strongpulse"], lambda delta: oracle.strongpulse_row(0.025, delta))
     assert _misprinted(header, rows, exact_rows) == []
+
+
+def _nb_model(args):
+    return args.eta_det, args.pd, args.qber_opt
+
+
+def test_dcrit_prints_the_nb_ladder_crossings_at_every_digit():
+    header, rows = _csv(["curve", "dcrit"])
+    args = cli.build_parser().parse_args(["curve", "dcrit"])
+    assert len(rows) == len(args.nb) == 7
+    exact_rows = [(Decimal(nb), *oracle.nb_critical_row(nb, args.alpha, *_nb_model(args)))
+                  for nb in args.nb]
+    assert _misprinted(header, rows, exact_rows) == []
+
+
+def test_stattnb_prints_the_nb_storing_informations_at_every_digit():
+    header, rows = _csv(["curve", "stattnb"])
+    args = cli.build_parser().parse_args(["curve", "stattnb"])
+    exact_rows = []
+    for nb in args.nb:
+        mu, _, ladder = oracle.nb_storing_ladder(nb, *_nb_model(args))
+        for d in args.d:
+            delta = d * args.alpha  # the float the program works from
+            exact_rows.append((Decimal(nb), Decimal(d), Decimal(delta),
+                               oracle.nb_honest_information(mu, delta, *_nb_model(args)),
+                               oracle.nb_storing_info_at(ladder, delta)))
+    assert len(rows) == len(exact_rows) == 464
+    assert _misprinted(header, rows, exact_rows) == []

@@ -80,9 +80,9 @@ def _key_rate_20db(mu):
     return fourstate_key_rate(mu, 20.0)
 
 
-# step counts far past the 2-cycle, where the search stops early, in both
-# parities; from [0, 1] a constant function never cycles, since its bracket
-# still shrinks towards 0 after 1,001 steps
+# step counts far past the step where the state starts to alternate
+# between two values, in both parities; from [0, 1] a constant function
+# never cycles, since its bracket still shrinks towards 0 after 1,001 steps
 _PAST_THE_CYCLE = [pytest.param(f, lo, hi, iters, id=f"{name}-{iters}")
                    for name, f, lo, hi in [("parabola", _parabola, 0.0, 1.0),
                                            ("plateau", _plateau, 0.0, 1.0),
@@ -158,6 +158,15 @@ def test_golden_max_matches_the_loop_on_drawn_brackets(kind):
             for iters in (0, 1, 2, 3, 90, 120, 1001):
                 assert golden_max(f, lo, hi, iters) == golden_max_loop(f, lo, hi, iters), \
                     (shape, lo, hi, iters)
+
+
+def test_golden_max_runs_every_step():
+    # iters + 3 calls: the two inner points, one per step and the midpoint,
+    # though the parabola's state alternates between two values long before
+    # step 200
+    calls = []
+    golden_max(_recorded(_parabola, calls), 0.0, 1.0, 200)
+    assert len(calls) == 203
 
 
 def test_golden_max_keeps_the_sign_of_a_zero_midpoint():
