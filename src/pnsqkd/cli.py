@@ -38,42 +38,27 @@ def _spec(kind):
     return "%.12g"
 
 
-@functools.cache
-def _row_template(kinds):
-    """CSV template of a row whose values have these types."""
-    return ",".join(map(_spec, kinds))
-
-
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _json_literal(x):
-    """A value as ``json.dumps`` writes it: strings as JSON strings, numbers
-    as the float of their ``_spec`` text."""
-    if isinstance(x, str):
-        return encode_basestring_ascii(x)
-    return _json_numbers(_spec(type(x)), [x])[0]
-
-
 def _json_numbers(spec, values):
-    """``_json_literal`` of numbers that the %-format ``spec`` writes.  A
-    ``%.12g`` text in fixed notation (a '.' and no 'e') is a normal float of
-    at most 12 significant digits, so it already is its float's repr; only
-    other texts are parsed back."""
+    """The texts ``json.dumps`` writes for the floats of the numbers' texts
+    in the %-format ``spec``.  A ``%.12g`` text in fixed notation (a '.' and
+    no 'e') is a normal float of at most 12 significant digits, so it
+    already is its float's repr; only other texts are parsed back."""
     texts = map(spec.__mod__, values)
     texts = [t if "." in t and "e" not in t else repr(float(t)) for t in texts]
     return list(map(_JSON_NONFINITE.get, texts, texts))
 
 
-def _json_column(column):
-    """``_json_literal`` of every value, by one %-format when the column is
-    all numbers of one format, and then once per distinct value where at
-    most half the values are distinct.  Equal numbers of one format print
-    alike, except 0.0 and -0.0, so a column holding a zero is not merged."""
-    specs = set(map(_spec, set(map(type, column))))
-    if len(specs) != 1 or "%s" in specs:
-        return list(map(_json_literal, column))
-    spec = specs.pop()
+def _json_column(spec, column):
+    """The JSON text of every value of a column in the %-format ``spec``:
+    strings as JSON strings, numbers as the float of their text, once per
+    distinct value where at most half the values are distinct.  Equal
+    numbers print alike, except 0.0 and -0.0, so a column holding a zero
+    is not merged."""
+    if spec == "%s":
+        return list(map(encode_basestring_ascii, column))
     distinct = set(column)
     if 2 * len(distinct) > len(column) or 0 in distinct:
         return _json_numbers(spec, column)
@@ -81,15 +66,14 @@ def _json_column(column):
     return list(map(literals.__getitem__, column))
 
 
-def _json_records(header, rows):
+def _json_records(header, columns, specs):
     """The text of ``json.dumps`` with indent=2 and sorted keys, for the
-    list of records {header: float(_spec text of value)}, strings kept."""
-    if not rows:
+    list of records {header: float(spec text of value)}, strings kept."""
+    if not columns:
         return "[]"
     index = {h: i for i, h in enumerate(header)}
     keys = sorted(index)
-    columns = list(zip(*rows))
-    literals = [_json_column(columns[index[k]]) for k in keys]
+    literals = [_json_column(specs[index[k]], columns[index[k]]) for k in keys]
     record = "  {\n" + ",\n".join(f"    {encode_basestring_ascii(k)}: %s" for k in keys) + "\n  }"
     return "[\n" + ",\n".join(map(record.__mod__, zip(*literals))) + "\n]"
 
@@ -307,13 +291,22 @@ def _write(text, out):
 
 
 def _emit(header, rows, args):
-    """Write the rows as CSV, one %-format per row, or as JSON records."""
+    """Write the rows as CSV or as JSON records, every value in the one
+    %-format of its column (TypeError for a column that needs two)."""
+    columns = list(zip(*rows))
+    specs = []
+    for name, column in zip(header, columns):
+        formats = set(map(_spec, set(map(type, column))))
+        if len(formats) > 1:
+            raise TypeError(f"column {name} mixes the formats {sorted(formats)}")
+        specs.append(formats.pop())
     if args.format == "csv":
+        template = ",".join(specs)
         lines = [",".join(header)]
-        lines += [_row_template(tuple(map(type, row))) % tuple(row) for row in rows]
+        lines += [template % tuple(row) for row in rows]
         text = "\n".join(lines) + "\n"
     else:
-        text = _json_records(header, rows) + "\n"
+        text = _json_records(header, columns, specs) + "\n"
     _write(text, args.out)
 
 

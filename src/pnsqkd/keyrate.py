@@ -52,11 +52,20 @@ def optimal_mu(delta_db):
     pulse model in its validity region; at short distance larger mu would
     invite intercept-resend).  The search calls the rate at each of its 120
     steps and revisits points once its bracket is a few ulps wide, so the
-    rate is cached: each distinct mu runs the attack optimum once.  Returns
+    rate is cached: each distinct mu runs the attack optimum once.  The
+    result is the best of the search and the two ends: the search returns
+    the midpoint of its last bracket, so an end whose rate is strictly
+    larger is returned exactly (mu = 1e-3 from about 66 dB until the rate
+    reaches 0 near 71 dB, MU_SEARCH_MAX at short distance).  Returns
     (mu_opt, rate).
     """
     rate = functools.cache(lambda mu: fourstate_key_rate(mu, delta_db))
-    return solvers.golden_max(rate, 1e-3, MU_SEARCH_MAX, 120)
+    lo, hi = 1e-3, MU_SEARCH_MAX
+    best = solvers.golden_max(rate, lo, hi, 120)
+    for end in (lo, hi):
+        if rate(end) > best[1]:
+            best = end, rate(end)
+    return best
 
 
 @dataclass

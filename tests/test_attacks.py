@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from pnsqkd import attacks, cli, cloning, keyrate, photonics, qmath
+from pnsqkd import attacks, cli, cloning, keyrate, photonics, qmath, solvers
 from pnsqkd.attacks import (
     bb84_critical_attenuation,
     bb84_pns,
@@ -29,7 +29,7 @@ from pnsqkd.attacks import (
 )
 from pnsqkd.photonics import SourceChannelModel, poisson_click_sums, poisson_pmf
 import oracle
-from test_solvers import golden_max_loop
+from test_solvers import optimum_with_ends
 
 
 class TestBB84:
@@ -350,7 +350,7 @@ def _combined_info_scan(mu, delta_db):
     k_best = max(range(101), key=lambda k: vals[k])
     lo = grid[max(0, k_best - 1)]
     hi = grid[min(100, k_best + 1)]
-    f_best, i_best = golden_max_loop(info, lo, hi, 90)
+    f_best, i_best = solvers.golden_max(info, lo, hi, 90)
     if vals[k_best] > i_best:
         f_best, i_best = grid[k_best], vals[k_best]
     return i_best, q_of(f_best), f_best
@@ -384,9 +384,8 @@ class TestCombinedOptimumMatchesScan:
         deltas += [round(rng.uniform(4.0, 160.0), 6) * round(rng.uniform(0.18, 0.3), 4)
                    for _ in range(10)]
         for delta in deltas:
-            expected = golden_max_loop(
-                lambda mu: keyrate.key_rate(mu, delta, _combined_info_scan(mu, delta)[0]),
-                1e-3, keyrate.MU_SEARCH_MAX, 120)
+            expected = optimum_with_ends(
+                lambda mu: keyrate.key_rate(mu, delta, _combined_info_scan(mu, delta)[0]))
             assert keyrate.optimal_mu(delta) == expected, delta
 
 

@@ -259,19 +259,18 @@ def _emitted(header, rows, fmt):
 @example(math.inf)
 @example(-math.inf)
 def test_json_column_writes_each_number_as_json_dumps(x):
-    # _json_literal parses every %-format text back to a float but a
+    # _json_column parses every %-format text back to a float but a
     # fixed-notation one, which it keeps as it is
-    assert cli._json_column([x]) == [cli._json_literal(x)]
-    assert cli._json_literal(x) == json.dumps(float(_fmt_oracle(x)))
+    assert cli._json_column(cli._spec(type(x)), [x]) == [json.dumps(float(_fmt_oracle(x)))]
 
 
 _FLOATS = st.floats() | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])
 _FLOAT_SCALARS = st.one_of(_FLOATS, _FLOATS.map(np.float64), st.floats(width=32).map(np.float32))
 _INT_SCALARS = st.one_of(st.integers(), st.booleans(),
                          st.integers(-2**63, 2**63 - 1).map(np.int64))
-# a few values, each repeated: floats only (one %-format), ints only, or both
+# a few values, each repeated, all of one %-format: floats only or ints only
 _POOLS = st.one_of(*(st.lists(values, min_size=1, max_size=5) for values in
-                     (_FLOAT_SCALARS, _INT_SCALARS, _FLOAT_SCALARS | _INT_SCALARS)))
+                     (_FLOAT_SCALARS, _INT_SCALARS)))
 
 
 @given(_POOLS.flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=40)))
@@ -283,7 +282,8 @@ _POOLS = st.one_of(*(st.lists(values, min_size=1, max_size=5) for values in
 def test_json_column_of_repeated_values_writes_each_literal(column):
     # a column with at most half its values distinct is formatted per
     # distinct value; 0.0 and -0.0 are one dict key but print differently
-    assert cli._json_column(column) == list(map(cli._json_literal, column))
+    spec = cli._spec(type(column[0]))
+    assert cli._json_column(spec, column) == [json.dumps(float(_fmt_oracle(x))) for x in column]
 
 
 def test_default_grids_are_numpys_linspace():
@@ -372,12 +372,22 @@ class TestEmit:
             assert _emitted(header, rows, fmt) == _emit_oracle(header, rows, fmt)
 
     def test_mixed_non_finite_and_empty(self):
-        header = ["b", "a", "c"]
-        rows = [[np.int64(3), "x,y", math.nan], [2.5, True, math.inf],
-                [np.float32(0.1), "q\"", -math.inf], [10**13, 1.5e13, -0.0]]
+        # each column one %-format, of Python and NumPy scalars alike
+        header = ["b", "a", "c", "d"]
+        rows = [[np.int64(3), "x,y", math.nan, np.float32(0.1)],
+                [10**13, "q\"", math.inf, 2.5],
+                [True, "", -math.inf, 1.5e13],
+                [2, "z", -0.0, np.float64(0.5)]]
         for fmt in ("csv", "json"):
             assert _emitted(header, rows, fmt) == _emit_oracle(header, rows, fmt)
             assert _emitted(header, [], fmt) == _emit_oracle(header, [], fmt)
+
+    @pytest.mark.parametrize("column", [[1, 2.5], [0.5, np.int64(1)], ["x", 1.0], [True, "y"]])
+    def test_a_column_of_two_formats_raises_type_error(self, column):
+        rows = [[k, value] for k, value in enumerate(column)]
+        for fmt in ("csv", "json"):
+            with pytest.raises(TypeError, match="column mixed"):
+                _emitted(["n", "mixed"], rows, fmt)
 
     def test_parser_is_reused_without_state(self):
         default = ["curve", "pns-bb84"]

@@ -1,4 +1,5 @@
 """Shared one-dimensional searches: bracketed root and golden-section maximum."""
+import functools
 import math
 import random
 
@@ -6,27 +7,18 @@ import pytest
 
 from pnsqkd import attacks, keyrate, photonics
 from pnsqkd.keyrate import fourstate_key_rate
-from pnsqkd.solvers import _GOLDEN, golden_max, root_decreasing
+from pnsqkd.solvers import golden_max, root_decreasing
 
 
-def golden_max_loop(f, lo, hi, iters):
-    """Reference golden-section search that calls f at every step,
-    revisited points included."""
-    a, b = lo, hi
-    c1 = b - _GOLDEN * (b - a)
-    c2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(c1), f(c2)
-    for _ in range(iters):
-        if f1 < f2:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + _GOLDEN * (b - a)
-            f2 = f(c2)
-        else:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - _GOLDEN * (b - a)
-            f1 = f(c1)
-    x = 0.5 * (a + b)
-    return x, f(x)
+def optimum_with_ends(rate):
+    """optimal_mu's rule over a plain rate: the golden search's (mu, rate),
+    or an end of [1e-3, MU_SEARCH_MAX] whose rate is strictly larger."""
+    best = golden_max(rate, 1e-3, keyrate.MU_SEARCH_MAX, 120)
+    for end in (1e-3, keyrate.MU_SEARCH_MAX):
+        r = rate(end)
+        if r > best[1]:
+            best = end, r
+    return best
 
 
 def _recorded(f, calls):
@@ -118,7 +110,21 @@ _ODD_BRACKETS = [
                  1e-3, 2.0, 120, id="key-rate-100km"),
 ] + _PAST_THE_CYCLE + _ODD_BRACKETS)
 def test_golden_max_matches_the_unmemoized_loop(f, lo, hi, iters):
-    assert golden_max(f, lo, hi, iters) == golden_max_loop(f, lo, hi, iters)
+    # golden_max is the plain loop, and the cache optimal_mu puts in front
+    # of it changes nothing
+    _assert_plain_loop(f, lo, hi, iters)
+    assert golden_max(functools.cache(f), lo, hi, iters) == golden_max(f, lo, hi, iters)
+
+
+def _assert_plain_loop(f, lo, hi, iters):
+    """golden_max calls f at both inner points, once per step, revisits
+    included, and at the midpoint, and returns that last call's finite
+    (x, f(x)) from inside the bracket."""
+    calls = []
+    x, fx = golden_max(_recorded(f, calls), lo, hi, iters)
+    assert len(calls) == iters + 3
+    assert calls[-1] is x and math.isfinite(x) and math.isfinite(fx)
+    assert fx == f(x) and min(lo, hi) <= x <= max(lo, hi)
 
 
 def _draw_bracket(kind, rng):
@@ -149,15 +155,15 @@ _SHAPES = {
 
 @pytest.mark.parametrize("kind", ["random", "few-ulps", "subnormal", "reversed", "equal-ends"])
 def test_golden_max_matches_the_loop_on_drawn_brackets(kind):
+    # odd brackets and shapes: every step still calls f, and the result is
+    # a finite point of the bracket and its value
     rng = random.Random(f"golden-{kind}")
     for _ in range(20):
         lo, hi = _draw_bracket(kind, rng)
         m = lo + rng.random() * (hi - lo)  # the shape's break point, inside the bracket
-        for shape, make in _SHAPES.items():
-            f = make(m)
+        for make in _SHAPES.values():
             for iters in (0, 1, 2, 3, 90, 120, 1001):
-                assert golden_max(f, lo, hi, iters) == golden_max_loop(f, lo, hi, iters), \
-                    (shape, lo, hi, iters)
+                _assert_plain_loop(make(m), lo, hi, iters)
 
 
 def test_golden_max_runs_every_step():
@@ -178,14 +184,14 @@ def test_golden_max_keeps_the_sign_of_a_zero_midpoint():
 @pytest.mark.parametrize("delta", [0.0, 10.0, 20.0, 25.0, 30.0])
 def test_optimal_mu_runs_the_attack_optimum_once_per_mu(delta, monkeypatch):
     # the mu search revisits points once its bracket is a few ulps wide, and
-    # its cached rate runs the costly attack optimum once per distinct mu
+    # its cached rate runs the costly attack optimum once per distinct mu,
+    # both ends of the range included
     loop_mus = []
-    expected = golden_max_loop(_recorded(lambda mu: fourstate_key_rate(mu, delta), loop_mus),
-                               1e-3, keyrate.MU_SEARCH_MAX, 120)
+    expected = optimum_with_ends(_recorded(lambda mu: fourstate_key_rate(mu, delta), loop_mus))
     calls = []
     combined = attacks.fourstate_combined_info
     monkeypatch.setattr(attacks, "fourstate_combined_info",
                         lambda mu, d: calls.append(mu) or combined(mu, d))
     assert keyrate.optimal_mu(delta) == expected
     assert len(calls) == len(set(calls)) < len(loop_mus)
-    assert set(calls) == set(loop_mus)
+    assert set(calls) == set(loop_mus) >= {1e-3, keyrate.MU_SEARCH_MAX}
