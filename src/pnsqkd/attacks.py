@@ -14,7 +14,7 @@ import itertools
 import math
 from typing import NamedTuple
 
-from . import discrimination, photonics, qmath
+from . import information, photonics
 from .photonics import (
     POSITIVE_SERIES_MU,
     SourceChannelModel,
@@ -212,14 +212,14 @@ def strongpulse_b92(mu, delta_db):
         raise ValueError(f"attenuation {delta_db:g} dB too large: "
                          "the reference pulse overflows")
     ratio = mu / mu_prime
-    overlap = qmath.two_mode_overlap(mu_prime - BOB_FLOOR, ratio)
-    p_e = qmath.pure_state_error(overlap)
-    return mu_prime, ratio, overlap, p_e, qmath.binary_information(p_e)
+    overlap = information.two_mode_overlap(mu_prime - BOB_FLOOR, ratio)
+    p_e = information.pure_state_error(overlap)
+    return mu_prime, ratio, overlap, p_e, information.binary_information(p_e)
 
 
 def strongpulse_asymptotic_info(mu):
     """Distance limit of the strong-pulse information: I(p_e(e^(-2 mu)))."""
-    return qmath.binary_information(qmath.pure_state_error(math.exp(-2.0 * mu)))
+    return information.binary_information(information.pure_state_error(math.exp(-2.0 * mu)))
 
 
 # ---------------------------------------------------------------------------
@@ -250,21 +250,9 @@ def fourstate_irud_pns(mu, delta_db, moments=None):
     return _rate_balanced_point(mu, delta_db, r_irud, s_irud)
 
 
-def storing_attack_info(pair):
-    """Information from storing one photon and discriminating the announced pair.
-
-    Equiprobable minimum-error discrimination of the two announced states;
-    for the four-state protocol the pair overlap is 1/sqrt(2), giving
-    p_e ~ 0.1464 and I ~ 0.399 bits.  Returns (p_e, info).
-    """
-    s0, s1 = pair
-    p_e = qmath.helstrom_error(s0, s1, 0.5)
-    return p_e, qmath.binary_information(p_e)
-
-
 def fourstate_storing_info():
     """Storing-attack information for the four-state announced pair."""
-    return qmath.binary_information(qmath.pure_state_error(STORING_OVERLAP))
+    return information.binary_information(information.pure_state_error(STORING_OVERLAP))
 
 
 _FOURSTATE_STORING_INFO = fourstate_storing_info()
@@ -459,6 +447,11 @@ def nb_critical_usd(n_bases, model=SourceChannelModel(), sums=None):
         = p_ok sum_{m>=n_e} p(m, mu) (1 - (1 - eta)^(m - n_e + 1)).
     ``sums`` are ``nb_click_sums(n_bases, model)``, summed here if not given.
     """
+    # discrimination loads NumPy for p_ok's eigensolve, which only this
+    # function needs; imported here, the other scalar commands start without
+    # it.  It cannot move: the benchmark traces both it and usd_optimal_pok.
+    from . import discrimination
+
     mu = nb_mu(n_bases)
     n_e = 2 * n_bases - 1
     p_ok = discrimination.usd_optimal_pok(n_bases)
@@ -481,7 +474,7 @@ def _storing_rungs(n_bases, model, sums):
     overlap = nb_neighbor_overlap(n_bases)
     for n_s in itertools.count(1):
         target = sums[n_s] if n_s < len(sums) else 0.0
-        i_eve = qmath.binary_information(qmath.pure_state_error(overlap ** n_s))
+        i_eve = information.binary_information(information.pure_state_error(overlap ** n_s))
         yield _solve_click_attenuation(model, mu, target), i_eve
 
 
@@ -501,7 +494,7 @@ def honest_information(model, mu, delta_db):
     (Sterbenz) and keeps the relative precision that 1 - h(q) loses near
     q = 1/2; below, from q itself."""
     q = photonics.qber_total(model, mu, delta_db)
-    return qmath.gap_information(0.5 - q) if q >= 0.25 else qmath.binary_information(q)
+    return information.gap_information(0.5 - q) if q >= 0.25 else information.binary_information(q)
 
 
 def nb_storing_ladder(n_bases, model=SourceChannelModel(), sums=None):
@@ -558,7 +551,8 @@ def nb_storing_columns(n_bases, model, deltas):
     rungs = [delta for delta, _ in ladder]
     first, (last, i_last) = rungs[0], ladder[-1]
     qber_total = photonics.qber_total
-    information, gap_information = qmath.binary_information, qmath.gap_information
+    binary_information = information.binary_information
+    gap_information = information.gap_information
     i_ab, i_eve = [], []
     for delta in deltas:
         if not 0.0 <= delta < math.inf:
@@ -572,5 +566,5 @@ def nb_storing_columns(n_bases, model, deltas):
             (d0, i0), (d1, i1) = ladder[k - 1], ladder[k]
             i_eve.append(i0 + (delta - d0) / (d1 - d0) * (i1 - i0))
         q = qber_total(model, mu, delta)
-        i_ab.append(gap_information(0.5 - q) if q >= 0.25 else information(q))
+        i_ab.append(gap_information(0.5 - q) if q >= 0.25 else binary_information(q))
     return i_ab, i_eve

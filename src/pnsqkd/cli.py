@@ -16,7 +16,9 @@ import numbers
 import sys
 from json.encoder import encode_basestring_ascii
 
-from . import attacks, cloning, keyrate, validation
+# cloning and validation load NumPy: ieclon23, report and validate import
+# them when they run, so that the other commands start without NumPy
+from . import attacks, cloners, keyrate
 from .attacks import InfeasibleModelError
 from .photonics import SourceChannelModel, nonnegative_finite, poisson_moments, positive_finite
 
@@ -182,13 +184,15 @@ def _curve_ieclon12(args):
     header = ["gamma", "disturbance", "qber_sifted", "i_ab", "i_eve_ng", "i_eve_cerf",
               "i_eve_bb84_ref"]
     # the two machines' informations are one number (clause 07b)
-    points = cloning.ng12_sifted_rows(args.gamma)
+    points = cloners.ng12_sifted_rows(args.gamma)
     rows = [(g, d, q, i_ab, i_eve, i_eve, ref)
             for g, (d, q, i_ab, i_eve, ref) in zip(args.gamma, points)]
     return header, rows
 
 
 def _curve_ieclon23(args):
+    from . import cloning
+
     header = ["gamma", "disturbance", "qber_sifted", "i_ab", "i_eve_ngs", "i_eve_cerf"]
     ngs = cloning.pns_cloning_attack(cloning.make_ngs23, args.mu, args.delta, args.gamma)
     cf = cloning.sifted_points(cloning.make_cerf23(cloning.cerf23_x_for_disturbance(ngs)))
@@ -221,9 +225,9 @@ def _curve_stattnb(args):
 
 def _curve_clonfid(args):
     header = ["machine", "parameter", "f_clone_pair", "f_clone_third"]
-    rows = [["ng23", g, *cloning.ng23_fidelities(g)] for g in args.gamma]
-    rows += [["cerf23", x, *cloning.cerf23_fidelities(x)]
-             for x in _linspace(0.0, cloning.CERF23_X_MAX, 100)]
+    rows = [["ng23", g, *cloners.ng23_fidelities(g)] for g in args.gamma]
+    rows += [["cerf23", x, *cloners.cerf23_fidelities(x)]
+             for x in _linspace(0.0, cloners.CERF23_X_MAX, 100)]
     return header, rows
 
 
@@ -317,7 +321,9 @@ def _cmd_curve(args):
 
 
 def _cmd_report(args):
-    gl = keyrate.geneva_lausanne_report(alpha=args.alpha)
+    from . import cloning
+
+    gl = cloning.geneva_lausanne_report(alpha=args.alpha)
     payload = {k: v if isinstance(v, bool) else float(_spec(type(v)) % v)
                for k, v in vars(gl).items()}
     _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
@@ -325,6 +331,8 @@ def _cmd_report(args):
 
 
 def _cmd_validate(args):
+    from . import validation
+
     result = validation.summary()
     sys.stdout.write(json.dumps(result, indent=2, sort_keys=True) + "\n")
     return 0 if result["all_pass"] else 1

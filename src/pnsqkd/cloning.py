@@ -15,24 +15,25 @@ succeeds when his outcome excludes one announced state, and the
 eavesdropper then discriminates her two conditional states with a
 minimum-error measurement, whose error is read in closed form from the QR
 factor of the receiver's four projected amplitudes, with no eigensolve.
-The two 1 -> 2 machines give one closed form in the disturbance,
-``ng12_sifted_rows``, which the CLI's 1 -> 2 curve reads with no machine
-built.
+The closed forms of the machines, which the scalar curves print without
+NumPy, are in ``cloners``.  The 67 km case study is here too, since it
+reads its two cloning terms from a ``sifted_points`` stack.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import attacks, qmath, solvers
+from . import attacks, information, keyrate, qmath, solvers
 from .attacks import InfeasibleModelError
-from .photonics import nonnegative_finite
+from .cloners import CERF23_X_MAX, ng23_fidelities
+from .photonics import DEFAULT_ALPHA_DB_PER_KM, nonnegative_finite
 from .qmath import partial_trace
 
 ISOMETRY_TOL = 1e-12
-CERF23_X_MAX = 1 / math.sqrt(8)  # the Bell-ancilla 2 -> 3 cloner's x range is [0, 1/sqrt 8]
 
 
 @dataclass
@@ -228,25 +229,6 @@ def make_cerf23(x):
                     {"x": x, "v": v_param})
 
 
-# closed-form equatorial fidelities ------------------------------------------
-
-def ng23_fidelities(gamma):
-    if not 0.0 <= gamma <= math.pi / 2:
-        raise ValueError("gamma must be in [0, pi/2]")
-    f12 = (0.5 + math.cos(gamma) / (2.0 * math.sqrt(3.0 + math.cos(2 * gamma)))
-           + 1.0 / math.sqrt(17.0 - math.cos(4 * gamma)))
-    f3 = (0.5 + math.sin(gamma) / (2.0 * math.sqrt(3.0 + math.cos(2 * gamma)))
-          + math.sin(2 * gamma) / math.sqrt(17.0 - math.cos(4 * gamma)))
-    return f12, f3
-
-
-def cerf23_fidelities(x):
-    if not 0.0 <= x <= CERF23_X_MAX:
-        raise ValueError("x must be in [0, 1/sqrt 8]")
-    v = math.sqrt(max(0.0, 1.0 - 8.0 * x * x))
-    return 1.0 - 2.0 * x * x, 1.0 - 0.5 * (v - 2.0 * x) ** 2
-
-
 def clone_reduced_states(machine, psi):
     """Reduced state and fidelity of every declared clone position.
 
@@ -364,8 +346,8 @@ def sifted_points(machine):
     return {
         "disturbance": w[:, 0, 0],
         "qber_sifted": qber,
-        "i_ab": np.array([qmath.binary_information(q) for q in qber.tolist()]),
-        "i_eve": np.array([qmath.binary_information(p) for p in p_e.tolist()]),
+        "i_ab": np.array([information.binary_information(q) for q in qber.tolist()]),
+        "i_eve": np.array([information.binary_information(p) for p in p_e.tolist()]),
         "p_e": p_e,
     }
 
@@ -411,51 +393,6 @@ def information_crossing(points):
     return None
 
 
-def bb84_reference_information(disturbance):
-    """Optimal individual-attack information for basis-revealing sifting:
-    1 - h(1/2 + sqrt(D (1 - D))), read from its gap sqrt(D (1 - D)).
-    Crosses 1 - h(D) at D = (1 - 1/sqrt 2)/2."""
-    if not 0.0 <= disturbance <= 0.5:
-        raise ValueError("disturbance must be in [0, 1/2]")
-    return qmath.gap_information(math.sqrt(disturbance * (1.0 - disturbance)))
-
-
-def _sifted_12(d, c):
-    """(q, 1/2 - q, 1/2 - p_e) of the sifted 1 -> 2 attack at disturbance d,
-    with c = 1 - 2d passed in exactly: cos gamma for ng12, 2F - 1 for cerf12.
-
-    q = 2d/(1 + 2d) (see ``sifted_points``), so 1/2 - q = c/(2(1 + 2d)),
-    and the gap of the eavesdropper's error is
-    t = sqrt(2d(1 - d))/(1 + 2d): on ng12 both signals are accepted with
-    weight 1 - (cos gamma)/2 and M has the eigenvalues
-    +-sin gamma/(sqrt 2 (2 - cos gamma)), and cerf12 at F = 1 - d gives the
-    same t, as clause 07b's Choi identity requires.
-    """
-    s = 1.0 + 2.0 * d
-    return 2.0 * d / s, 0.5 * c / s, math.sqrt(2.0 * d * (1.0 - d)) / s
-
-
-def ng12_sifted_rows(gammas):
-    """The sifted attack of the 1 -> 2 cloners at each of ng12's gammas, in
-    closed form and Python floats, with no machine built: one tuple
-    (disturbance, qber_sifted, i_ab, i_eve, i_eve_bb84_ref) per gamma.
-
-    The disturbance is D = sin^2(gamma/2) and each information is read from
-    its gap by ``qmath.gap_information``, never from an error rate near
-    1/2.  i_eve is that of both machines, ng12 at gamma and cerf12 at
-    F = 1 - D, and i_eve_bb84_ref is ``bb84_reference_information(D)``.
-    """
-    rows = []
-    for g in gammas:
-        if not 0.0 <= g <= math.pi / 2:
-            raise ValueError("gamma must be in [0, pi/2]")
-        d = math.sin(0.5 * g) ** 2
-        q, gap_ab, gap_eve = _sifted_12(d, math.cos(g))
-        rows.append((d, q, qmath.gap_information(gap_ab), qmath.gap_information(gap_eve),
-                     bb84_reference_information(d)))
-    return rows
-
-
 def ngs23_gamma_for_disturbance(d):
     """Parameter of the symmetrized 2 -> 3 cloner giving disturbance d on
     the clone pair (a root of the monotone fidelity, to the last bit)."""
@@ -471,3 +408,89 @@ def cerf23_x_for_disturbance(points):
     2 x^2 = D, the ``disturbance`` column of ``sifted_points``, capped at x =
     CERF23_X_MAX (D = 1/4)."""
     return [min(math.sqrt(d / 2.0), CERF23_X_MAX) for d in points["disturbance"].tolist()]
+
+
+# ---------------------------------------------------------------------------
+# 67 km case study
+
+@dataclass
+class GenevaLausanneReport:
+    """Security audit of the 67 km field experiment (mu = 0.2, QBER 5%:
+    4% detector noise + 1% optical)."""
+
+    mu: float
+    distance_km: float
+    delta_db: float
+    qber: float
+    i_ab: float
+    i_eve_pns: float          # interpolated photon-number attack, no errors
+    i_eve_cloning_optical: float   # cloning bounded by the optical error share
+    i_eve_cloning_full: float      # cloning credited with the full error
+    secure_optical_attribution: bool
+    secure_full_error: bool
+
+
+_CLONING_GRID = [1e-6 + (math.pi / 2 - 2e-6) * k / 240 for k in range(241)]
+
+
+def _cloning_infos(qbers):
+    """Eavesdropper information of the two-photon cloning attack (stronger,
+    symmetrized machine) at each target sifted error rate, interpolated
+    linearly from the first row of the 241-point gamma grid that reaches it.
+
+    The rows are located by the closed-form root: on every machine the
+    sifted error rate is q = 2D/(1 + 2D), so the gamma of disturbance
+    q/(2(1 - q)) guesses the row k, and only rows k - 2 .. k + 1 of every
+    target are evaluated, in one ``sifted_points`` stack (each slice of a
+    stack equals its one-point machine, so they read as on the full grid).
+    The error rate increases along the grid, so a row reaching the target
+    after one that falls short is the first; where these rows hold no such
+    pair the guess has failed (InfeasibleModelError).
+    """
+    windows = []
+    for qber in qbers:
+        gamma = ngs23_gamma_for_disturbance(min(qber / (2.0 * (1.0 - qber)), 0.25))
+        k = bisect.bisect_left(_CLONING_GRID, gamma)
+        windows.append(range(max(k - 2, 0), min(k + 2, len(_CLONING_GRID))))
+    rows = sorted(set().union(*windows))
+    points = sifted_points(make_ngs23([_CLONING_GRID[k] for k in rows]))
+    scan = dict(zip(rows, points["qber_sifted"].tolist()))
+    i_eve = dict(zip(rows, points["i_eve"].tolist()))
+    infos = []
+    for qber, window in zip(qbers, windows):
+        hi = next((k for k in window[1:] if scan[k - 1] < qber <= scan[k]), None)
+        if hi is None:
+            raise InfeasibleModelError(
+                f"the cloning rows around the guessed gamma do not bracket the error rate {qber:g}")
+        t = (qber - scan[hi - 1]) / (scan[hi] - scan[hi - 1])
+        infos.append(i_eve[hi - 1] + t * (i_eve[hi] - i_eve[hi - 1]))
+    return infos
+
+
+def geneva_lausanne_report(alpha=DEFAULT_ALPHA_DB_PER_KM):
+    """Case study: four-state sifting retrofitted onto the 67 km experiment.
+
+    I_AB = I(5%) ~ 0.71 bits.  The error-free interpolated photon-number
+    attack at 16.75 dB stays below 0.5 bits, and crediting the eavesdropper
+    with cloning up to either the optical error (1%) or the full observed
+    error (5%) still leaves her short of I_AB, so the link is secure under
+    both attributions.
+    """
+    mu, distance = 0.2, 67.0
+    delta = distance * alpha
+    qber, qber_optical = 0.05, 0.01
+    i_ab = information.binary_information(qber)
+    i_eve_pns, _, _ = attacks.fourstate_combined_info(mu, delta)
+    i_clone_opt, i_clone_full = _cloning_infos((qber_optical, qber))
+    return GenevaLausanneReport(
+        mu=mu,
+        distance_km=distance,
+        delta_db=delta,
+        qber=qber,
+        i_ab=i_ab,
+        i_eve_pns=i_eve_pns,
+        i_eve_cloning_optical=i_clone_opt,
+        i_eve_cloning_full=i_clone_full,
+        secure_optical_attribution=keyrate.secure(i_ab, max(i_eve_pns, i_clone_opt)),
+        secure_full_error=keyrate.secure(i_ab, max(i_eve_pns, i_clone_full)),
+    )

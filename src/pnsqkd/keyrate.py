@@ -1,14 +1,13 @@
 """Security criterion, secret-key rate, optimal mean photon number and the
-many-bases protocol comparison, plus the 67 km field-experiment case study.
+many-bases protocol comparison.  The 67 km field-experiment case study,
+which reads a cloning stack, is in ``cloning``.
 """
 from __future__ import annotations
 
-import bisect
 import functools
-import math
 from dataclasses import dataclass
 
-from . import attacks, cloning, photonics, qmath, solvers
+from . import attacks, photonics, solvers
 from .photonics import nonnegative_finite, positive_finite
 
 MU_SEARCH_MAX = 2.0
@@ -106,86 +105,3 @@ def nb_security_summary(n_bases, model=photonics.SourceChannelModel()):
     delta2 = solvers.root_decreasing(margin, lo, ladder[-1][0])
     critical = min(delta1, delta2)
     return NbSecuritySummary(n_bases, mu, delta1, delta2, critical, critical / model.alpha)
-
-
-@dataclass
-class GenevaLausanneReport:
-    """Security audit of the 67 km field experiment (mu = 0.2, QBER 5%:
-    4% detector noise + 1% optical)."""
-
-    mu: float
-    distance_km: float
-    delta_db: float
-    qber: float
-    i_ab: float
-    i_eve_pns: float          # interpolated photon-number attack, no errors
-    i_eve_cloning_optical: float   # cloning bounded by the optical error share
-    i_eve_cloning_full: float      # cloning credited with the full error
-    secure_optical_attribution: bool
-    secure_full_error: bool
-
-
-_CLONING_GRID = [1e-6 + (math.pi / 2 - 2e-6) * k / 240 for k in range(241)]
-
-
-def _cloning_infos(qbers):
-    """Eavesdropper information of the two-photon cloning attack (stronger,
-    symmetrized machine) at each target sifted error rate, interpolated
-    linearly from the first row of the 241-point gamma grid that reaches it.
-
-    The rows are located by the closed-form root: on every machine the
-    sifted error rate is q = 2D/(1 + 2D), so the gamma of disturbance
-    q/(2(1 - q)) guesses the row k, and only rows k - 2 .. k + 1 of every
-    target are evaluated, in one ``sifted_points`` stack (each slice of a
-    stack equals its one-point machine, so they read as on the full grid).
-    The error rate increases along the grid, so a row reaching the target
-    after one that falls short is the first; where these rows hold no such
-    pair the guess has failed (InfeasibleModelError).
-    """
-    windows = []
-    for qber in qbers:
-        gamma = cloning.ngs23_gamma_for_disturbance(min(qber / (2.0 * (1.0 - qber)), 0.25))
-        k = bisect.bisect_left(_CLONING_GRID, gamma)
-        windows.append(range(max(k - 2, 0), min(k + 2, len(_CLONING_GRID))))
-    rows = sorted(set().union(*windows))
-    points = cloning.sifted_points(cloning.make_ngs23([_CLONING_GRID[k] for k in rows]))
-    scan = dict(zip(rows, points["qber_sifted"].tolist()))
-    i_eve = dict(zip(rows, points["i_eve"].tolist()))
-    infos = []
-    for qber, window in zip(qbers, windows):
-        hi = next((k for k in window[1:] if scan[k - 1] < qber <= scan[k]), None)
-        if hi is None:
-            raise attacks.InfeasibleModelError(
-                f"the cloning rows around the guessed gamma do not bracket the error rate {qber:g}")
-        t = (qber - scan[hi - 1]) / (scan[hi] - scan[hi - 1])
-        infos.append(i_eve[hi - 1] + t * (i_eve[hi] - i_eve[hi - 1]))
-    return infos
-
-
-def geneva_lausanne_report(alpha=photonics.DEFAULT_ALPHA_DB_PER_KM):
-    """Case study: four-state sifting retrofitted onto the 67 km experiment.
-
-    I_AB = I(5%) ~ 0.71 bits.  The error-free interpolated photon-number
-    attack at 16.75 dB stays below 0.5 bits, and crediting the eavesdropper
-    with cloning up to either the optical error (1%) or the full observed
-    error (5%) still leaves her short of I_AB, so the link is secure under
-    both attributions.
-    """
-    mu, distance = 0.2, 67.0
-    delta = distance * alpha
-    qber, qber_optical = 0.05, 0.01
-    i_ab = qmath.binary_information(qber)
-    i_eve_pns, _, _ = attacks.fourstate_combined_info(mu, delta)
-    i_clone_opt, i_clone_full = _cloning_infos((qber_optical, qber))
-    return GenevaLausanneReport(
-        mu=mu,
-        distance_km=distance,
-        delta_db=delta,
-        qber=qber,
-        i_ab=i_ab,
-        i_eve_pns=i_eve_pns,
-        i_eve_cloning_optical=i_clone_opt,
-        i_eve_cloning_full=i_clone_full,
-        secure_optical_attribution=secure(i_ab, max(i_eve_pns, i_clone_opt)),
-        secure_full_error=secure(i_ab, max(i_eve_pns, i_clone_full)),
-    )

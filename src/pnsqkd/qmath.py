@@ -2,12 +2,13 @@
 
 Everything here is sized for few-qubit problems (dimension <= 32): pure
 states, operators, Kraus-style generalized measurements, the symmetric
-subspace of n qubits, Helstrom discrimination and the binary mutual
-information.  States are 1-D and operators 2-D complex128 arrays, and a
-measurement is a list of (label, operator) pairs; ``state`` and
-``measurement`` build them with their checks.  Kronecker convention: the
-left tensor factor is the slow index, i.e. qubit 0 is the most
-significant bit of the basis label.
+subspace of n qubits, Helstrom discrimination and the storing attack it
+prices.  The binary mutual information and the other scalar closed forms
+are in ``information``, which imports no NumPy.  States are 1-D and
+operators 2-D complex128 arrays, and a measurement is a list of (label,
+operator) pairs; ``state`` and ``measurement`` build them with their
+checks.  Kronecker convention: the left tensor factor is the slow index,
+i.e. qubit 0 is the most significant bit of the basis label.
 """
 from __future__ import annotations
 
@@ -16,11 +17,12 @@ from math import lgamma
 
 import numpy as np
 
+from . import information
+
 NORM_TOL = 1e-12
 COMPLETENESS_TOL = 1e-10
 PSD_TOL = 1e-10
 _UNREACHABLE_P = 1e-14
-_TWO_LN2 = 2.0 * math.log(2.0)
 
 
 def state(amplitudes):
@@ -217,49 +219,16 @@ def helstrom_error(rho0, rho1, prior0=0.5):
     return 0.5 * (1.0 - trace_norm(gamma))
 
 
-def pure_state_error(overlap):
-    """Minimum-error probability (1 - sqrt(1 - c^2)) / 2 for two
-    equiprobable pure states with overlap c."""
-    return 0.5 * (1.0 - math.sqrt(1.0 - overlap * overlap))
+def storing_attack_info(pair):
+    """Information from storing one photon and discriminating the announced pair.
 
-
-def binary_information(p):
-    """Binary mutual information 1 + p log2 p + (1-p) log2 (1-p), in bits.
-
-    0 log 0 is taken as 0; p is an error probability in [0, 1].  Near
-    p = 1/2 the sum cancels to a rounding residue, which can be negative;
-    the result is then 0.  A caller that knows the gap t = 1/2 - p calls
-    ``gap_information(t)``, which keeps its relative precision there.  This
-    form keeps its floats for a given p: the four-state storing information
-    reads it, and the gap form would move that by 2 ulps and, through it,
-    the optimal mu beyond its pinned benchmark reference.
+    Equiprobable minimum-error discrimination of the two announced states;
+    for the four-state protocol the pair overlap is 1/sqrt(2), giving
+    p_e ~ 0.1464 and I ~ 0.399 bits.  Returns (p_e, info).
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("probability out of range")
-    out = 1.0
-    if p > 0.0:
-        out += p * math.log2(p)
-    q = 1.0 - p
-    if q > 0.0:
-        out += q * math.log2(q)
-    return out if out > 0.0 else 0.0
-
-
-def gap_information(t):
-    """``binary_information(1/2 - t)`` from the gap t in [0, 1/2], without
-    forming p where that cancels.
-
-    With x = 2t it is ((1 + x) log2(1 + x) + (1 - x) log2(1 - x))/2, taken
-    below t = 1/4 as (2x atanh x + log1p(-x^2)) / (2 ln 2), whose two terms
-    are about 2x^2 and -x^2; from t = 1/4 up, 1/2 - t is exact (Sterbenz)
-    and p's form does not cancel.
-    """
-    if not 0.0 <= t <= 0.5:
-        raise ValueError("gap out of range")
-    if t >= 0.25:
-        return binary_information(0.5 - t)
-    x = 2.0 * t
-    return (2.0 * x * math.atanh(x) + math.log1p(-x * x)) / _TWO_LN2
+    s0, s1 = pair
+    p_e = helstrom_error(s0, s1, 0.5)
+    return p_e, information.binary_information(p_e)
 
 
 def two_mode_number_state(n, phase, ratio):
@@ -268,7 +237,8 @@ def two_mode_number_state(n, phase, ratio):
     Returns the coefficient vector over photon splits (n-m, m) for
     m = 0..n: sqrt(C(n,m) t^m / (1+t)^n) e^(i m phase).  With t = 1 this is
     the balanced two-mode (time-bin) case.  States with the same n and
-    different phases have overlap ((1-t)/(1+t))^n.
+    different phases have overlap ((1-t)/(1+t))^n
+    (``information.two_mode_overlap``).
     """
     if n < 0:
         raise ValueError("photon number must be non-negative")
@@ -283,18 +253,3 @@ def two_mode_number_state(n, phase, ratio):
         lc = lgamma(n + 1) - lgamma(m + 1) - lgamma(n - m + 1)
         amps[m] = math.exp(0.5 * (lc + m * logt - n * log1t)) * np.exp(1j * m * phase)
     return state(amps)
-
-
-def two_mode_overlap(n, ratio):
-    """Closed form |<phi_n(pi)|phi_n(0)>| = ((1-t)/(1+t))^n for t = ratio
-    in [0, 1) and any real n >= 0.
-
-    Taken in log space, exp(n (log1p(-t) - log1p(t))): rounding (1-t)/(1+t)
-    and raising it to a large n (n ~ 1/t in the strong-pulse scheme) would
-    amplify one ulp to ~1e-9 in the overlap.
-    """
-    if not 0.0 <= n < math.inf:
-        raise ValueError("photon number n must be non-negative and finite")
-    if not 0.0 <= ratio < 1.0:
-        raise ValueError("intensity ratio must be in [0, 1)")
-    return math.exp(n * (math.log1p(-ratio) - math.log1p(ratio)))

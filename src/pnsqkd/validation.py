@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from . import attacks, cloning, discrimination, keyrate, photonics, qmath
+from . import attacks, cloning, discrimination, information, photonics, qmath
 
 
 def _check(name, measured, expected, tolerance):
@@ -39,12 +39,12 @@ def run_checks():
     checks.append(_check("usd_pok_3_bases", discrimination.usd_optimal_pok(3), 3 / 16, 1e-9))
     checks.append(_check("usd_pok_4_bases", discrimination.usd_optimal_pok(4), 4 / 64, 1e-9))
 
-    p_e, i_store = attacks.storing_attack_info((qmath.PLUS_X, qmath.PLUS_Y))
+    p_e, i_store = qmath.storing_attack_info((qmath.PLUS_X, qmath.PLUS_Y))
     checks.append(_check("storing_error_probability", p_e, 0.146447, 1e-5))
     checks.append(_check("storing_information_bits", i_store, 0.399124, 1e-5))
 
     checks.append(_check("binary_information_5pct",
-                         qmath.binary_information(0.05), 0.713603, 1e-5))
+                         information.binary_information(0.05), 0.713603, 1e-5))
     checks.append(_check("strongpulse_asymptote_mu025",
                          attacks.strongpulse_asymptotic_info(0.25), 0.523223, 1e-5))
 
@@ -76,7 +76,7 @@ def run_checks():
     ov = abs(np.vdot(qmath.two_mode_number_state(100, math.pi, ratio),
                      qmath.two_mode_number_state(100, 0.0, ratio)))
     checks.append(_check("two_mode_overlap_closed_form",
-                         ov, qmath.two_mode_overlap(100, ratio), 1e-12))
+                         ov, information.two_mode_overlap(100, ratio), 1e-12))
 
     new_ov, _ = discrimination.filtered_overlap_bound(math.pi / 3)
     checks.append(_check("filtered_overlap_eta_pi3", new_ov, 0.8, 1e-12))
@@ -88,7 +88,7 @@ def run_checks():
                          qmath.helstrom_error(qmath.PLUS_X, qmath.KET_0, 0.5),
                          0.5 * (1 - math.sqrt(0.5)), 1e-12))
 
-    gl = keyrate.geneva_lausanne_report()
+    gl = cloning.geneva_lausanne_report()
     checks.append(_check("geneva_lausanne_i_ab", gl.i_ab, 0.713603, 1e-5))
     checks.append(_check("geneva_lausanne_i_eve_below_half",
                          1.0 if gl.i_eve_pns < 0.5 else 0.0, 1.0, 0.0))

@@ -27,7 +27,7 @@ import math
 import numpy as np
 import pytest
 
-from pnsqkd import attacks, cloning, discrimination, keyrate, photonics, qmath
+from pnsqkd import attacks, cloning, discrimination, information, keyrate, photonics, qmath
 
 ALPHA = 0.25
 
@@ -68,7 +68,7 @@ def test_criterion_03_usd_success_conjecture():
 # -- 4: storing attack ---------------------------------------------------------
 
 def test_criterion_04_storing_attack():
-    p_e, info = attacks.storing_attack_info((qmath.PLUS_X, qmath.PLUS_Y))
+    p_e, info = qmath.storing_attack_info((qmath.PLUS_X, qmath.PLUS_Y))
     # the one-photon rung of the two-bases storing ladder is the same attack
     _, rung_info = attacks.nb_storing_critical(2, 1)
     ok = (abs(p_e - 0.14645) <= 1e-4 and abs(info - 0.399) <= 1e-3
@@ -94,7 +94,7 @@ def test_criterion_05a_strongpulse_asymptote_low_mu():
     mu = 0.025
     overlap = attacks.strongpulse_b92(mu, 60.0)[2]
     rounded = round(overlap, 2)
-    info_rounded = qmath.binary_information(0.5 * (1 - math.sqrt(1 - rounded**2)))
+    info_rounded = information.binary_information(0.5 * (1 - math.sqrt(1 - rounded**2)))
 
     p = 0.5 * (1 - math.sqrt(1 - math.exp(-4 * mu)))
     closed = 1 + p * math.log2(p) + (1 - p) * math.log2(1 - p)
@@ -117,7 +117,7 @@ def test_criterion_05a_rounded_overlap_reproduces_target():
     # diagnostic companion: the 0.0716 figure is recovered once the overlap
     # is truncated to two decimals
     p_e = 0.5 * (1 - math.sqrt(1 - 0.95**2))
-    info = qmath.binary_information(p_e)
+    info = information.binary_information(p_e)
     check("05a-diag", abs(info - 0.0716) <= 1e-3,
           f"I(overlap 0.95) = {info:.4f} bits")
 
@@ -260,7 +260,7 @@ def test_criterion_07c_interior_maximum():
 
 
 def test_criterion_07d_endpoint_value():
-    expected = qmath.binary_information(0.5 * (1 - math.sqrt(0.5)))
+    expected = information.binary_information(0.5 * (1 - math.sqrt(0.5)))
     got_ng = cloning.sifted_point(cloning.make_ng12(math.pi / 2))["i_eve"]
     got_cf = cloning.sifted_point(cloning.make_cerf12(0.5))["i_eve"]
     ok = abs(got_ng - expected) <= 1e-6 and abs(got_cf - expected) <= 1e-6
@@ -287,7 +287,7 @@ def test_criterion_08_crossing_and_dominance():
 # -- 9: field-experiment case study ----------------------------------------------
 
 def test_criterion_09_geneva_lausanne():
-    gl = keyrate.geneva_lausanne_report()
+    gl = cloning.geneva_lausanne_report()
     ok = (abs(gl.i_ab - 0.7136) <= 1e-3 and gl.i_eve_pns < 0.5
           and gl.secure_optical_attribution and gl.secure_full_error)
     check("09", ok, f"I_AB = {gl.i_ab:.4f}, I_Eve = {gl.i_eve_pns:.4f}, "

@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from pnsqkd import attacks, cli, cloning, keyrate, photonics, qmath, solvers
+from pnsqkd import attacks, cli, cloning, information, keyrate, photonics, qmath, solvers
 from pnsqkd.attacks import (
     bb84_critical_attenuation,
     bb84_pns,
@@ -23,11 +23,11 @@ from pnsqkd.attacks import (
     nb_storing_critical,
     nb_storing_info_at,
     nb_storing_ladder,
-    storing_attack_info,
     strongpulse_asymptotic_info,
     strongpulse_b92,
 )
 from pnsqkd.photonics import SourceChannelModel, poisson_click_sums, poisson_pmf
+from pnsqkd.qmath import storing_attack_info
 import oracle
 from test_solvers import optimum_with_ends
 
@@ -283,7 +283,7 @@ class TestStoring:
         p_e, info = storing_attack_info((a, b))
         c = math.cos(math.pi / 8)
         assert p_e == pytest.approx(0.5 * (1 - math.sqrt(1 - c * c)), abs=1e-12)
-        assert info == pytest.approx(qmath.binary_information(p_e), abs=1e-12)
+        assert info == pytest.approx(information.binary_information(p_e), abs=1e-12)
 
 
 class TestCombinedCurve:

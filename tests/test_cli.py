@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pnsqkd import attacks, cli, cloning, photonics
+from pnsqkd import attacks, cli, cloners, cloning, photonics
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(ROOT / "src")
@@ -297,7 +297,7 @@ def test_default_grids_are_numpys_linspace():
     args = cli.build_parser().parse_args(["curve", "clonfid"])
     assert hexes(args.gamma) == hexes(np.linspace(0.0, math.pi / 2, 100).tolist())
     xs = [x for machine, x, *_ in cli._curve_clonfid(args)[1] if machine == "cerf23"]
-    assert hexes(xs) == hexes(np.linspace(0.0, cloning.CERF23_X_MAX, 100).tolist())
+    assert hexes(xs) == hexes(np.linspace(0.0, cloners.CERF23_X_MAX, 100).tolist())
 
 
 def test_pns42_computes_its_moments_once_per_curve(monkeypatch):

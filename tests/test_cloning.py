@@ -6,11 +6,10 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from pnsqkd import attacks, cloning, qmath
+from pnsqkd import attacks, cloners, cloning, information, qmath
+from pnsqkd.cloners import bb84_reference_information, cerf23_fidelities, ng23_fidelities
 from pnsqkd.cloning import (
     InfeasibleModelError,
-    bb84_reference_information,
-    cerf23_fidelities,
     clone_reduced_states,
     information_crossing,
     make_cerf12,
@@ -18,7 +17,6 @@ from pnsqkd.cloning import (
     make_ng12,
     make_ng23,
     make_ngs23,
-    ng23_fidelities,
     pns_cloning_attack,
     sifted_point,
     sifted_points,
@@ -109,7 +107,7 @@ def _oracle_sifted_point(machine, announced=("+x", "+y")):
     wrong = _project(machine, machine.apply_to_qubit(qmath.PLUS_X), qmath.MINUS_X)
     qber = 0.5 * (qbers[0] + qbers[1])
     return {"disturbance": float(np.vdot(wrong, wrong).real), "qber_sifted": qber,
-            "i_ab": qmath.binary_information(qber), "i_eve": qmath.binary_information(p_e),
+            "i_ab": information.binary_information(qber), "i_eve": information.binary_information(p_e),
             "p_e": p_e}
 
 
@@ -462,7 +460,7 @@ class TestSiftedPoints:
 # point (gamma = 0 and pi/2, cerf12 F = 1, cerf23 x = 1/sqrt 8)
 FACTORY_RANGES = [(make_ng12, 0.0, math.pi / 2), (make_cerf12, 0.5, 1.0),
                   (make_ng23, 0.0, math.pi / 2), (make_ngs23, 0.0, math.pi / 2),
-                  (make_cerf23, 0.0, cloning.CERF23_X_MAX)]
+                  (make_cerf23, 0.0, cloners.CERF23_X_MAX)]
 
 
 class TestHelstromClosedForm:
@@ -493,7 +491,7 @@ class TestHelstromClosedForm:
         assert oracle.binary_information(Decimal("0.5")) == 0
         assert oracle.binary_information(0) == 1
         assert float(oracle.binary_information(0.05)) == pytest.approx(
-            qmath.binary_information(0.05), abs=2e-16)
+            information.binary_information(0.05), abs=2e-16)
 
     @pytest.mark.parametrize("factory,lo,hi", FACTORY_RANGES)
     def test_p_e_matches_the_50_digit_oracle(self, factory, lo, hi):
@@ -527,7 +525,7 @@ class TestSiftedAttack:
     def test_full_disturbance_endpoint(self):
         # at D = 1/2 the eavesdropper holds the signal state itself and her
         # information is the plain stored-pair value
-        expected = qmath.binary_information(0.5 * (1 - math.sqrt(0.5)))
+        expected = information.binary_information(0.5 * (1 - math.sqrt(0.5)))
         for machine in (make_ng12(math.pi / 2), make_cerf12(0.5)):
             point = sifted_points(machine)
             assert point["disturbance"][0] == pytest.approx(0.5, abs=1e-12)
@@ -583,11 +581,11 @@ class TestNg12ClosedForm:
 
     def test_matches_sifted_points_on_the_ng12_grid(self):
         gammas = FACTORY_GRIDS[0][1]
-        rows = np.array(cloning.ng12_sifted_rows(gammas.tolist()))
+        rows = np.array(cloners.ng12_sifted_rows(gammas.tolist()))
         points = sifted_points(make_ng12(gammas))
         assert _within_ulps(rows[:, 0], points["disturbance"])
         assert _within_ulps(rows[:, 1], points["qber_sifted"])
-        p_e = [0.5 - cloning._sifted_12(d, math.cos(g))[2]
+        p_e = [0.5 - cloners._sifted_12(d, math.cos(g))[2]
                for d, g in zip(rows[:, 0].tolist(), gammas.tolist())]
         assert np.max(np.abs(p_e - points["p_e"])) <= 1e-15
 
@@ -596,31 +594,31 @@ class TestNg12ClosedForm:
         points = sifted_points(make_cerf12(fidelities))
         d = 1.0 - fidelities
         assert _within_ulps(d, points["disturbance"])
-        gaps = np.array([cloning._sifted_12(x, 2.0 * f - 1.0)
+        gaps = np.array([cloners._sifted_12(x, 2.0 * f - 1.0)
                          for x, f in zip(d.tolist(), fidelities.tolist())])
         assert _within_ulps(gaps[:, 0], points["qber_sifted"])
         assert np.max(np.abs(0.5 - gaps[:, 2] - points["p_e"])) <= 1e-15
 
     def test_informations_are_read_from_their_gaps(self):
         gammas = _log_uniform(1e-8, math.pi / 2, 50, seed=12) + [0.0, math.pi / 2]
-        for g, (d, q, i_ab, i_eve, ref) in zip(gammas, cloning.ng12_sifted_rows(gammas)):
-            _, gap_ab, gap_eve = cloning._sifted_12(d, math.cos(g))
+        for g, (d, q, i_ab, i_eve, ref) in zip(gammas, cloners.ng12_sifted_rows(gammas)):
+            _, gap_ab, gap_eve = cloners._sifted_12(d, math.cos(g))
             assert 0.0 <= d <= 0.5
             assert 0.5 - gap_ab == pytest.approx(q, abs=1e-16)
-            assert (i_ab, i_eve, ref) == (qmath.gap_information(gap_ab),
-                                          qmath.gap_information(gap_eve),
+            assert (i_ab, i_eve, ref) == (information.gap_information(gap_ab),
+                                          information.gap_information(gap_eve),
                                           bb84_reference_information(d))
 
     @pytest.mark.parametrize("gamma", [-1e-300, math.nextafter(math.pi / 2, 2.0), 2.0, math.nan])
     def test_rejects_gamma_outside_the_range(self, gamma):
         with pytest.raises(ValueError, match=r"gamma must be in \[0, pi/2\]"):
-            cloning.ng12_sifted_rows([0.5, gamma])
+            cloners.ng12_sifted_rows([0.5, gamma])
 
     def test_peak_is_at_a_quarter_disturbance(self):
         # t = sqrt(2D(1 - D))/(1 + 2D) peaks at D = 1/4 (gamma = pi/3) with t = 1/sqrt 6
-        d, _, _, i_eve, _ = cloning.ng12_sifted_rows([math.pi / 3])[0]
+        d, _, _, i_eve, _ = cloners.ng12_sifted_rows([math.pi / 3])[0]
         assert d == pytest.approx(0.25, rel=1e-15)
-        assert i_eve == pytest.approx(qmath.gap_information(1.0 / math.sqrt(6.0)), rel=1e-15)
+        assert i_eve == pytest.approx(information.gap_information(1.0 / math.sqrt(6.0)), rel=1e-15)
 
 
 def _log_uniform(lo, hi, n, seed):
@@ -666,7 +664,7 @@ class TestPnsCloning23:
     def test_zero_disturbance_limit_is_single_copy_storing(self):
         # with a perfect clone forwarded, the eavesdropper keeps exactly one
         # pristine copy, so the limit is the one-copy stored-pair value
-        expected = qmath.binary_information(0.5 * (1 - math.sqrt(0.5)))
+        expected = information.binary_information(0.5 * (1 - math.sqrt(0.5)))
         for machine in (make_ngs23(1e-6), make_cerf23(1e-7)):
             point = sifted_points(machine)
             assert point["i_eve"][0] == pytest.approx(expected, abs=1e-4)
@@ -677,7 +675,7 @@ class TestReferenceCurve:
         # reference individual-attack tolerance for basis-revealing sifting
         d = (1 - 1 / math.sqrt(2)) / 2
         assert bb84_reference_information(d) == pytest.approx(
-            qmath.binary_information(d), abs=1e-12)
+            information.binary_information(d), abs=1e-12)
 
     def test_monotone_from_zero(self):
         assert bb84_reference_information(0.0) == pytest.approx(0.0, abs=1e-12)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CLI = ROOT / "src" / "pnsqkd" / "cli.py"
-FORBIDDEN = ("qmath", "photonics.qber_total", "math.sqrt", "numpy")
+FORBIDDEN = ("qmath", "information", "photonics.qber_total", "math.sqrt", "numpy")
 
 
 def _qualified_references(tree):
@@ -65,21 +65,58 @@ def test_the_check_sees_each_spelling():
 
 
 def test_importing_the_package_binds_and_loads_only_what_it_needs():
-    # code imports the submodules it reads; the package binds eig_hermitian
-    # only for the benchmark's tracing test
+    # code imports the submodules it reads; the package resolves
+    # eig_hermitian on first access, for the benchmark's tracing test only
     probe = ("import sys, types, pnsqkd\n"
              "print(*[k for k, v in vars(pnsqkd).items() if not k.startswith('_')"
              " and not isinstance(v, types.ModuleType)])\n"
-             "print(*[m for m in sys.modules if m.startswith('pnsqkd.')])\n"
-             "print(pnsqkd.__version__)")
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path), timeout=60, check=True)
-    names, loaded, version = proc.stdout.splitlines()
-    assert names.split() == ["eig_hermitian"]
+             "print(*[m for m in sys.modules if m.startswith('pnsqkd.')"
+             " or m.partition('.')[0] == 'numpy'])\n"
+             "print(pnsqkd.__version__)\n"
+             "print(pnsqkd.eig_hermitian is pnsqkd.qmath.eig_hermitian)")
+    names, loaded, version, same = _python("-c", probe).splitlines()
+    assert names.split() == []
+    assert loaded.split() == []
     assert version
-    unneeded = {f"pnsqkd.{m}" for m in ("attacks", "cloning", "keyrate", "validation", "cli")}
-    assert unneeded.isdisjoint(loaded.split())
+    assert same == "True"
+
+
+def _python(*args):
+    """stdout of a fresh interpreter that imports the package from src/."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=60, check=True)
+    return proc.stdout
+
+
+# The commands that compute with math alone, with short grids, and the ones
+# that load NumPy: dcrit through usd_optimal_pok's eigensolve, ieclon23 and
+# report through the QR of sifted_points, validate through its anchors.
+_SCALAR_COMMANDS = (["curve", "pns-bb84"], ["curve", "pns-42"], ["curve", "figiepr"],
+                    ["curve", "muopt", "--d", "4:8:4"], ["curve", "stattnb"],
+                    ["curve", "strongpulse"], ["curve", "ieclon12"], ["curve", "clonfid"])
+_NUMPY_COMMANDS = (["curve", "ieclon23", "--gamma", "0.2:0.4:0.2"],
+                   ["curve", "dcrit", "--nb", "2:3"], ["report", "geneva-lausanne"],
+                   ["validate"])
+
+
+def test_the_scalar_commands_start_without_numpy():
+    # one cold process runs the scalar commands in turn; the others each run
+    # in a fresh process, where a module their command forgot to load fails
+    probe = ("import contextlib, io, sys\nfrom pnsqkd import cli\n"
+             f"for argv in {list(map(list, _SCALAR_COMMANDS))!r}:\n"
+             "    with contextlib.redirect_stdout(io.StringIO()):\n"
+             "        code = cli.main(argv)\n"
+             "    print(code, *[m for m in sys.modules if m.partition('.')[0] == 'numpy'][:1])")
+    assert _python("-c", probe).splitlines() == ["0"] * len(_SCALAR_COMMANDS)
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    procs = [subprocess.Popen([sys.executable, "-m", "pnsqkd.cli", *argv],
+                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                              env=dict(os.environ, PYTHONPATH=path))
+             for argv in _NUMPY_COMMANDS]
+    results = [(argv, proc.wait(timeout=60), proc.stderr.read()) for argv, proc in
+               zip(_NUMPY_COMMANDS, procs)]
+    assert [r for r in results if r[1] != 0] == []
 
 
 def test_readme_lists_every_benchmark_result():

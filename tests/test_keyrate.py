@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from conftest import is_last_bit_crossing
-from pnsqkd import attacks, cloning, keyrate, photonics, qmath, validation
+from pnsqkd import attacks, cloners, cloning, keyrate, photonics, qmath, validation
+from pnsqkd.cloning import geneva_lausanne_report
 from pnsqkd.keyrate import (
     fourstate_key_rate,
-    geneva_lausanne_report,
     key_rate,
     nb_security_summary,
     optimal_mu,
@@ -171,9 +171,9 @@ class TestCloningInfos:
         scan = [q for q, _ in _full_grid_rows()]
         targets = [0.01, 0.05, scan[57], 0.02]
         want = [_full_grid_cloning_info(q) for q in targets]
-        assert keyrate._cloning_infos(targets) == want
+        assert cloning._cloning_infos(targets) == want
         for q in targets:
-            assert keyrate._cloning_infos([q]) == [_full_grid_cloning_info(q)]
+            assert cloning._cloning_infos([q]) == [_full_grid_cloning_info(q)]
 
     def test_report_reads_the_same_terms(self):
         gl = geneva_lausanne_report()
@@ -189,7 +189,7 @@ class TestCloningInfos:
                               (cloning.make_cerf12, [0.5, 0.8, 1.0]),
                               (cloning.make_ng23, [0.0, 0.7, math.pi / 2]),
                               (cloning.make_ngs23, [0.0, 0.7, math.pi / 2]),
-                              (cloning.make_cerf23, [0.0, 0.2, cloning.CERF23_X_MAX])):
+                              (cloning.make_cerf23, [0.0, 0.2, cloners.CERF23_X_MAX])):
             cloning.sifted_points(factory(grid))
         geneva_lausanne_report()
 
@@ -214,7 +214,7 @@ class TestCloningInfos:
         monkeypatch.setattr(cloning, "sifted_points", recording)
         for q in targets:
             evaluations.clear()
-            assert keyrate._cloning_infos([q]) == [_read_rows(rows, q)], q
+            assert cloning._cloning_infos([q]) == [_read_rows(rows, q)], q
             # the rows around the guessed row always bracket the target
             assert len(evaluations) == 1 and evaluations[0] <= 4, q
 
@@ -224,7 +224,7 @@ class TestCloningInfos:
         monkeypatch.setattr(cloning, "ngs23_gamma_for_disturbance", lambda d: gamma)
         for q in (0.01, 0.05):
             with pytest.raises(attacks.InfeasibleModelError):
-                keyrate._cloning_infos([q])
+                cloning._cloning_infos([q])
 
     def test_report_and_validate_build_small_stacks(self, monkeypatch):
         sizes = []

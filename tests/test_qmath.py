@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pnsqkd import cloning, qmath
+from pnsqkd import cloning, information, qmath
+from pnsqkd.information import binary_information, two_mode_overlap
 from pnsqkd.qmath import (
     apply_measurement,
-    binary_information,
     eig_hermitian,
     helstrom_error,
     measurement,
@@ -20,7 +20,6 @@ from pnsqkd.qmath import (
     symmetric_basis,
     symmetric_coordinates,
     two_mode_number_state,
-    two_mode_overlap,
 )
 import oracle
 from conftest import random_density, random_qubit
@@ -270,20 +269,20 @@ class TestGapInformation:
             + [0.5 - 10.0 ** -k for k in range(1, 17)])
 
     def test_matches_the_oracle_to_1e_15_relative(self):
-        worst = max(abs(decimal.Decimal(qmath.gap_information(t)) / oracle.gap_information(t) - 1)
+        worst = max(abs(decimal.Decimal(information.gap_information(t)) / oracle.gap_information(t) - 1)
                     for t in self.GAPS)
         assert worst <= 1e-15
 
     def test_ends(self):
-        assert qmath.gap_information(0.0) == 0.0
-        assert qmath.gap_information(0.5) == 1.0
+        assert information.gap_information(0.0) == 0.0
+        assert information.gap_information(0.5) == 1.0
         assert oracle.gap_information(0) == 0
         assert oracle.gap_information(decimal.Decimal("0.5")) == 1
 
     def test_is_the_information_of_half_minus_the_gap(self):
         # where 1/2 - t does not cancel the two forms agree
         for t in (0.05, 0.1, 0.2, 0.249, 0.3, 0.45):
-            assert qmath.gap_information(t) == pytest.approx(
+            assert information.gap_information(t) == pytest.approx(
                 binary_information(0.5 - t), rel=1e-14)
         assert float(oracle.gap_information(0.2)) == pytest.approx(
             float(oracle.binary_information(decimal.Decimal("0.3"))), rel=1e-15)
@@ -291,7 +290,7 @@ class TestGapInformation:
     @pytest.mark.parametrize("t", [-1e-300, math.nextafter(0.5, 1.0), math.nan, math.inf])
     def test_range_check(self, t):
         with pytest.raises(ValueError, match="gap out of range"):
-            qmath.gap_information(t)
+            information.gap_information(t)
 
 
 class TestTwoModeNumberState:

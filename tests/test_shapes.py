@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from pnsqkd import attacks, cloning, keyrate
+from pnsqkd import attacks, cloners, cloning, keyrate
 from pnsqkd.photonics import SourceChannelModel
 
 MUS = (1e-3, 1.1e-3, 0.05, 0.2, 0.5, 1.0, 2.0)
@@ -91,7 +91,7 @@ def test_ng12_information_peaks_at_a_quarter_disturbance():
     # dt/dgamma has the sign of 2 cos gamma - 1, so I_Eve rises up to
     # gamma = pi/3 (D = 1/4, t = 1/sqrt 6) and falls after it
     gammas = [k * (math.pi / 2) / 1200 for k in range(1201)]  # pi/3 is k = 800
-    infos = [row[3] for row in cloning.ng12_sifted_rows(gammas)]
+    infos = [row[3] for row in cloners.ng12_sifted_rows(gammas)]
     peak = infos.index(max(infos))
     assert peak == 800
     assert _descents(gammas[:peak + 1], infos[:peak + 1]) == []
