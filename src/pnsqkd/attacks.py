@@ -490,11 +490,13 @@ def nb_storing_critical(n_bases, n_stored, model=SourceChannelModel()):
 
 def honest_information(model, mu, delta_db):
     """Honest parties' information I_AB = 1 - h(q) at the model's QBER q.
-    From q = 1/4 up it is taken from the gap 1/2 - q, which is exact there
-    (Sterbenz) and keeps the relative precision that 1 - h(q) loses near
-    q = 1/2; below, from q itself."""
+    Below q = 1/4 it is taken from q; from there up, from the gap 1/2 - q of
+    ``photonics.qber_gap``, which keeps the relative precision that 1 - h(q)
+    and 0.5 - q lose near q = 1/2."""
     q = photonics.qber_total(model, mu, delta_db)
-    return information.gap_information(0.5 - q) if q >= 0.25 else information.binary_information(q)
+    if q < 0.25:
+        return information.binary_information(q)
+    return information.gap_information(photonics.qber_gap(model, mu, delta_db))
 
 
 def nb_storing_ladder(n_bases, model=SourceChannelModel(), sums=None):
@@ -550,7 +552,7 @@ def nb_storing_columns(n_bases, model, deltas):
     ladder = nb_storing_ladder(n_bases, model)
     rungs = [delta for delta, _ in ladder]
     first, (last, i_last) = rungs[0], ladder[-1]
-    qber_total = photonics.qber_total
+    qber_total, qber_gap = photonics.qber_total, photonics.qber_gap
     binary_information = information.binary_information
     gap_information = information.gap_information
     i_ab, i_eve = [], []
@@ -566,5 +568,6 @@ def nb_storing_columns(n_bases, model, deltas):
             (d0, i0), (d1, i1) = ladder[k - 1], ladder[k]
             i_eve.append(i0 + (delta - d0) / (d1 - d0) * (i1 - i0))
         q = qber_total(model, mu, delta)
-        i_ab.append(gap_information(0.5 - q) if q >= 0.25 else binary_information(q))
+        i_ab.append(binary_information(q) if q < 0.25
+                    else gap_information(qber_gap(model, mu, delta)))
     return i_ab, i_eve

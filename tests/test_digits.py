@@ -138,3 +138,23 @@ def test_stattnb_prints_the_nb_storing_informations_at_every_digit():
                                oracle.nb_storing_info_at(ladder, delta)))
     assert len(rows) == len(exact_rows) == 464
     assert _misprinted(header, rows, exact_rows) == []
+
+
+def test_stattnb_prints_i_ab_near_half_at_every_digit():
+    # three rows of the fine grid where q is within 2e-5 of 1/2 and 0.5 - q
+    # lost digits to q's rounding: n_b = 4 at 233 km, 7 at 261.5 km and 5 at
+    # 241.5 km printed 4.39741816175e-10, 6.0360669395e-09, 8.59292216329e-06
+    argv = ["curve", "stattnb", "--nb", "2:8", "--d", "0:400:0.5"]
+    header, rows = _csv(argv)
+    args = cli.build_parser().parse_args(argv)
+    picked, exact_rows = [], []
+    for nb, d in ((4, 233.0), (7, 261.5), (5, 241.5)):
+        k = (nb - args.nb[0]) * len(args.d) + args.d.index(d)
+        mu, _, ladder = oracle.nb_storing_ladder(nb, *_nb_model(args))
+        delta = d * args.alpha
+        picked.append(rows[k])
+        exact_rows.append((Decimal(nb), Decimal(d), Decimal(delta),
+                           oracle.nb_honest_information(mu, delta, *_nb_model(args)),
+                           oracle.nb_storing_info_at(ladder, delta)))
+    assert [row[:2] for row in picked] == [["4", "233"], ["7", "261.5"], ["5", "241.5"]]
+    assert _misprinted(header, picked, exact_rows) == []

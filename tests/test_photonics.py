@@ -1,6 +1,7 @@
 """Source statistics, channel and error-model tests."""
 import decimal
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from pnsqkd.photonics import (
     poisson_moments,
     poisson_pmf,
     poisson_tails,
+    qber_gap,
     qber_total,
     transmission,
 )
@@ -183,6 +185,50 @@ class TestQber:
         vals = [qber_total(m, 0.2, d) for d in range(0, 120, 2)]
         assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
         assert all(v <= 0.5 for v in vals)
+
+
+class TestQberGap:
+    @staticmethod
+    def _exact(model, mu, delta):
+        """1/2 - q and s/(p_d + s) at the float arguments, at 60 digits."""
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            p_d = decimal.Decimal(model.p_d)
+            signal = (decimal.Decimal(mu) * decimal.Decimal(model.eta_det)
+                      * decimal.Decimal(10) ** (-decimal.Decimal(delta) / 10))
+            q = p_d / 2 / (p_d + signal) + decimal.Decimal(model.qber_opt)
+            return max(decimal.Decimal(1) / 2 - q, 0), signal / (p_d + signal)
+
+    def test_rounds_relative_to_the_gap(self):
+        # error bounded by a few ulps of s/(p_d + s), not of 1/2: at q near
+        # 1/2 that is ~50x finer than 0.5 - qber_total, whose error is an
+        # ulp of 1/2
+        rng = random.Random(36)
+        for _ in range(300):
+            m = SourceChannelModel(eta_det=rng.uniform(0.05, 1.0), p_d=10 ** rng.uniform(-9, -3),
+                                   qber_opt=rng.uniform(0.0, 0.3))
+            mu = rng.uniform(0.05, 12.0)
+            # the attenuation where s/(p_d + s) is a log-uniform share in [1e-4, 1/2]
+            share = 10 ** rng.uniform(-4.0, math.log10(0.5))
+            delta = max(10.0 * math.log10(mu * m.eta_det * (1.0 - share) / (share * m.p_d)), 0.0)
+            exact, share = self._exact(m, mu, delta)
+            gap = qber_gap(m, mu, delta)
+            assert 0.0 <= gap <= 0.5
+            assert abs(decimal.Decimal(gap) - exact) <= decimal.Decimal(4e-16) * share, (m, mu, delta)
+
+    def test_clamped_and_without_dark_counts(self):
+        # q clamped at 1/2 gives 0; without dark counts it is 1/2 - qber_opt
+        # also where the transmission underflows
+        assert qber_gap(SourceChannelModel(p_d=1e-5, qber_opt=0.4), 0.2, 200.0) == 0.0
+        assert qber_gap(SourceChannelModel(p_d=1e-5), 0.2, 3300.0) == 0.0
+        m = SourceChannelModel(p_d=0.0, qber_opt=0.3)
+        assert qber_gap(m, 0.2, 3300.0) == qber_gap(m, 0.2, 3.0) == 0.5 - 0.3
+
+    @pytest.mark.parametrize("mu,delta", [(0.0, 10.0), (math.nan, 10.0), (0.2, -1.0),
+                                          (0.2, math.inf), (0.2, math.nan)])
+    def test_out_of_domain_rejected(self, mu, delta):
+        with pytest.raises(ValueError, match="must be"):
+            qber_gap(SourceChannelModel(), mu, delta)
 
 
 def test_transmission():
