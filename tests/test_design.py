@@ -81,42 +81,47 @@ def test_importing_the_package_binds_and_loads_only_what_it_needs():
     assert same == "True"
 
 
+# a fresh interpreter imports the package from src/
+_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+
+
 def _python(*args):
-    """stdout of a fresh interpreter that imports the package from src/."""
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path), timeout=60, check=True)
-    return proc.stdout
+    """stdout of a fresh interpreter run with ``args``."""
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=_ENV,
+                          timeout=60, check=True).stdout
 
 
-# The commands that compute with math alone, with short grids, and the ones
-# that load NumPy: dcrit through usd_optimal_pok's eigensolve, ieclon23 and
-# report through the QR of sifted_points, validate through its anchors.
-_SCALAR_COMMANDS = (["curve", "pns-bb84"], ["curve", "pns-42"], ["curve", "figiepr"],
-                    ["curve", "muopt", "--d", "4:8:4"], ["curve", "stattnb"],
-                    ["curve", "strongpulse"], ["curve", "ieclon12"], ["curve", "clonfid"])
+_SCALAR_COMMANDS = [line.split() for line in (ROOT / "tests" / "numpy_free_commands.txt")
+                    .read_text().splitlines() if line.strip() and not line.startswith("#")]
+# a short run of each command that loads NumPy: dcrit through
+# usd_optimal_pok's eigensolve, ieclon23 and report through the QR of
+# sifted_points, validate through its anchors
 _NUMPY_COMMANDS = (["curve", "ieclon23", "--gamma", "0.2:0.4:0.2"],
                    ["curve", "dcrit", "--nb", "2:3"], ["report", "geneva-lausanne"],
                    ["validate"])
 
 
 def test_the_scalar_commands_start_without_numpy():
-    # one cold process runs the scalar commands in turn; the others each run
-    # in a fresh process, where a module their command forgot to load fails
+    # one cold process runs them in turn and lists the numpy modules loaded
+    # after each
     probe = ("import contextlib, io, sys\nfrom pnsqkd import cli\n"
-             f"for argv in {list(map(list, _SCALAR_COMMANDS))!r}:\n"
+             f"for argv in {_SCALAR_COMMANDS!r}:\n"
              "    with contextlib.redirect_stdout(io.StringIO()):\n"
              "        code = cli.main(argv)\n"
              "    print(code, *[m for m in sys.modules if m.partition('.')[0] == 'numpy'][:1])")
     assert _python("-c", probe).splitlines() == ["0"] * len(_SCALAR_COMMANDS)
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    procs = [subprocess.Popen([sys.executable, "-m", "pnsqkd.cli", *argv],
-                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
-                              env=dict(os.environ, PYTHONPATH=path))
+
+
+def test_each_numpy_command_runs_in_a_fresh_process():
+    # the tier-1 process has every module loaded, so only a fresh one shows
+    # a module that a command reads without importing it
+    procs = [subprocess.Popen([sys.executable, "-m", "pnsqkd.cli", *argv], env=_ENV,
+                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
              for argv in _NUMPY_COMMANDS]
-    results = [(argv, proc.wait(timeout=60), proc.stderr.read()) for argv, proc in
-               zip(_NUMPY_COMMANDS, procs)]
-    assert [r for r in results if r[1] != 0] == []
+    failed = [(argv, proc.returncode, err) for argv, proc in zip(_NUMPY_COMMANDS, procs)
+              for _, err in [proc.communicate(timeout=60)] if proc.returncode != 0]
+    assert failed == []
 
 
 def test_readme_lists_every_benchmark_result():
