@@ -177,8 +177,8 @@ def qber_total(model, mu, delta_db):
 
 
 def _transmission_compensated(delta_db):
-    """10^(-delta/10) at the float delta, without the rounding of delta/10:
-    10^x turns that rounding into about 2.3 |x| ulps.  The residual
+    """10^(-delta/10) at the float delta, without the rounding of delta/10,
+    which 10^x magnifies ln 10 |x| times (13 times at 58 dB).  The residual
     e = delta/10 - fl(delta/10) is recovered from a Veltkamp split of
     x = fl(delta/10), whose halves times 10 are exact, and applied to first
     order, 10^(-x - e) = 10^(-x) (1 - e ln 10)."""
