@@ -21,7 +21,7 @@ DEFAULT_ALPHA_DB_PER_KM = 0.25
 # Below this mu the attack moments and critical attenuations are summed as
 # the positive ``poisson_tails`` series; their closed forms cancel there.
 POSITIVE_SERIES_MU = 1e-3
-_LN10 = math.log(10.0)
+_LN10_10 = math.log(10.0) / 10.0
 
 
 def positive_finite(value, name):
@@ -176,22 +176,6 @@ def qber_total(model, mu, delta_db):
     return min(dark + model.qber_opt, 0.5)
 
 
-def _transmission_compensated(delta_db):
-    """10^(-delta/10) at the float delta, without the rounding of delta/10,
-    which 10^x magnifies ln 10 |x| times (13 times at 58 dB).  The residual
-    e = delta/10 - fl(delta/10) is recovered from a Veltkamp split of
-    x = fl(delta/10), whose halves times 10 are exact, and applied to first
-    order, 10^(-x - e) = 10^(-x) (1 - e ln 10)."""
-    x = delta_db / 10.0
-    head = 10.0 ** -x
-    if not head:  # also where 134217729 x overflows
-        return head
-    c = 134217729.0 * x
-    hi = c - (c - x)
-    e = ((delta_db - 10.0 * hi) - 10.0 * (x - hi)) / 10.0
-    return head - head * (_LN10 * e)
-
-
 def qber_gap(model, mu, delta_db):
     """1/2 - ``qber_total(model, mu, delta_db)``, without forming q.
 
@@ -199,15 +183,22 @@ def qber_gap(model, mu, delta_db):
     (s/2 - qber_opt (p_d + s))/(p_d + s), whose rounding is relative to
     the gap, where 0.5 - q carries q's rounding, about an ulp of 1/2.  Near
     q = 1/2 the gap magnifies the relative error of s some hundreds of times
-    (about 880 times at 58 dB with the default model), so s takes the
-    transmission of ``_transmission_compensated``.  The gap is 0 where q is
-    clamped at 1/2, and 1/2 - qber_opt without dark counts.
+    (about 880 times at 58 dB with the default model), so s is taken
+    without the rounding of x = fl(delta/10), which 10^-x magnifies
+    ln 10 |x| times: the residual r = delta - 10 x is exact as
+    (delta - 8x) - 2x (two Sterbenz subtractions), and
+    10^(-delta/10) = 10^-x (1 - (ln 10/10) r) to first order.  The gap is 0
+    where q is clamped at 1/2, and 1/2 - qber_opt without dark counts.
     """
     if not (0.0 < mu < math.inf and 0.0 <= delta_db < math.inf):
         positive_finite(mu, "mu")
         nonnegative_finite(delta_db, "attenuation")
-    if not model.p_d:
+    p_d = model.p_d
+    if not p_d:
         return 0.5 - model.qber_opt
-    signal = mu * model.eta_det * _transmission_compensated(delta_db)
-    total = model.p_d + signal
-    return max((0.5 * signal - model.qber_opt * total) / total, 0.0)
+    x = delta_db / 10.0
+    head = 10.0 ** -x
+    signal = mu * model.eta_det * (head - head * (_LN10_10 * ((delta_db - 8.0 * x) - 2.0 * x)))
+    total = p_d + signal
+    gap = (0.5 * signal - model.qber_opt * total) / total
+    return gap if gap > 0.0 else 0.0
