@@ -107,8 +107,8 @@ def _oracle_sifted_point(machine, announced=("+x", "+y")):
     wrong = _project(machine, machine.apply_to_qubit(qmath.PLUS_X), qmath.MINUS_X)
     qber = 0.5 * (qbers[0] + qbers[1])
     return {"disturbance": float(np.vdot(wrong, wrong).real), "qber_sifted": qber,
-            "i_ab": information.binary_information(qber), "i_eve": information.binary_information(p_e),
-            "p_e": p_e}
+            "i_ab": information.binary_information(qber),
+            "i_eve": information.binary_information(p_e), "p_e": p_e}
 
 
 FACTORY_GRIDS = [

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import is_last_bit_crossing
-from pnsqkd import attacks, cloners, cloning, keyrate, photonics, qmath, validation
+from pnsqkd import attacks, cloners, cloning, photonics, qmath, validation
 from pnsqkd.cloning import geneva_lausanne_report
 from pnsqkd.keyrate import (
     fourstate_key_rate,

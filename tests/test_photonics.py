@@ -209,12 +209,12 @@ class TestQberGap:
                                    qber_opt=rng.uniform(0.0, 0.3))
             mu = rng.uniform(0.05, 12.0)
             # the attenuation where s/(p_d + s) is a log-uniform share in [1e-4, 1/2]
-            share = 10 ** rng.uniform(-4.0, math.log10(0.5))
-            delta = max(10.0 * math.log10(mu * m.eta_det * (1.0 - share) / (share * m.p_d)), 0.0)
+            target = 10 ** rng.uniform(-4.0, math.log10(0.5))
+            delta = max(10.0 * math.log10(mu * m.eta_det * (1.0 - target) / (target * m.p_d)), 0.0)
             exact, share = self._exact(m, mu, delta)
             gap = qber_gap(m, mu, delta)
             assert 0.0 <= gap <= 0.5
-            assert abs(decimal.Decimal(gap) - exact) <= decimal.Decimal(4e-16) * share, (m, mu, delta)
+            assert abs(decimal.Decimal(gap) - exact) <= decimal.Decimal(4e-16) * share, (mu, delta)
 
     def test_clamped_and_without_dark_counts(self):
         # q clamped at 1/2 gives 0; without dark counts it is 1/2 - qber_opt

@@ -269,8 +269,8 @@ class TestGapInformation:
             + [0.5 - 10.0 ** -k for k in range(1, 17)])
 
     def test_matches_the_oracle_to_1e_15_relative(self):
-        worst = max(abs(decimal.Decimal(information.gap_information(t)) / oracle.gap_information(t) - 1)
-                    for t in self.GAPS)
+        worst = max(abs(decimal.Decimal(information.gap_information(t))
+                        / oracle.gap_information(t) - 1) for t in self.GAPS)
         assert worst <= 1e-15
 
     def test_ends(self):
