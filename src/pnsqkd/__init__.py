@@ -1,7 +1,7 @@
 """Security analysis of weak- and strong-pulse QKD implementations against
 photon-number-splitting and cloning attacks.
 
-Submodules.  The first five import no NumPy, so the commands that read
+Submodules.  The first six import no NumPy, so the commands that read
 only them start without it:
 
 information     binary mutual information, also from its gap to 1/2; the
