@@ -197,7 +197,7 @@ def qber_gap(model, mu, delta_db):
     if not p_d:
         return 0.5 - model.qber_opt
     x = delta_db / 10.0
-    head = 10.0 ** -x
+    head = transmission(delta_db)  # 10^-x
     signal = mu * model.eta_det * (head - head * (_LN10_10 * ((delta_db - 8.0 * x) - 2.0 * x)))
     total = p_d + signal
     gap = (0.5 * signal - model.qber_opt * total) / total
