@@ -440,6 +440,14 @@ def nb_click_sums(n_bases, model):
     return poisson_click_sums(mu, model.eta_det, poisson_cutoff(mu))
 
 
+# discrimination loads NumPy for p_ok's eigensolve, which only
+# nb_critical_usd needs; bound on that function's first call, so that the
+# other scalar commands start without it.  The function cannot move: the
+# benchmark traces both it and usd_optimal_pok, which it reads through the
+# module at every call.
+discrimination = None
+
+
 def nb_critical_usd(n_bases, model=SourceChannelModel(), sums=None):
     """Critical attenuation against unambiguous discrimination of
     n_e = 2 n_b - 1 copies, where both sides count detector clicks:
@@ -447,11 +455,9 @@ def nb_critical_usd(n_bases, model=SourceChannelModel(), sums=None):
         = p_ok sum_{m>=n_e} p(m, mu) (1 - (1 - eta)^(m - n_e + 1)).
     ``sums`` are ``nb_click_sums(n_bases, model)``, summed here if not given.
     """
-    # discrimination loads NumPy for p_ok's eigensolve, which only this
-    # function needs; imported here, the other scalar commands start without
-    # it.  It cannot move: the benchmark traces both it and usd_optimal_pok.
-    from . import discrimination
-
+    global discrimination
+    if discrimination is None:
+        from . import discrimination
     mu = nb_mu(n_bases)
     n_e = 2 * n_bases - 1
     p_ok = discrimination.usd_optimal_pok(n_bases)

@@ -325,7 +325,7 @@ def _cmd_report(args):
 
     gl = cloning.geneva_lausanne_report(alpha=args.alpha)
     payload = {k: v if isinstance(v, bool) else float(_spec(type(v)) % v)
-               for k, v in vars(gl).items()}
+               for k, v in gl._asdict().items()}
     _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     return 0
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from .qmath import partial_trace
 ISOMETRY_TOL = 1e-12
 
 
-@dataclass
 class CloningMachine:
     """Isometry, or a stack of isometries over a parameter grid, with
     declared clone positions.
@@ -49,13 +48,10 @@ class CloningMachine:
     eavesdropper as ancillas.
     """
 
-    name: str
-    isometry: np.ndarray
-    clone_positions: tuple
-    parameter: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        v = self.isometry
+    def __init__(self, name, isometry, clone_positions, parameter=None):
+        self.name, self.isometry, self.clone_positions = name, isometry, clone_positions
+        self.parameter = {} if parameter is None else parameter
+        v = isometry
         if v.shape[-1] not in _SIGNAL_COLUMNS:
             raise ValueError(f"{self.name}: isometry must have 2 or 3 input columns")
         gram = np.swapaxes(v.conj(), -1, -2) @ v
@@ -413,8 +409,7 @@ def cerf23_x_for_disturbance(points):
 # ---------------------------------------------------------------------------
 # 67 km case study
 
-@dataclass
-class GenevaLausanneReport:
+class GenevaLausanneReport(NamedTuple):
     """Security audit of the 67 km field experiment (mu = 0.2, QBER 5%:
     4% detector noise + 1% optical)."""
 

@@ -5,7 +5,7 @@ which reads a cloning stack, is in ``cloning``.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import attacks, photonics, solvers
 from .photonics import nonnegative_finite, positive_finite
@@ -67,8 +67,7 @@ def optimal_mu(delta_db):
     return best
 
 
-@dataclass
-class NbSecuritySummary:
+class NbSecuritySummary(NamedTuple):
     n_bases: int
     mu: float
     delta1_db: float          # unambiguous-discrimination attack

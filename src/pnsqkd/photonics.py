@@ -15,7 +15,6 @@ an argument.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 DEFAULT_ALPHA_DB_PER_KM = 0.25
 # Below this mu the attack moments and critical attenuations are summed as
@@ -40,9 +39,8 @@ def nonnegative_finite(value, name):
     return value
 
 
-@dataclass(frozen=True)
 class SourceChannelModel:
-    """Channel and detector parameters.
+    """Channel and detector parameters, fixed at construction.
 
     alpha     fiber attenuation in dB/km
     eta_det   detector efficiency
@@ -50,19 +48,24 @@ class SourceChannelModel:
     qber_opt  optical error fraction
     """
 
-    alpha: float = DEFAULT_ALPHA_DB_PER_KM
-    eta_det: float = 0.1
-    p_d: float = 1e-5
-    qber_opt: float = 0.01
+    __slots__ = ("alpha", "eta_det", "p_d", "qber_opt")
 
-    def __post_init__(self):
-        positive_finite(self.alpha, "alpha")
-        if not 0 < self.eta_det <= 1:
+    def __init__(self, alpha=DEFAULT_ALPHA_DB_PER_KM, eta_det=0.1, p_d=1e-5, qber_opt=0.01):
+        positive_finite(alpha, "alpha")
+        if not 0 < eta_det <= 1:
             raise ValueError("eta_det must be in (0, 1]")
-        if not 0 <= self.p_d < 1:
+        if not 0 <= p_d < 1:
             raise ValueError("p_d must be in [0, 1)")
-        if not 0 <= self.qber_opt < 0.5:
+        if not 0 <= qber_opt < 0.5:
             raise ValueError("qber_opt must be in [0, 0.5)")
+        for name, value in zip(self.__slots__, (alpha, eta_det, p_d, qber_opt)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def transmission(delta_db):

@@ -117,6 +117,14 @@ class TestReport:
         assert data["secure_optical_attribution"] is True
         assert data["secure_full_error"] is True
 
+    def test_geneva_lausanne_prints_the_sorted_report_keys(self, capsys):
+        assert cli.main(["report", "geneva-lausanne"]) == 0
+        out = capsys.readouterr().out
+        keys = re.findall(r'^  "(\w+)": ', out, flags=re.MULTILINE)
+        assert keys == ["delta_db", "distance_km", "i_ab", "i_eve_cloning_full",
+                        "i_eve_cloning_optical", "i_eve_pns", "mu", "qber",
+                        "secure_full_error", "secure_optical_attribution"]
+
 
 class TestExitCodes:
     def test_bad_arguments_exit_2(self):

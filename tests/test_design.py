@@ -104,13 +104,15 @@ _NUMPY_COMMANDS = (["curve", "ieclon23", "--gamma", "0.2:0.4:0.2"],
 
 
 def test_the_scalar_commands_start_without_numpy():
-    # one cold process runs them in turn and lists the numpy modules loaded
-    # after each
+    # one cold process runs them in turn and lists, after each, the first
+    # numpy module loaded and whether dataclasses or inspect (which NumPy
+    # and dataclasses import, at about 11 ms) is
     probe = ("import contextlib, io, sys\nfrom pnsqkd import cli\n"
              f"for argv in {_SCALAR_COMMANDS!r}:\n"
              "    with contextlib.redirect_stdout(io.StringIO()):\n"
              "        code = cli.main(argv)\n"
-             "    print(code, *[m for m in sys.modules if m.partition('.')[0] == 'numpy'][:1])")
+             "    print(code, *[m for m in sys.modules if m.partition('.')[0] == 'numpy'][:1],\n"
+             "          *[m for m in ('dataclasses', 'inspect') if m in sys.modules])")
     assert _python("-c", probe).splitlines() == ["0"] * len(_SCALAR_COMMANDS)
 
 

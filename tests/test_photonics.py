@@ -94,6 +94,43 @@ class TestModel:
         with pytest.raises(ValueError, match="alpha must be positive and finite"):
             SourceChannelModel(alpha=0.0)
 
+    def test_defaults(self):
+        m = SourceChannelModel()
+        assert (m.alpha, m.eta_det, m.p_d, m.qber_opt) == (0.25, 0.1, 1e-5, 0.01)
+
+    def test_keyword_construction(self):
+        m = SourceChannelModel(qber_opt=0.02, p_d=0.0, eta_det=1.0, alpha=0.2)
+        assert (m.alpha, m.eta_det, m.p_d, m.qber_opt) == (0.2, 1.0, 0.0, 0.02)
+
+    # one bad field each, with the others at their defaults
+    @pytest.mark.parametrize("field, value, message", [
+        ("alpha", math.inf, "alpha must be positive and finite"),
+        ("eta_det", 1.5, r"eta_det must be in \(0, 1\]"),
+        ("p_d", 1.0, r"p_d must be in \[0, 1\)"),
+        ("qber_opt", 0.5, r"qber_opt must be in \[0, 0.5\)"),
+    ])
+    def test_each_check_names_its_field(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SourceChannelModel(**{field: value})
+
+    def test_checks_run_in_field_order(self):
+        with pytest.raises(ValueError, match="^alpha"):
+            SourceChannelModel(alpha=-1.0, eta_det=0.0, p_d=-1.0, qber_opt=1.0)
+        with pytest.raises(ValueError, match="^p_d"):
+            SourceChannelModel(p_d=-1.0, qber_opt=1.0)
+
+    @pytest.mark.parametrize("field", ["alpha", "eta_det", "p_d", "qber_opt"])
+    def test_fields_cannot_be_assigned_or_deleted(self, field):
+        # the default instance is shared by the n_b-bases attack signatures
+        m = SourceChannelModel()
+        with pytest.raises(AttributeError):
+            setattr(m, field, 0.5)
+        with pytest.raises(AttributeError):
+            delattr(m, field)
+        with pytest.raises(AttributeError):
+            m.extra = 1.0
+        assert getattr(m, field) == getattr(SourceChannelModel(), field)
+
 
 class TestRawRate:
     # the receiver's raw rate is mu T photons per pulse
