@@ -105,8 +105,8 @@ _NUMPY_COMMANDS = (["curve", "ieclon23", "--gamma", "0.2:0.4:0.2"],
 
 def test_the_scalar_commands_start_without_numpy():
     # one cold process runs them in turn and lists, after each, the first
-    # numpy module loaded and whether dataclasses or inspect (which NumPy
-    # and dataclasses import, at about 11 ms) is
+    # numpy module loaded and dataclasses and inspect if loaded (inspect,
+    # which both of the others import, brings about 11 ms of modules)
     probe = ("import contextlib, io, sys\nfrom pnsqkd import cli\n"
              f"for argv in {_SCALAR_COMMANDS!r}:\n"
              "    with contextlib.redirect_stdout(io.StringIO()):\n"
