@@ -528,52 +528,39 @@ def nb_storing_ladder(n_bases, model=SourceChannelModel(), sums=None):
             return ladder
 
 
+def _storing_infos(ladder, deltas):
+    """``nb_storing_info_at`` at each attenuation of ``deltas`` in turn: one
+    that is negative or not finite raises before any later one is read."""
+    first, (last, i_last) = ladder[0][0], ladder[-1]
+    infos = []
+    for delta in deltas:
+        if not 0.0 <= delta < math.inf:
+            nonnegative_finite(delta, "attenuation")
+        if delta <= first:
+            infos.append(0.0)
+        elif delta >= last:
+            infos.append(i_last)
+        else:
+            # the first rung at or above delta, as a scan for d0 <= delta <= d1 finds it
+            k = bisect.bisect_left(ladder, (delta,))
+            (d0, i0), (d1, i1) = ladder[k - 1], ladder[k]
+            infos.append(i0 + (delta - d0) / (d1 - d0) * (i1 - i0))
+    return infos
+
+
 def nb_storing_info_at(ladder, delta_db):
     """Eavesdropper information at an attenuation, interpolating the ladder.
 
     Between rungs she mixes the two adjacent storing attacks; the mix is
     modeled as linear in attenuation between the rung endpoints.
     """
-    if nonnegative_finite(delta_db, "attenuation") <= ladder[0][0]:
-        return 0.0
-    if delta_db >= ladder[-1][0]:
-        return ladder[-1][1]
-    # the first rung at or above delta_db, as a scan for d0 <= delta_db <= d1 finds it
-    k = bisect.bisect_left(ladder, (delta_db,))
-    (d0, i0), (d1, i1) = ladder[k - 1], ladder[k]
-    t = (delta_db - d0) / (d1 - d0)
-    return i0 + t * (i1 - i0)
+    return _storing_infos(ladder, (delta_db,))[0]
 
 
 def nb_storing_columns(n_bases, model, deltas):
     """([I_AB], [I_Eve]) at each attenuation of ``deltas``: the values of
     ``honest_information`` and of ``nb_storing_info_at`` on the ladder of
-    ``nb_storing_ladder``, which is built once.
-
-    The ladder is interpolated here, in the floats of ``nb_storing_info_at``
-    and with its error for an attenuation that is negative or not finite,
-    raised before any later attenuation is read.
-    """
+    ``nb_storing_ladder``, which is built once."""
     mu = nb_mu(n_bases)
-    ladder = nb_storing_ladder(n_bases, model)
-    rungs = [delta for delta, _ in ladder]
-    first, (last, i_last) = rungs[0], ladder[-1]
-    qber_total, qber_gap = photonics.qber_total, photonics.qber_gap
-    binary_information = information.binary_information
-    gap_information = information.gap_information
-    i_ab, i_eve = [], []
-    for delta in deltas:
-        if not 0.0 <= delta < math.inf:
-            nonnegative_finite(delta, "attenuation")
-        if delta <= first:
-            i_eve.append(0.0)
-        elif delta >= last:
-            i_eve.append(i_last)
-        else:
-            k = bisect.bisect_left(rungs, delta)
-            (d0, i0), (d1, i1) = ladder[k - 1], ladder[k]
-            i_eve.append(i0 + (delta - d0) / (d1 - d0) * (i1 - i0))
-        q = qber_total(model, mu, delta)
-        i_ab.append(binary_information(q) if q < 0.25
-                    else gap_information(qber_gap(model, mu, delta)))
-    return i_ab, i_eve
+    i_eve = _storing_infos(nb_storing_ladder(n_bases, model), deltas)
+    return [honest_information(model, mu, delta) for delta in deltas], i_eve

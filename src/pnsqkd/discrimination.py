@@ -41,10 +41,9 @@ def b92_povm(eta):
     Measurement operators are Hermitian roots of the effects
     Pi_0 = |psi_1^perp><psi_1^perp| / (1 + cos eta), Pi_1 symmetric,
     Pi_? the remainder.  The inconclusive probability on either signal
-    state is cos(eta) and misidentification is impossible.
+    state is cos(eta) and misidentification is impossible.  ``b92_pair``
+    checks eta.
     """
-    if not 0 < eta <= math.pi / 2:
-        raise ValueError("eta must be in (0, pi/2]")
     psi0, psi1 = b92_pair(eta)
     scale = 1.0 / (1.0 + math.cos(eta))
     perp1 = orthogonal_qubit(psi1)

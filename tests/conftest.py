@@ -1,9 +1,15 @@
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pnsqkd import attacks
+
+ROOT = Path(__file__).resolve().parent.parent
+if str(ROOT) not in sys.path:  # the tests read the benchmark's workloads and tracer
+    sys.path.insert(0, str(ROOT))
 
 
 @pytest.fixture

@@ -9,6 +9,7 @@ docstring states.  ``binary_information``, ``gap_information`` and
 their working precision.  The tests compare the program's floats with
 these values; ``mpmath`` is not used.
 """
+import functools
 import itertools
 from decimal import Decimal, localcontext
 
@@ -16,6 +17,14 @@ DIGITS = 50
 _PREC = DIGITS + 20
 _MAX_SWEEPS = 60
 _PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
+
+
+@functools.cache
+def _ln2(prec):
+    """ln 2 correctly rounded to ``prec`` digits, computed once per precision."""
+    with localcontext() as ctx:
+        ctx.prec = prec
+        return Decimal(2).ln()
 
 
 def binary_information(p):
@@ -28,7 +37,7 @@ def binary_information(p):
         for x in (p, 1 - p):
             if x > 0:
                 total += x * x.ln()
-        result = 1 + total / Decimal(2).ln()
+        result = 1 + total / _ln2(ctx.prec)
         ctx.prec = DIGITS
         return +result
 
@@ -46,7 +55,7 @@ def gap_information(t):
         for y in (1 + x, 1 - x):
             if y > 0:
                 total += y * y.ln()
-        result = total / (2 * Decimal(2).ln())
+        result = total / (2 * _ln2(ctx.prec))
         ctx.prec = DIGITS
         return +result
 
@@ -97,7 +106,8 @@ def click_sums(mu, eta, nmax):
         pmf = [(-mu).exp()]
         for n in range(1, nmax + 1):
             pmf.append(pmf[-1] * mu / n)
-        return [sum(pmf[n] * (1 - loss ** (n - k)) for n in range(k + 1, nmax + 1))
+        kept = [1 - loss ** j for j in range(1, nmax + 1)]  # kept[j] = 1 - (1 - eta)^(j + 1)
+        return [sum(pmf[n] * kept[n - k - 1] for n in range(k + 1, nmax + 1))
                 for k in range(nmax + 1)]
 
 
@@ -221,6 +231,15 @@ def nb_mu(n_bases):
         return n_bases / (20 * sin2)
 
 
+@functools.cache
+def _transmission(delta_db):
+    """10^(-delta/10) at 80 digits, for a float or Decimal attenuation;
+    computed once per attenuation, which every n_b of a grid reads."""
+    with localcontext() as ctx:
+        ctx.prec = 80
+        return Decimal(10) ** (-Decimal(delta_db) / 10)
+
+
 def nb_honest_information(mu, delta_db, eta, p_d, qber_opt):
     """I_AB = 1 - h(q) with q = (p_d/2)/(p_d + mu eta 10^(-delta/10)) +
     qber_opt, at most 1/2, from the gap 1/2 - q (``gap_information``), at
@@ -228,7 +247,7 @@ def nb_honest_information(mu, delta_db, eta, p_d, qber_opt):
     with localcontext() as ctx:
         ctx.prec = 80
         p_d = Decimal(p_d)
-        signal = mu * Decimal(eta) * Decimal(10) ** (-Decimal(delta_db) / 10)
+        signal = mu * Decimal(eta) * _transmission(delta_db)
         q = (p_d / 2 / (p_d + signal) if p_d else 0) + Decimal(qber_opt)
         return gap_information(max(Decimal(1) / 2 - q, Decimal(0)))
 

@@ -11,18 +11,12 @@ why in CHANGES.md.
 """
 import contextlib
 import io
-import sys
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
-if str(ROOT) not in sys.path:
-    sys.path.insert(0, str(ROOT))
-
-from perfbench import layers  # noqa: E402
-from perfbench.tracer import Tracer  # noqa: E402
-from pnsqkd import cli  # noqa: E402
+from perfbench import layers
+from perfbench.tracer import Tracer
+from pnsqkd import cli
 
 COMMANDS = tuple(f"curve {curve_id}" for curve_id in cli.CURVE_IDS) + (
     "report geneva-lausanne", "validate")

@@ -1,7 +1,9 @@
 """The CLI's curve builders hold no physics: they call the library.  The
 package's ``__init__`` re-exports nothing that code reads, and the commands
-that compute with ``math`` alone start without NumPy.  And README's
-Benchmark list names every committed benchmark result.
+that compute with ``math`` alone start without NumPy.  Committed code
+imports only the standard library and the packages that pyproject.toml
+declares.  And README's Benchmark list names every committed benchmark
+result.
 
 Parses ``src/pnsqkd/cli.py`` with ``ast`` and resolves every dotted
 reference through the module's imports, so ``np.clip`` under
@@ -15,6 +17,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 CLI = ROOT / "src" / "pnsqkd" / "cli.py"
@@ -138,3 +142,35 @@ def test_readme_lists_every_benchmark_result():
     files = sorted(p.name for p in ROOT.glob("BENCH_*.json"))
     assert len(entries) == len(set(entries))
     assert sorted(entries) == files
+
+
+# pyproject.toml declares numpy for the package and pytest and hypothesis
+# for its test extra, which is all that CI installs
+_SRC_IMPORTS = frozenset(sys.stdlib_module_names) | {"numpy", "pnsqkd"}
+_TEST_IMPORTS = _SRC_IMPORTS | {"pytest", "hypothesis", "perfbench"} | {
+    path.stem for path in (ROOT / "tests").glob("*.py")}
+
+
+def _imported_packages(source):
+    """The top-level name of every absolute import in ``source``."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.module.partition(".")[0]
+
+
+@pytest.mark.parametrize("directory, allowed", [
+    ("src", _SRC_IMPORTS), ("tests", _TEST_IMPORTS), ("perfbench", _TEST_IMPORTS)])
+def test_committed_code_imports_only_declared_packages(directory, allowed):
+    undeclared = {(path.relative_to(ROOT).as_posix(), name)
+                  for path in (ROOT / directory).rglob("*.py")
+                  for name in _imported_packages(path.read_text()) if name not in allowed}
+    assert sorted(undeclared) == []
+
+
+def test_the_import_check_sees_each_spelling():
+    source = ("import mpmath\nimport numpy.linalg as la, os.path\nfrom sympy.abc import x\n"
+              "from . import qmath\nfrom .photonics import transmission\n"
+              "def f():\n    import scipy.special\n")
+    assert sorted(_imported_packages(source)) == ["mpmath", "numpy", "os", "scipy", "sympy"]
