@@ -558,9 +558,9 @@ def nb_storing_info_at(ladder, delta_db):
 
 
 def nb_storing_columns(n_bases, model, deltas):
-    """([I_AB], [I_Eve]) at each attenuation of ``deltas``: the values of
-    ``honest_information`` and of ``nb_storing_info_at`` on the ladder of
-    ``nb_storing_ladder``, which is built once."""
+    """([I_AB], [I_Eve]) at each attenuation of the sequence ``deltas``: the
+    values of ``honest_information`` and of ``nb_storing_info_at`` on the
+    ladder of ``nb_storing_ladder``, which is built once."""
     mu = nb_mu(n_bases)
     i_eve = _storing_infos(nb_storing_ladder(n_bases, model), deltas)
     return [honest_information(model, mu, delta) for delta in deltas], i_eve

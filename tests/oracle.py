@@ -106,8 +106,7 @@ def click_sums(mu, eta, nmax):
         pmf = [(-mu).exp()]
         for n in range(1, nmax + 1):
             pmf.append(pmf[-1] * mu / n)
-        kept = [1 - loss ** j for j in range(1, nmax + 1)]  # kept[j] = 1 - (1 - eta)^(j + 1)
-        return [sum(pmf[n] * kept[n - k - 1] for n in range(k + 1, nmax + 1))
+        return [sum(pmf[n] * (1 - loss ** (n - k)) for n in range(k + 1, nmax + 1))
                 for k in range(nmax + 1)]
 
 
@@ -231,10 +230,10 @@ def nb_mu(n_bases):
         return n_bases / (20 * sin2)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=4096)
 def _transmission(delta_db):
     """10^(-delta/10) at 80 digits, for a float or Decimal attenuation;
-    computed once per attenuation, which every n_b of a grid reads."""
+    kept for the attenuations of a grid, which every n_b reads."""
     with localcontext() as ctx:
         ctx.prec = 80
         return Decimal(10) ** (-Decimal(delta_db) / 10)

@@ -149,6 +149,7 @@ def test_readme_lists_every_benchmark_result():
 _SRC_IMPORTS = frozenset(sys.stdlib_module_names) | {"numpy", "pnsqkd"}
 _TEST_IMPORTS = _SRC_IMPORTS | {"pytest", "hypothesis", "perfbench"} | {
     path.stem for path in (ROOT / "tests").glob("*.py")}
+_ALLOWED_IMPORTS = {"src": _SRC_IMPORTS, "tests": _TEST_IMPORTS, "perfbench": _TEST_IMPORTS}
 
 
 def _imported_packages(source):
@@ -160,12 +161,12 @@ def _imported_packages(source):
             yield node.module.partition(".")[0]
 
 
-@pytest.mark.parametrize("directory, allowed", [
-    ("src", _SRC_IMPORTS), ("tests", _TEST_IMPORTS), ("perfbench", _TEST_IMPORTS)])
-def test_committed_code_imports_only_declared_packages(directory, allowed):
+@pytest.mark.parametrize("directory", _ALLOWED_IMPORTS)
+def test_committed_code_imports_only_declared_packages(directory):
     undeclared = {(path.relative_to(ROOT).as_posix(), name)
                   for path in (ROOT / directory).rglob("*.py")
-                  for name in _imported_packages(path.read_text()) if name not in allowed}
+                  for name in _imported_packages(path.read_text())
+                  if name not in _ALLOWED_IMPORTS[directory]}
     assert sorted(undeclared) == []
 
 
